@@ -27,13 +27,12 @@ from .compatibility import (
     cosine_from_harmonic,
     stress_scale,
 )
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, default_quadrature_spec
 from .solver import (
     IncompatibleStress,
     PolyStreamFunction,
     SinusoidalStreamFunction,
     StreamFunction,
-    default_quadrature_spec,
     format_float,
     linear_example,
     realistic_example,
@@ -59,6 +58,13 @@ SINUSOIDAL_AMPLITUDE = 5.0  # amplitude of the bundled sinusoidal case
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
+
+# Upper bounds on the size settings, so that a config that parses
+# cannot ask for unbounded time or memory.
+MAX_GRID_N = 1001
+MAX_QUAD_ORDER = 64
+MAX_QUAD_SUBDIVISION = 1000
+MAX_STREAM_STEPS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -121,9 +127,11 @@ def _finite_number(v, where: str) -> float:
     return float(v)
 
 
-def _positive_int(v, where: str) -> int:
+def _positive_int(v, where: str, maximum: int | None = None) -> int:
     if isinstance(v, bool) or not isinstance(v, int) or v < 1:
         raise ConfigError(f"{where} must be a positive integer")
+    if maximum is not None and v > maximum:
+        raise ConfigError(f"{where} must be at most {maximum}")
     return v
 
 
@@ -183,7 +191,7 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError("out must be a string")
         cfg = replace(cfg, out=doc["out"])
     if "grid_n" in doc:
-        n = _positive_int(doc["grid_n"], "grid_n")
+        n = _positive_int(doc["grid_n"], "grid_n", MAX_GRID_N)
         if n < 2:
             raise ConfigError("grid_n must be >= 2")
         cfg = replace(cfg, grid_n=n)
@@ -205,9 +213,10 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError("quadrature must be an object")
         _require_keys(q, {"order", "subdivision"}, "quadrature")
         if "order" in q:
-            cfg = replace(cfg, quad_order=_positive_int(q["order"], "quadrature.order"))
+            cfg = replace(cfg, quad_order=_positive_int(q["order"], "quadrature.order", MAX_QUAD_ORDER))
         if "subdivision" in q:
-            cfg = replace(cfg, quad_subdivision=_positive_int(q["subdivision"], "quadrature.subdivision"))
+            cfg = replace(cfg, quad_subdivision=_positive_int(
+                q["subdivision"], "quadrature.subdivision", MAX_QUAD_SUBDIVISION))
     if "streamlines" in doc:
         s = doc["streamlines"]
         if not isinstance(s, dict):
@@ -219,7 +228,7 @@ def parse_config(doc: dict) -> RunConfig:
                 raise ConfigError("streamlines.step must be positive")
             cfg = replace(cfg, step=st)
         if "max_steps" in s:
-            cfg = replace(cfg, max_steps=_positive_int(s["max_steps"], "streamlines.max_steps"))
+            cfg = replace(cfg, max_steps=_positive_int(s["max_steps"], "streamlines.max_steps", MAX_STREAM_STEPS))
         if "seeds" in s and s["seeds"] is not None:
             seeds = s["seeds"]
             if not isinstance(seeds, list):
@@ -261,8 +270,8 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     if getattr(overrides, "out", None) is not None:
         cfg = replace(cfg, out=overrides.out)
     if getattr(overrides, "grid", None) is not None:
-        if overrides.grid < 2:
-            raise ConfigError("--grid must be >= 2")
+        if not 2 <= overrides.grid <= MAX_GRID_N:
+            raise ConfigError(f"--grid must be between 2 and {MAX_GRID_N}")
         cfg = replace(cfg, grid_n=overrides.grid)
     return cfg
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import TriangleDomain, interior_lattice, boundary_sample
 from .polyalg import BivariatePoly
-from .quadrature import QuadratureSpec, integrate_rect
+from .quadrature import QuadratureSpec, default_quadrature_spec, integrate_rect
 from .geometry import Rect
 
 HALF = Fraction(1, 2)
@@ -145,7 +145,7 @@ def compat_residual(
         return float(r.eval(Fraction(X), 0))
     if isinstance(f, CosineStress):
         return float(_cosine_residual(f.amplitude, f.wavenumber, a, X))
-    spec = quad or QuadratureSpec(order=12, subdivision=max(1, math.ceil(8 * a)))
+    spec = quad or default_quadrature_spec(d)
     g = stress_char_evaluator(f, a)
     return integrate_rect(g, Rect(X, 2 * a, -X, 0.0), spec)
 

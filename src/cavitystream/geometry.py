@@ -168,16 +168,26 @@ def classify(d: TriangleDomain, p: PhysicalPoint, tol: float) -> PointLocation:
     return PointLocation(EXTERIOR)
 
 
+def in_char_image(d: TriangleDomain, X, Y):
+    """Whether (X, Y) lies in the image of the closed triangle, with a
+    small slack that absorbs roundoff from the coordinate change.
+
+    Elementwise on numpy arrays.
+    """
+    a = float(d.a)
+    slack = 1e-9 * a
+    return (-slack <= X) & (X <= 2 * a + slack) & (-X - slack <= Y) & (Y <= slack)
+
+
 def sigma_rectangles(d: TriangleDomain, q: CharPoint) -> SigmaDecomposition:
     """Integration rectangles [-Y, X] x [Y, 0] and [X, 2a] x [-X, 0].
 
-    ``q`` must be the image of a point of the closed triangle; a small
-    slack absorbs roundoff from the coordinate change.
+    ``q`` must be the image of a point of the closed triangle (see
+    ``in_char_image``).
     """
     X, Y = q
     a = float(d.a)
-    slack = 1e-9 * a
-    if not (-slack <= X <= 2 * a + slack) or not (-X - slack <= Y <= slack):
+    if not in_char_image(d, X, Y):
         raise ValueError(f"characteristic point {tuple(q)} outside the closed triangle image")
     return SigmaDecomposition(
         rect1=Rect(-Y, X, Y, 0 * Y),

@@ -96,9 +96,11 @@ class VelocityField:
         return ((up - um) / (2 * h), (uq - ur) / (2 * h), (vp - vm) / (2 * h), (vq - vr) / (2 * h))
 
     def speed_scale(self, n: int = 15) -> float:
-        """max speed over a coarse interior lattice (hypot norm)."""
+        """max speed over a coarse interior lattice (hypot norm); in fd
+        mode the lattice keeps every stencil inside the cavity."""
+        margin = 2 * self.h if self.mode == "fd" else 0.0
         best = 0.0
-        for p in interior_lattice(self.domain, n):
+        for p in interior_lattice(self.domain, n, margin=margin):
             u, v = self._eval_raw(p.x, p.y)
             best = max(best, math.hypot(u, v))
         return best

@@ -9,8 +9,13 @@ resulting field is the one that actually satisfies both the operator
 identity and the boundary condition (checked exactly below for every
 polynomial solve).  For polynomial stresses the whole formula is
 carried out by exact antidifferentiation with symbolic limits, yielding
-the stream function as an exact polynomial; otherwise each point
-evaluation runs a subdivided tensor Gauss rule.  The closed-form
+the stream function as an exact polynomial.  Otherwise psi is evaluated
+by a subdivided tensor Gauss rule over the first rectangle
+[-Y, X] x [Y, 0] alone: the second rectangle [X, 2a] x [-X, 0] is, term
+for term, the admissibility residual R(X), which is zero once the
+admissibility gate has passed.  A QuadratureStreamFunction is therefore
+only valid for a stress that passed the gate (``solve_quadrature``
+checks first); evaluation is batched over points.  The closed-form
 sinusoidal case is provided as a builtin.
 """
 
@@ -22,11 +27,13 @@ import numpy as np
 
 from . import geometry
 from .geometry import (
+    CharPoint,
     TriangleDomain,
     PhysicalPoint,
+    Rect,
     boundary_sample,
+    in_char_image,
     interior_lattice,
-    signed_edge_distances,
     sigma_rectangles,
     to_characteristic,
 )
@@ -40,7 +47,7 @@ from .compatibility import (
     exact_residual_poly,
     stress_char_evaluator,
 )
-from .quadrature import QuadratureSpec, integrate_rect
+from .quadrature import QuadratureSpec, default_quadrature_spec, integrate_rect
 
 HALF = Fraction(1, 2)
 SOLUTION_PREFACTOR = Fraction(-1, 4)
@@ -48,11 +55,6 @@ SOLUTION_PREFACTOR = Fraction(-1, 4)
 
 class IncompatibleStress(ValueError):
     """The stress violates the admissibility condition; no confined flow exists."""
-
-
-def default_quadrature_spec(d: TriangleDomain) -> QuadratureSpec:
-    """Order 12 (exact through degree 23); subdivision scaled with the cavity."""
-    return QuadratureSpec(order=12, subdivision=max(1, math.ceil(8 * float(d.a))))
 
 
 # ----------------------------------------------------------------------
@@ -118,6 +120,17 @@ class StreamFunction:
     def evaluate(self, x, y) -> float:
         return float(self._raw_eval(float(x), float(y)))
 
+    def evaluate_many(self, x, y) -> np.ndarray:
+        """psi at each point (x[i], y[i]) of two 1-d sequences; one
+        ``evaluate`` per point unless the backing evaluates a batch at
+        once."""
+        return np.array([self.evaluate(xi, yi) for xi, yi in zip(x, y)], dtype=float)
+
+    def max_abs(self, points) -> float:
+        """max |psi| over a sequence of points (0 for none)."""
+        values = self.evaluate_many([p[0] for p in points], [p[1] for p in points])
+        return float(np.max(np.abs(values), initial=0.0))
+
     def __call__(self, x, y) -> float:
         return self.evaluate(x, y)
 
@@ -130,13 +143,12 @@ class StreamFunction:
         if self._scale is None:
             if self.domain is None:
                 raise ValueError("bind a before computing a numeric scale")
-            pts = interior_lattice(self.domain, 51)
-            self._scale = max((abs(self.evaluate(p.x, p.y)) for p in pts), default=0.0)
+            self._scale = self.max_abs(interior_lattice(self.domain, 51))
         return self._scale
 
     def check_boundary(self, n: int = 100, tol: float = 1e-9) -> float:
         """max |psi| over a boundary sample; raises when above tol."""
-        worst = max(abs(self.evaluate(p.x, p.y)) for p in boundary_sample(self.domain, n))
+        worst = self.max_abs(boundary_sample(self.domain, n))
         if worst > tol:
             raise ValueError(f"stream function fails to vanish on the boundary: {worst:g} > {tol:g}")
         return worst
@@ -196,6 +208,12 @@ class SinusoidalStreamFunction(StreamFunction):
 
 
 class QuadratureStreamFunction(StreamFunction):
+    """psi = -1/4 times the Gauss integral over [-Y, X] x [Y, 0].
+
+    Valid only behind the admissibility gate: the second rectangle of
+    the solution formula is the residual R(X) and is left out.
+    """
+
     kind = "quadrature"
 
     def __init__(self, stress: StressField, domain: TriangleDomain, spec: QuadratureSpec | None = None):
@@ -205,10 +223,17 @@ class QuadratureStreamFunction(StreamFunction):
         self._g = stress_char_evaluator(stress, float(domain.a))
 
     def _raw_eval(self, x, y):
-        q = to_characteristic(PhysicalPoint(float(x), float(y)))
-        rects = sigma_rectangles(self.domain, q)
-        total = integrate_rect(self._g, rects.rect1, self.spec) + integrate_rect(self._g, rects.rect2, self.spec)
-        return float(SOLUTION_PREFACTOR) * total
+        return self.evaluate_many([x], [y])[0]
+
+    def evaluate_many(self, x, y) -> np.ndarray:
+        """All points in one batched ``integrate_rect`` call."""
+        X, Y = to_characteristic(PhysicalPoint(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+        outside = ~in_char_image(self.domain, X, Y)
+        if np.any(outside):
+            i = np.argmax(outside)
+            sigma_rectangles(self.domain, CharPoint(float(X[i]), float(Y[i])))  # raises
+        rect1 = Rect(-Y, X, Y, np.zeros_like(Y))
+        return float(SOLUTION_PREFACTOR) * integrate_rect(self._g, rect1, self.spec)
 
     @property
     def source_stress(self) -> StressField:
@@ -303,27 +328,42 @@ def linear_example(d: TriangleDomain | None) -> PolyStreamFunction:
 # ----------------------------------------------------------------------
 # strong-form residual
 
-def residual(psi: StreamFunction, f: StressField, p: PhysicalPoint, h: float) -> float:
-    """|second-difference operator applied to psi minus f| at an interior point.
+def residual(psi: StreamFunction, f: StressField, p, h: float):
+    """|second-difference operator applied to psi minus f| at interior points.
 
-    The 5-point stencil may leave the triangle only for backings whose
-    formulas extend (polynomial, sinusoidal); the quadrature backing
-    requires the stencil to stay inside the closed triangle.
+    ``p`` is one point (the result is a float) or a sequence of points
+    (the result is an array); all stencil values go to one
+    ``evaluate_many`` call.  The 5-point stencil may leave the triangle
+    only for backings whose formulas extend (polynomial, sinusoidal);
+    the quadrature backing requires every stencil to stay inside the
+    closed triangle.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     d = psi.domain
-    margin = min(signed_edge_distances(d, p))
-    if margin <= 0:
-        raise ValueError(f"point {tuple(p)} is not interior")
-    if isinstance(psi, QuadratureStreamFunction) and margin < h * math.sqrt(2.0):
-        raise ValueError(f"stencil at {tuple(p)} leaves the closed triangle (margin {margin:g} < h*sqrt2)")
-    x, y = float(p[0]), float(p[1])
-    e = psi.evaluate
-    lap = (-e(x - h, y) + 2 * e(x, y) - e(x + h, y)) / h**2 \
-        + (e(x, y - h) - 2 * e(x, y) + e(x, y + h)) / h**2
-    fv = float(f.evaluator(float(d.a))(x, y))
-    return abs(lap - fv)
+    a = float(d.a)
+    single = np.ndim(p) == 1 and len(p) == 2
+    xy = np.asarray(p, dtype=float).reshape(-1, 2)
+    x, y = xy[:, 0], xy[:, 1]
+    r2 = math.sqrt(2.0)
+    margin = np.min([y, (x - y) / r2, (2 * a - x - y) / r2], axis=0)
+    if np.any(margin <= 0):
+        i = np.argmax(margin <= 0)
+        raise ValueError(f"point {(float(x[i]), float(y[i]))} is not interior")
+    if isinstance(psi, QuadratureStreamFunction) and np.any(margin < h * r2):
+        i = np.argmax(margin < h * r2)
+        raise ValueError(
+            f"stencil at {(float(x[i]), float(y[i]))} leaves the closed triangle "
+            f"(margin {margin[i]:g} < h*sqrt2)"
+        )
+    # lists keep the scalar backings on Python floats
+    e = psi.evaluate_many(np.concatenate([x, x - h, x + h, x, x]).tolist(),
+                          np.concatenate([y, y, y, y - h, y + h]).tolist())
+    center, west, east, south, north = e.reshape(5, -1)
+    lap = (-west + 2 * center - east) / h**2 + (south - 2 * center + north) / h**2
+    fv = f.evaluator(a)(x, y)
+    out = np.abs(lap - fv)
+    return float(out[0]) if single else out
 
 
 # ----------------------------------------------------------------------
@@ -336,14 +376,15 @@ def grid_rows(psi: StreamFunction, d: TriangleDomain, n: int, tol: float | None 
         raise ValueError("n must be >= 2")
     a = float(d.a)
     tol = 1e-10 * a if tol is None else tol
-    rows = []
+    xs, ys = [], []
     for iy in range(n):
         y = a * iy / (n - 1)
         for ix in range(n):
             x = 2 * a * ix / (n - 1)
             if not geometry.classify(d, PhysicalPoint(x, y), tol).is_exterior:
-                rows.append((x, y, psi.evaluate(x, y)))
-    return rows
+                xs.append(x)
+                ys.append(y)
+    return list(zip(xs, ys, psi.evaluate_many(xs, ys).tolist()))
 
 
 def format_float(v: float) -> str:

@@ -1,8 +1,10 @@
 """Command-line interface: config parsing, exit codes, artifacts."""
 
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
 from cavitystream.cli import (
@@ -70,6 +72,28 @@ class TestConfigParsing:
             assert cfg.stress.name == name
         with pytest.raises(ConfigError):
             parse_config({"stress": {"kind": "builtin", "name": "cubic"}})
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"grid_n": 1002}, "grid_n must be at most 1001"),
+        ({"quadrature": {"order": 65}}, "quadrature.order must be at most 64"),
+        ({"quadrature": {"subdivision": 1001}}, "quadrature.subdivision must be at most 1000"),
+        ({"streamlines": {"max_steps": 1_000_001}}, "streamlines.max_steps must be at most 1000000"),
+    ])
+    def test_size_upper_bounds(self, tmp_path, capsys, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc)
+        cfg = write_config(tmp_path, {**doc, "out": str(tmp_path / "o")})
+        assert run(["solve", "--config", cfg, "--quiet"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_size_bounds_are_inclusive(self):
+        cfg = parse_config({"grid_n": 1001, "quadrature": {"order": 64, "subdivision": 1000},
+                            "streamlines": {"max_steps": 1_000_000}})
+        assert (cfg.grid_n, cfg.quad_order, cfg.quad_subdivision, cfg.max_steps) == (1001, 64, 1000, 1_000_000)
+
+    def test_grid_flag_upper_bound(self, tmp_path):
+        cfg = write_config(tmp_path, {**LINEAR_STRESS_DOC, "out": str(tmp_path / "o")})
+        assert run(["solve", "--config", cfg, "--grid", "1002", "--quiet"]) == EXIT_USAGE
 
     def test_seed_pairs(self):
         cfg = parse_config({"streamlines": {"seeds": [[1.0, 0.5], [0.7, 0.2]]}})
@@ -203,6 +227,27 @@ class TestFlowCommand:
         assert run(["flow", "--config", cfg, "--quiet"]) == EXIT_OK
         ids = {line.split(",")[0] for line in (out / "streamlines.csv").read_text().splitlines()[1:]}
         assert ids == {"0"}
+
+
+    def test_cosine_flow(self, tmp_path):
+        # a quadrature-backed field: every difference stencil must stay in the cavity
+        out = tmp_path / "o"
+        doc = {"a": 1, "stress": {"kind": "cosine", "A": 10, "m": 3}, "seeds_per_axis": 3,
+               "streamlines": {"seeds": [[1.0, 0.2]], "max_steps": 400}, "out": str(out)}
+        assert run(["flow", "--config", write_config(tmp_path, doc), "--quiet"]) == EXIT_OK
+        rows = np.array([[float(t) for t in line.split(",")]
+                         for line in (out / "streamlines.csv").read_text().splitlines()[1:]])
+        assert len(rows) > 1
+
+        def closed_form(x, y):
+            k = 3 * math.pi
+            return -(10 / k**2) * (np.cos(k * y) + np.cos(k * (x - y) / 2) - np.cos(k * (x + y) / 2) - 1)
+
+        gx, gy = np.meshgrid(np.linspace(0, 2, 101), np.linspace(0, 1, 101))
+        inside = (gy <= gx) & (gx + gy <= 2)
+        scale = np.max(np.abs(closed_form(gx[inside], gy[inside])))
+        err = np.max(np.abs(rows[:, 4] - closed_form(rows[:, 2], rows[:, 3])))
+        assert err <= 1e-5 * scale
 
 
 class TestExamplesCommand:

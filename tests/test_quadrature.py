@@ -1,0 +1,96 @@
+"""Tensor Gauss quadrature: batched rectangles, degenerate cases, memory."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from cavitystream.geometry import Rect
+from cavitystream.quadrature import MAX_BLOCK, QuadratureSpec, gauss_nodes, integrate_rect
+
+
+def _meshgrid_reference(fn, rect, spec):
+    """One rectangle at a time, one meshgrid per call: the loop form that
+    the batched path replaces."""
+    t0, t1, s0, s1 = rect
+    if t1 <= t0 or s1 <= s0:
+        return 0.0
+
+    def axis(lo, hi):
+        x, w = gauss_nodes(spec.order)
+        cells = np.linspace(lo, hi, spec.subdivision + 1)
+        half = np.diff(cells) / 2.0
+        mid = (cells[:-1] + cells[1:]) / 2.0
+        return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+    tn, tw = axis(t0, t1)
+    sn, sw = axis(s0, s1)
+    T, S = np.meshgrid(tn, sn, indexing="ij")
+    return float(tw @ fn(T, S) @ sw)
+
+
+def _positive(t, s):
+    return np.exp(0.3 * t - 0.2 * s) + 0.1 * np.cos(t * s)
+
+
+def _random_rects(seed, n):
+    rng = np.random.default_rng(seed)
+    t0 = rng.uniform(-1, 1, n)
+    s0 = rng.uniform(-1, 0, n)
+    # negative widths make some rectangles degenerate
+    return Rect(t0, t0 + rng.uniform(-0.2, 2, n), s0, s0 + rng.uniform(-0.2, 1, n))
+
+
+class TestBatchedIntegrateRect:
+    # the last spec has more than MAX_BLOCK nodes per rectangle, so one
+    # rectangle is integrated in blocks of t-nodes
+    @pytest.mark.parametrize("spec", [QuadratureSpec(4, 1), QuadratureSpec(12, 8), QuadratureSpec(12, 30)])
+    def test_batch_matches_per_rect_loop(self, spec):
+        rects = _random_rects(7, 40)
+        batch = integrate_rect(_positive, rects, spec)
+        assert batch.shape == (40,)
+        for k, rect in enumerate(zip(*rects)):
+            ref = _meshgrid_reference(_positive, rect, spec)
+            one = integrate_rect(_positive, Rect(*rect), spec)
+            assert isinstance(one, float)
+            assert abs(one - ref) <= 1e-14 * abs(ref)
+            assert abs(batch[k] - ref) <= 1e-14 * abs(ref)
+
+    def test_degenerate_rectangles_are_exactly_zero_and_not_evaluated(self):
+        seen = []
+
+        def fn(t, s):
+            seen.append(np.size(t))
+            return np.ones_like(t)
+
+        spec = QuadratureSpec(3, 2)
+        rects = Rect(np.array([0.0, 1.0, 0.0, 2.0]), np.array([0.0, 0.5, 1.0, 3.0]),
+                     np.array([-1.0, 0.0, 0.0, -1.0]), np.array([0.0, 1.0, 0.0, 0.0]))
+        out = integrate_rect(fn, rects, spec)
+        assert out[:3].tolist() == [0.0, 0.0, 0.0]
+        assert out[3] == pytest.approx(1.0, rel=1e-14)
+        assert sum(seen) == (3 * 2) ** 2
+        assert integrate_rect(fn, Rect(1.0, 1.0, 0.0, 1.0), spec) == 0.0
+
+    def test_blocks_respect_the_cap(self):
+        sizes = []
+
+        def fn(t, s):
+            sizes.append(t.size)
+            return np.cos(t) * s
+
+        spec = QuadratureSpec(order=12, subdivision=30)
+        integrate_rect(fn, _random_rects(3, 10), spec)
+        assert max(sizes) <= MAX_BLOCK
+
+    def test_peak_memory_flat_for_a_huge_rule(self):
+        # 5.8e6 nodes: a full meshgrid would need 46 MB per array
+        spec = QuadratureSpec(order=12, subdivision=200)
+        tracemalloc.start()
+        try:
+            got = integrate_rect(lambda t, s: np.cos(t) * s, Rect(0.0, 1.0, 0.0, 1.0), spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == pytest.approx(np.sin(1.0) / 2, rel=1e-12)
+        assert peak < 8 * 2**20

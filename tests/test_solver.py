@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cavitystream.geometry import TriangleDomain, PhysicalPoint, boundary_sample, interior_lattice
@@ -11,6 +12,7 @@ from cavitystream.quadrature import QuadratureSpec
 from cavitystream.compatibility import CosineStress, OpaqueStress, PolynomialStress, compat_check
 from cavitystream.solver import (
     IncompatibleStress,
+    QuadratureStreamFunction,
     grid_rows,
     linear_example,
     realistic_example,
@@ -262,3 +264,69 @@ class TestBoundaryGuard:
         bad = PolyStreamFunction((X * Y).subs_a(1), D1)
         with pytest.raises(ValueError):
             bad.check_boundary(100, 1e-9)
+
+
+def _odd_cosine_psi(A, m, a, x, y):
+    """Closed form for A*cos(m*pi*y/a), m odd."""
+    k = m * math.pi / a
+    return -(A / k**2) * (np.cos(k * y) + np.cos(k * (x - y) / 2) - np.cos(k * (x + y) / 2) - 1)
+
+
+class TestBatchedQuadratureEvaluation:
+    def test_interior_point_sees_one_rectangle_of_nodes(self):
+        seen = []
+
+        def f(x, y):
+            seen.append(np.size(x))
+            return np.cos(3 * math.pi * y)
+
+        spec = QuadratureSpec(order=4, subdivision=3)
+        psi = QuadratureStreamFunction(OpaqueStress(f), D1, spec)
+        psi.evaluate(1.0, 0.5)
+        assert sum(seen) == (4 * 3) ** 2
+
+    def test_evaluate_many_matches_evaluate(self):
+        psi = solve_quadrature(CosineStress(5.0, 3 * math.pi), D1)
+        pts = interior_lattice(D1, 9) + boundary_sample(D1, 12)
+        many = psi.evaluate_many([p.x for p in pts], [p.y for p in pts])
+        one = [psi.evaluate(p.x, p.y) for p in pts]
+        assert many.tolist() == pytest.approx(one, rel=1e-14, abs=1e-14 * psi.scale())
+
+    def test_evaluate_many_rejects_exterior_point(self):
+        psi = solve_quadrature(CosineStress(5.0, 3 * math.pi), D1)
+        with pytest.raises(ValueError, match=r"characteristic point \(2\.5, -0\.5\) outside the closed triangle image"):
+            psi.evaluate_many([1.0, 1.5], [0.5, 1.0])
+
+    @pytest.mark.parametrize("A, m, a, n", [(10.0, 3, 1.0, 101), (1.0, 15, 0.25, 51)])
+    def test_grid_rows_match_closed_form(self, A, m, a, n):
+        d = TriangleDomain(a)
+        stress = CosineStress(A, m * math.pi / a)
+        rows = np.array(grid_rows(solve_quadrature(stress, d), d, n))
+        want = _odd_cosine_psi(A, m, a, rows[:, 0], rows[:, 1])
+        assert np.max(np.abs(rows[:, 2] - want)) <= 1e-5 * np.max(np.abs(want))
+
+    def test_batched_residual_matches_scalar_form(self):
+        f = OpaqueStress(lambda x, y: 16.0 * y - 8.0 + 5.0 * np.cos(3 * math.pi * y))
+        psi = solve_quadrature(f, D1, QuadratureSpec(order=12, subdivision=8))
+        pts = interior_lattice(D1, 12, margin=0.01)
+        h = 1e-3
+        batch = residual(psi, f, pts, h)
+        for p, r in zip(pts, batch):
+            x, y = p
+            e = psi.evaluate
+            lap = (-e(x - h, y) + 2 * e(x, y) - e(x + h, y)) / h**2 + (e(x, y - h) - 2 * e(x, y) + e(x, y + h)) / h**2
+            scalar = abs(lap - float(f.evaluator(1.0)(x, y)))
+            assert r == pytest.approx(scalar, rel=1e-9, abs=1e-9)
+            assert residual(psi, f, p, h) == pytest.approx(scalar, rel=1e-9, abs=1e-9)
+
+    def test_batched_residual_guards_every_point(self):
+        f = PolynomialStress((16 * Y - 8 * A).subs_a(1))
+        psi = solve_quadrature(f, D1, QuadratureSpec(order=8, subdivision=1))
+        inside = PhysicalPoint(1.0, 0.5)
+        with pytest.raises(ValueError, match="leaves the closed triangle"):
+            residual(psi, f, [inside, PhysicalPoint(1.0, 1e-5)], 1e-3)
+        with pytest.raises(ValueError, match="is not interior"):
+            residual(psi, f, [inside, PhysicalPoint(1.0, 0.0)], 1e-3)
+        exact = linear_example(D1)
+        with pytest.raises(ValueError, match="is not interior"):
+            residual(exact, f, [inside, PhysicalPoint(1.0, 0.0)], 1e-3)
