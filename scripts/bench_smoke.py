@@ -1,0 +1,50 @@
+#!/usr/bin/env python3
+"""Run every benchmark workload once, traced, and fail unless each run
+is correct with no failed operation.
+
+A traced run fails loudly when a must-fire counter reads 0, so this
+also catches a renamed wrapped function (such as `integrate_rect`) and
+a broken oracle.
+
+Usage: python scripts/bench_smoke.py [--seconds S]
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--seconds", default="1")
+    args = parser.parse_args()
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        names = [w["name"] for w in json.load(fh)["workloads"]]
+    bad = []
+    for name in names:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", name, "--seed", "1",
+             "--seconds", args.seconds, "--trace", "1"],
+            cwd=ROOT, capture_output=True, text=True,
+        )
+        lines = proc.stdout.strip().splitlines()
+        try:
+            result = json.loads(lines[-1])
+            ok = proc.returncode == 0 and result["correct"] is True and result["failed"] == 0
+        except (IndexError, ValueError, KeyError, TypeError):
+            ok = False
+        print(f"{name}: {'ok' if ok else 'FAILED'} (exit {proc.returncode})")
+        if not ok:
+            bad.append(name)
+            sys.stdout.write(proc.stdout[-4000:])
+            sys.stdout.write(proc.stderr[-4000:])
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

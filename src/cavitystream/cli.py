@@ -104,9 +104,7 @@ class RunConfig:
         return TriangleDomain(self.a)
 
     def quadrature_spec(self) -> QuadratureSpec:
-        sub = self.quad_subdivision
-        if sub is None:
-            sub = default_quadrature_spec(self.domain).subdivision
+        sub = self.quad_subdivision or default_quadrature_spec().subdivision
         return QuadratureSpec(order=self.quad_order, subdivision=sub)
 
     def stream_step(self) -> float:

@@ -145,9 +145,8 @@ def compat_residual(
         return float(r.eval(Fraction(X), 0))
     if isinstance(f, CosineStress):
         return float(_cosine_residual(f.amplitude, f.wavenumber, a, X))
-    spec = quad or default_quadrature_spec(d)
     g = stress_char_evaluator(f, a)
-    return integrate_rect(g, Rect(X, 2 * a, -X, 0.0), spec)
+    return integrate_rect(g, Rect(X, 2 * a, -X, 0.0), quad or default_quadrature_spec(), 2 * a)
 
 
 def chebyshev_nodes(n: int, lo: float, hi: float) -> list[float]:

@@ -51,6 +51,8 @@ class VelocityField:
             self.v_poly = -source.poly.diff(1)
             self._u = self.u_poly.float_evaluator()
             self._v = self.v_poly.float_evaluator()
+            self._jac = tuple(q.diff(i).float_evaluator()
+                              for q in (self.u_poly, self.v_poly) for i in (1, 2))
             self.h = None
         else:
             self.mode = "fd"
@@ -82,12 +84,7 @@ class VelocityField:
         """(du/dx, du/dy, dv/dx, dv/dy); exact derivatives when available."""
         x, y = float(p[0]), float(p[1])
         if self.mode == "exact":
-            return (
-                self.u_poly.diff(1).float_evaluator()(x, y),
-                self.u_poly.diff(2).float_evaluator()(x, y),
-                self.v_poly.diff(1).float_evaluator()(x, y),
-                self.v_poly.diff(2).float_evaluator()(x, y),
-            )
+            return tuple(e(x, y) for e in self._jac)
         h = 1e-5 * float(self.domain.a)
         up, vp = self._eval_raw(x + h, y)
         um, vm = self._eval_raw(x - h, y)

@@ -2,27 +2,31 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .geometry import Rect, TriangleDomain
+from .geometry import Rect
 
 # Most float64 elements in one node block handed to the integrand
 # (512 KiB); larger jobs are cut into blocks, so peak memory does not
 # grow with the number of rectangles or with the rule's size.
 MAX_BLOCK = 2**16
+# Rectangles whose per-rectangle bookkeeping is held at once.
+RECT_CHUNK = 2**12
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss order per axis and number of subdivision cells per axis.
+    """Gauss order per cell axis and the most cells across one span.
 
-    Order n integrates polynomials of degree 2n-1 exactly per axis;
-    subdivision controls oscillatory integrands.
+    Order n integrates polynomials of degree 2n-1 exactly per cell
+    axis.  ``integrate_rect`` cuts each rectangle side into cells no
+    wider than span / subdivision, so subdivision counts the cells
+    across the widest side (the cavity rules pass span = 2a) and
+    controls oscillatory integrands.
     """
 
     order: int = 12
@@ -35,9 +39,13 @@ class QuadratureSpec:
             raise ValueError("subdivision must be >= 1")
 
 
-def default_quadrature_spec(d: TriangleDomain) -> QuadratureSpec:
-    """Order 12 (exact through degree 23); subdivision scaled with the cavity."""
-    return QuadratureSpec(order=12, subdivision=max(1, math.ceil(8 * float(d.a))))
+def default_quadrature_spec() -> QuadratureSpec:
+    """Order 12 (exact through degree 23 per cell), 8 cells across 2a.
+
+    The rule is the same for every a: cell widths are fractions of 2a,
+    so accuracy and cost do not depend on the unit of length.
+    """
+    return QuadratureSpec(order=12, subdivision=8)
 
 
 @lru_cache(maxsize=32)
@@ -47,46 +55,58 @@ def gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _axis_nodes(lo: np.ndarray, hi: np.ndarray, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss nodes and weights on each [lo[p], hi[p]], as
-    (P, order * subdivision) arrays."""
-    x, w = gauss_nodes(spec.order)
-    cells = np.linspace(lo, hi, spec.subdivision + 1, axis=-1)
-    half = np.diff(cells, axis=-1) / 2.0
-    mid = (cells[:, :-1] + cells[:, 1:]) / 2.0
-    nodes = (mid[:, :, None] + half[:, :, None] * x).reshape(len(lo), -1)
-    weights = (half[:, :, None] * w).reshape(len(lo), -1)
-    return nodes, weights
+def _cell_counts(width: np.ndarray, spec: QuadratureSpec, span: float) -> np.ndarray:
+    """Cells for each side: clip(ceil(S * width / span), 1, S).  The
+    1e-9 slack absorbs roundoff in the widths, so a side that is k
+    cells wide in units of span gets k cells at every scale."""
+    S = spec.subdivision
+    return np.clip(np.ceil(S * width / span - 1e-9), 1, S).astype(np.int64)
 
 
-def integrate_rect(fn: Callable, rect: Rect, spec: QuadratureSpec):
+def integrate_rect(fn: Callable, rect: Rect, spec: QuadratureSpec, span: float):
     """Integrate fn(t, s) over one rectangle or over a batch of them.
 
     ``rect`` holds floats (the result is a float) or four arrays of one
     shape, one rectangle per entry (the result is an array of that
-    shape).  Degenerate rectangles contribute exactly zero and are not
-    evaluated.  fn receives full-shape node arrays of at most MAX_BLOCK
-    elements (or one row of s-nodes, if that alone is longer): several
-    rectangles per call when they fit, otherwise one rectangle cut into
-    blocks of t-nodes.
+    shape).  Each side of length w is cut into
+    clip(ceil(S * w / span), 1, S) equal cells, S = spec.subdivision,
+    and each cell carries one order x order Gauss tensor, so a small
+    rectangle costs fewer nodes than a wide one.  Degenerate rectangles
+    contribute exactly zero and are not evaluated.  The cells of all
+    rectangles form one flat sequence; fn receives blocks of at most
+    MAX_BLOCK // order**2 whole cells (full-shape node arrays), and the
+    cell sums are added up per rectangle.
     """
     t0, t1, s0, s1 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in rect))
     shape = t0.shape
     t0, t1, s0, s1 = (v.ravel() for v in (t0, t1, s0, s1))
     out = np.zeros(t0.shape)
-    live = np.flatnonzero((t1 > t0) & (s1 > s0))
-    n = spec.order * spec.subdivision
-    rows = min(n, max(1, MAX_BLOCK // n))
-    per = max(1, MAX_BLOCK // (rows * n))
-    for i in range(0, live.size, per):
-        idx = live[i:i + per]
-        tn, tw = _axis_nodes(t0[idx], t1[idx], spec)
-        sn, sw = _axis_nodes(s0[idx], s1[idx], spec)
-        for j in range(0, n, rows):
-            T, S = np.broadcast_arrays(tn[:, j:j + rows, None], sn[:, None, :])
-            vals = np.asarray(fn(T, S), dtype=float)
-            out[idx] += np.einsum("pi,pi->p", tw[:, j:j + rows], np.einsum("pij,pj->pi", vals, sw))
+    for i in range(0, out.size, RECT_CHUNK):
+        part = slice(i, i + RECT_CHUNK)
+        out[part] = _integrate_chunk(fn, t0[part], t1[part], s0[part], s1[part], spec, span)
     return float(out[0]) if not shape else out.reshape(shape)
+
+
+def _integrate_chunk(fn, t0, t1, s0, s1, spec, span):
+    x, w = gauss_nodes(spec.order)
+    ww = np.outer(w, w).ravel() / 4.0  # tensor weights times the two half-width factors
+    wt, ws = t1 - t0, s1 - s0
+    nt, ns = _cell_counts(wt, spec, span), _cell_counts(ws, spec, span)
+    cells = np.where((wt > 0) & (ws > 0), nt * ns, 0)
+    end = np.cumsum(cells)
+    out = np.zeros(t0.shape)
+    per = max(1, MAX_BLOCK // spec.order**2)
+    for c0 in range(0, int(end[-1]), per):
+        k = np.arange(c0, min(c0 + per, end[-1]))
+        r = np.searchsorted(end, k, side="right")
+        it, js = np.divmod(k - (end[r] - cells[r]), ns[r])
+        ht, hs = wt[r] / nt[r], ws[r] / ns[r]
+        T = (t0[r] + (it + 0.5) * ht)[:, None] + (0.5 * ht)[:, None] * x
+        S = (s0[r] + (js + 0.5) * hs)[:, None] + (0.5 * hs)[:, None] * x
+        T, S = np.broadcast_arrays(T[:, :, None], S[:, None, :])
+        vals = np.asarray(fn(T, S), dtype=float).reshape(len(k), -1)
+        out[r[0]:r[-1] + 1] += np.bincount(r - r[0], weights=(vals @ ww) * ht * hs)
+    return out
 
 
 def riemann_rect(fn: Callable, rect: Rect, cells_per_axis: int) -> float:

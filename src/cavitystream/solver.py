@@ -219,7 +219,7 @@ class QuadratureStreamFunction(StreamFunction):
     def __init__(self, stress: StressField, domain: TriangleDomain, spec: QuadratureSpec | None = None):
         super().__init__(domain)
         self.stress = stress
-        self.spec = spec or default_quadrature_spec(domain)
+        self.spec = spec or default_quadrature_spec()
         self._g = stress_char_evaluator(stress, float(domain.a))
 
     def _raw_eval(self, x, y):
@@ -233,7 +233,7 @@ class QuadratureStreamFunction(StreamFunction):
             i = np.argmax(outside)
             sigma_rectangles(self.domain, CharPoint(float(X[i]), float(Y[i])))  # raises
         rect1 = Rect(-Y, X, Y, np.zeros_like(Y))
-        return float(SOLUTION_PREFACTOR) * integrate_rect(self._g, rect1, self.spec)
+        return float(SOLUTION_PREFACTOR) * integrate_rect(self._g, rect1, self.spec, 2 * float(self.domain.a))
 
     @property
     def source_stress(self) -> StressField:

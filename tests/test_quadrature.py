@@ -1,5 +1,6 @@
 """Tensor Gauss quadrature: batched rectangles, degenerate cases, memory."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,16 +10,17 @@ from cavitystream.geometry import Rect
 from cavitystream.quadrature import MAX_BLOCK, QuadratureSpec, gauss_nodes, integrate_rect
 
 
-def _meshgrid_reference(fn, rect, spec):
-    """One rectangle at a time, one meshgrid per call: the loop form that
-    the batched path replaces."""
+def _meshgrid_reference(fn, rect, spec, span):
+    """One rectangle at a time, one meshgrid per call: each side of
+    length w cut by linspace into clip(ceil(S*w/span), 1, S) cells."""
     t0, t1, s0, s1 = rect
     if t1 <= t0 or s1 <= s0:
         return 0.0
 
     def axis(lo, hi):
         x, w = gauss_nodes(spec.order)
-        cells = np.linspace(lo, hi, spec.subdivision + 1)
+        n = min(max(math.ceil(spec.subdivision * (hi - lo) / span), 1), spec.subdivision)
+        cells = np.linspace(lo, hi, n + 1)
         half = np.diff(cells) / 2.0
         mid = (cells[:-1] + cells[1:]) / 2.0
         return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
@@ -41,17 +43,20 @@ def _random_rects(seed, n):
     return Rect(t0, t0 + rng.uniform(-0.2, 2, n), s0, s0 + rng.uniform(-0.2, 1, n))
 
 
+SPAN = 2.0
+
+
 class TestBatchedIntegrateRect:
-    # the last spec has more than MAX_BLOCK nodes per rectangle, so one
-    # rectangle is integrated in blocks of t-nodes
+    # widths run up to the span, so cell counts vary over the batch, and
+    # with the larger specs the cells of one rectangle straddle blocks
     @pytest.mark.parametrize("spec", [QuadratureSpec(4, 1), QuadratureSpec(12, 8), QuadratureSpec(12, 30)])
     def test_batch_matches_per_rect_loop(self, spec):
         rects = _random_rects(7, 40)
-        batch = integrate_rect(_positive, rects, spec)
+        batch = integrate_rect(_positive, rects, spec, SPAN)
         assert batch.shape == (40,)
         for k, rect in enumerate(zip(*rects)):
-            ref = _meshgrid_reference(_positive, rect, spec)
-            one = integrate_rect(_positive, Rect(*rect), spec)
+            ref = _meshgrid_reference(_positive, rect, spec, SPAN)
+            one = integrate_rect(_positive, Rect(*rect), spec, SPAN)
             assert isinstance(one, float)
             assert abs(one - ref) <= 1e-14 * abs(ref)
             assert abs(batch[k] - ref) <= 1e-14 * abs(ref)
@@ -66,11 +71,11 @@ class TestBatchedIntegrateRect:
         spec = QuadratureSpec(3, 2)
         rects = Rect(np.array([0.0, 1.0, 0.0, 2.0]), np.array([0.0, 0.5, 1.0, 3.0]),
                      np.array([-1.0, 0.0, 0.0, -1.0]), np.array([0.0, 1.0, 0.0, 0.0]))
-        out = integrate_rect(fn, rects, spec)
+        out = integrate_rect(fn, rects, spec, 2.0)
         assert out[:3].tolist() == [0.0, 0.0, 0.0]
         assert out[3] == pytest.approx(1.0, rel=1e-14)
-        assert sum(seen) == (3 * 2) ** 2
-        assert integrate_rect(fn, Rect(1.0, 1.0, 0.0, 1.0), spec) == 0.0
+        assert sum(seen) == 3**2
+        assert integrate_rect(fn, Rect(1.0, 1.0, 0.0, 1.0), spec, 2.0) == 0.0
 
     def test_blocks_respect_the_cap(self):
         sizes = []
@@ -80,7 +85,7 @@ class TestBatchedIntegrateRect:
             return np.cos(t) * s
 
         spec = QuadratureSpec(order=12, subdivision=30)
-        integrate_rect(fn, _random_rects(3, 10), spec)
+        integrate_rect(fn, _random_rects(3, 10), spec, SPAN)
         assert max(sizes) <= MAX_BLOCK
 
     def test_peak_memory_flat_for_a_huge_rule(self):
@@ -88,9 +93,64 @@ class TestBatchedIntegrateRect:
         spec = QuadratureSpec(order=12, subdivision=200)
         tracemalloc.start()
         try:
-            got = integrate_rect(lambda t, s: np.cos(t) * s, Rect(0.0, 1.0, 0.0, 1.0), spec)
+            got = integrate_rect(lambda t, s: np.cos(t) * s, Rect(0.0, 1.0, 0.0, 1.0), spec, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert got == pytest.approx(np.sin(1.0) / 2, rel=1e-12)
         assert peak < 8 * 2**20
+
+    def test_sides_of_one_span_keep_the_full_rule(self):
+        # both sides equal the span: S x S cells, the same rule as a
+        # subdivision that ignores the rectangle's size
+        seen = []
+
+        def fn(t, s):
+            seen.append(t.size)
+            return _positive(t, s)
+
+        spec = QuadratureSpec(order=5, subdivision=7)
+        full = _meshgrid_reference(_positive, (-1.0, 1.0, -2.0, 0.0), spec, 2.0)
+        got = integrate_rect(fn, Rect(-1.0, 1.0, -2.0, 0.0), spec, 2.0)
+        assert sum(seen) == (spec.order * spec.subdivision) ** 2
+        assert abs(got - full) <= 1e-14 * abs(full)
+
+    def test_small_rectangles_get_proportionally_fewer_cells(self):
+        seen = []
+
+        def fn(t, s):
+            seen.append(t.size)
+            return np.ones_like(t)
+
+        spec = QuadratureSpec(order=3, subdivision=10)
+        # 0.45 of the span -> 5 cells, 0.1 -> 1 cell, 3 spans -> clipped to 10
+        for rect, cells in [(Rect(0.0, 0.9, -0.2, 0.0), 5 * 1), (Rect(0.0, 6.0, -6.0, 0.0), 10 * 10)]:
+            seen.clear()
+            area = (rect.t1 - rect.t0) * (rect.s1 - rect.s0)
+            assert integrate_rect(fn, rect, spec, 2.0) == pytest.approx(area, rel=1e-14)
+            assert sum(seen) == cells * spec.order**2
+
+    def test_many_small_rectangles_stay_in_bounded_memory(self):
+        sizes = []
+
+        def fn(t, s):
+            sizes.append(t.size)
+            return np.cos(t) * s
+
+        rng = np.random.default_rng(5)
+        n = 200_000
+        t0 = rng.uniform(0.0, 1.0, n)
+        s0 = rng.uniform(-1.0, 0.0, n)
+        rects = Rect(t0, t0 + rng.uniform(0.0, 0.05, n), s0, s0 + rng.uniform(0.0, 0.05, n))
+        spec = QuadratureSpec(order=12, subdivision=64)
+        tracemalloc.start()
+        try:
+            got = integrate_rect(fn, rects, spec, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert max(sizes) <= MAX_BLOCK
+        for k in range(0, n, 20_000):
+            ref = _meshgrid_reference(lambda t, s: np.cos(t) * s, Rect(*(v[k] for v in rects)), spec, 2.0)
+            assert abs(got[k] - ref) <= 1e-14 * abs(ref)

@@ -283,7 +283,8 @@ class TestBatchedQuadratureEvaluation:
         spec = QuadratureSpec(order=4, subdivision=3)
         psi = QuadratureStreamFunction(OpaqueStress(f), D1, spec)
         psi.evaluate(1.0, 0.5)
-        assert sum(seen) == (4 * 3) ** 2
+        # [-0.5, 1.5] x [-0.5, 0]: sides 1 and 0.5 of span 2 take 2 x 1 cells
+        assert sum(seen) == 2 * 1 * 4**2
 
     def test_evaluate_many_matches_evaluate(self):
         psi = solve_quadrature(CosineStress(5.0, 3 * math.pi), D1)
@@ -304,6 +305,22 @@ class TestBatchedQuadratureEvaluation:
         rows = np.array(grid_rows(solve_quadrature(stress, d), d, n))
         want = _odd_cosine_psi(A, m, a, rows[:, 0], rows[:, 1])
         assert np.max(np.abs(rows[:, 2] - want)) <= 1e-5 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("a", [0.05, 1.0, 100.0])
+    def test_default_rule_does_not_depend_on_the_unit_of_length(self, a):
+        d = TriangleDomain(a)
+        rows = np.array(grid_rows(solve_quadrature(CosineStress(1.0, 15 * math.pi / a), d), d, 21))
+        want = _odd_cosine_psi(1.0, 15, a, rows[:, 0], rows[:, 1])
+        assert np.max(np.abs(rows[:, 2] - want)) <= 1e-9 * np.max(np.abs(want))
+        seen = []
+
+        def f(x, y):
+            seen.append(np.size(x))
+            return np.cos(15 * math.pi * y / a)
+
+        QuadratureStreamFunction(OpaqueStress(f), d).evaluate(a, a / 2)
+        # sides a and a/2 of span 2a: 4 x 2 cells of the default 8 across
+        assert sum(seen) == 4 * 2 * 12**2
 
     def test_batched_residual_matches_scalar_form(self):
         f = OpaqueStress(lambda x, y: 16.0 * y - 8.0 + 5.0 * np.cos(3 * math.pi * y))
