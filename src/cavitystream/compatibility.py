@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -203,14 +203,21 @@ def compat_check(
         raise ValueError("tol must be positive")
     a = float(d.a)
     nodes = chebyshev_nodes(n_sweep, 0.0, 2 * a)
-    sweep = tuple((X, compat_residual(f, d, X, quad)) for X in nodes)
+    exact = None
+    if isinstance(f, PolynomialStress):
+        # one residual polynomial serves every sweep node
+        exact = exact_residual_poly(f.poly, d)
+        sweep = tuple((X, float(exact.eval(Fraction(X), 0))) for X in nodes)
+        if f.poly.has_symbol_a:
+            exact = exact_residual_poly(f.poly, None)
+    else:
+        sweep = tuple((X, compat_residual(f, d, X, quad)) for X in nodes)
     max_abs = max(abs(r) for _, r in sweep)
     norm = (2 * a) ** 2 * stress_scale(f, d)
     exact_text = None
-    if isinstance(f, PolynomialStress):
-        r = exact_residual_poly(f.poly, d if not f.poly.has_symbol_a else None)
-        exact_text = r.to_text(names=("X", "_"))
-        verdict = COMPATIBLE if r.is_zero else INCOMPATIBLE
+    if exact is not None:
+        exact_text = exact.to_text(names=("X", "_"))
+        verdict = COMPATIBLE if exact.is_zero else INCOMPATIBLE
     else:
         verdict = COMPATIBLE if max_abs <= tol * max(norm, 1e-300) else INCOMPATIBLE
     return CompatibilityReport(
@@ -239,125 +246,7 @@ def cosine_admissible_wavenumbers(d: TriangleDomain, n_max: int) -> list[float]:
 
 
 # ----------------------------------------------------------------------
-# exact constraint subspace over the field of rational functions in a
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _padd(p, q):
-    n = max(len(p), len(q))
-    return _trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
-
-
-def _pneg(p):
-    return [-c for c in p]
-
-
-def _pmul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, ci in enumerate(p):
-        for j, cj in enumerate(q):
-            out[i + j] += ci * cj
-    return _trim(out)
-
-
-def _pdivmod(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    while len(rem) >= len(q):
-        c = rem[-1] / q[-1]
-        k = len(rem) - len(q)
-        quo[k] = c
-        for i, qc in enumerate(q):
-            rem[k + i] -= c * qc
-        _trim(rem)
-        if not rem:
-            break
-    return _trim(quo), _trim(rem)
-
-
-def _pgcd(p, q):
-    p, q = _trim(list(p)), _trim(list(q))
-    while q:
-        _, r = _pdivmod(p, q)
-        p, q = q, r
-    if p:
-        lead = p[-1]
-        p = [c / lead for c in p]
-    return p
-
-
-class RatA:
-    """Rational function in a over the rationals (gcd-normalized)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Sequence[Fraction], den: Sequence[Fraction] = (Fraction(1),)):
-        num = _trim([Fraction(c) for c in num])
-        den = _trim([Fraction(c) for c in den])
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if num:
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num, _ = _pdivmod(num, g)
-                den, _ = _pdivmod(den, g)
-            lead = den[-1]
-            num = [c / lead for c in num]
-            den = [c / lead for c in den]
-        else:
-            den = [Fraction(1)]
-        self.num = tuple(num)
-        self.den = tuple(den)
-
-    @classmethod
-    def zero(cls):
-        return cls([])
-
-    @classmethod
-    def one(cls):
-        return cls([Fraction(1)])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __add__(self, o):
-        return RatA(_padd(_pmul(list(self.num), list(o.den)), _pmul(list(o.num), list(self.den))),
-                    _pmul(list(self.den), list(o.den)))
-
-    def __sub__(self, o):
-        return RatA(_padd(_pmul(list(self.num), list(o.den)), _pneg(_pmul(list(o.num), list(self.den)))),
-                    _pmul(list(self.den), list(o.den)))
-
-    def __mul__(self, o):
-        return RatA(_pmul(list(self.num), list(o.num)), _pmul(list(self.den), list(o.den)))
-
-    def __truediv__(self, o):
-        if o.is_zero:
-            raise ZeroDivisionError
-        return RatA(_pmul(list(self.num), list(o.den)), _pmul(list(self.den), list(o.num)))
-
-    def __neg__(self):
-        return RatA(_pneg(list(self.num)), list(self.den))
-
-    def __eq__(self, o):
-        return isinstance(o, RatA) and self.num == o.num and self.den == o.den
-
-    def __repr__(self):
-        return f"RatA({list(self.num)}/{list(self.den)})"
-
-
-def _a_poly_from_list(coeffs: Sequence[Fraction]) -> BivariatePoly:
-    return BivariatePoly({(0, 0, k): c for k, c in enumerate(coeffs)})
-
+# exact constraint subspace
 
 @dataclass(frozen=True)
 class ConstraintSystem:
@@ -365,8 +254,10 @@ class ConstraintSystem:
 
     rows[m][i] is the (polynomial in a) coefficient of X^m in the
     residual of basis element i; the admissible stresses are exactly the
-    nullspace vectors (entries polynomials in a, normalized to coprime
-    integer content with a positive leading entry).
+    nullspace vectors.  Each nullspace entry is a monomial n_i * a^k_i:
+    the integers n_i are coprime and k_i = 0 for the entries of highest
+    residual degree.  A vector is negated only when its first nonzero
+    entry is negative and carries no power of a.
     """
 
     x_powers: tuple[int, ...]
@@ -386,86 +277,74 @@ def compat_constraints(
     """Exact constraint matrix and admissible-subspace basis for a
     polynomial stress family f = sum_i c_i * basis_i.
 
-    With d=None the computation is carried out over the field of
-    rational functions in a, reproducing parameter-wise identities such
-    as the admissible ray of the linear-stress family.
+    The residual of a stress of joint degree n in (x, y, a) is
+    homogeneous of degree e = n + 2 in (X, a), so with d=None the
+    constraint matrix over Q(a) is diag(a^-m) . R . diag(a^e_i) with R
+    rational: its nullspace is R's, entry i scaled by a^(E - e_i) where
+    E is the largest e_i over the vector's nonzero entries.  This
+    reproduces parameter-wise identities such as the admissible ray of
+    the linear-stress family.  With d=None each basis element must be
+    homogeneous (ValueError otherwise); with a domain any basis works.
     """
     if not basis:
         raise ValueError("basis must be nonempty")
     residuals = [exact_residual_poly(b, d) for b in basis]
-    powers = sorted({i for r in residuals for i in r.coefficients_in_v1()})
-    rows: list[list[BivariatePoly]] = []
-    for m in powers:
-        rows.append([r.coefficients_in_v1().get(m, BivariatePoly.zero()) for r in residuals])
+    by_power = [r.coefficients_in_v1() for r in residuals]
+    powers = sorted({m for coeffs in by_power for m in coeffs})
+    zero = BivariatePoly.zero()
+    rows = [[coeffs.get(m, zero) for coeffs in by_power] for m in powers]
 
-    # Gauss-Jordan over Q(a)
-    mat = [[RatA(entry.univariate_a_coeffs()) for entry in row] for row in rows]
+    # one term per power of X: c * a^(e_i - m), or c alone with a bound
+    degrees = [0] * len(basis)
+    if d is None:
+        for i, r in enumerate(residuals):
+            found = {m + k for m, _, k in r.coefficients}
+            if len(found) > 1:
+                raise ValueError(f"basis element {i} ({basis[i].to_text()}) has a residual that is "
+                                 "not homogeneous in (X, a); bind a with a domain")
+            degrees[i] = found.pop() if found else 0
+    mat = [[sum(e.coefficients.values(), Fraction(0)) for e in row] for row in rows]
+
+    # Gauss-Jordan over Q
     ncols = len(basis)
     pivot_cols: list[int] = []
     prow = 0
     for col in range(ncols):
-        pivot = next((r for r in range(prow, len(mat)) if not mat[r][col].is_zero), None)
+        pivot = next((r for r in range(prow, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[prow], mat[pivot] = mat[pivot], mat[prow]
         pv = mat[prow][col]
         mat[prow] = [e / pv for e in mat[prow]]
         for r in range(len(mat)):
-            if r != prow and not mat[r][col].is_zero:
+            if r != prow and mat[r][col]:
                 factor = mat[r][col]
                 mat[r] = [er - factor * ep for er, ep in zip(mat[r], mat[prow])]
         pivot_cols.append(col)
         prow += 1
         if prow == len(mat):
             break
-    rank = len(pivot_cols)
 
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
     nullspace: list[tuple[BivariatePoly, ...]] = []
-    for fc in free_cols:
-        vec = [RatA.zero()] * ncols
-        vec[fc] = RatA.one()
-        for prow_idx, pc in enumerate(pivot_cols):
-            vec[pc] = -mat[prow_idx][fc]
-        # clear denominators: multiply by the product of distinct denominators
-        den = [Fraction(1)]
-        for e in vec:
-            g = _pgcd(den, list(e.den))
-            extra, _ = _pdivmod(list(e.den), g) if len(g) > 1 else (list(e.den), [])
-            den = _pmul(den, extra if extra else [Fraction(1)])
-        cleared = []
-        for e in vec:
-            num = _pmul(list(e.num), _pdivmod(den, list(e.den))[0]) if e.num else []
-            cleared.append(num)
-        # divide out any common polynomial factor
-        g = []
-        for c in cleared:
-            g = _pgcd(g, c) if g else _trim(list(c))
-        if len(g) > 1:
-            cleared = [(_pdivmod(c, g)[0] if c else []) for c in cleared]
-        # scale to coprime integers with positive leading nonzero entry
-        denom_lcm = 1
-        numer_gcd = 0
-        for c in cleared:
-            for q in c:
-                denom_lcm = denom_lcm * q.denominator // math.gcd(denom_lcm, q.denominator)
-                numer_gcd = math.gcd(numer_gcd, abs(q.numerator))
-        scale = Fraction(denom_lcm, numer_gcd or 1)
-        cleared = [[q * scale for q in c] for c in cleared]
-        g_int = 0
-        for c in cleared:
-            for q in c:
-                g_int = math.gcd(g_int, abs(q.numerator))
-        if g_int > 1:
-            cleared = [[q / g_int for q in c] for c in cleared]
-        first = next((c for c in cleared if c), None)
-        if first and first[0] < 0:
-            cleared = [[-q for q in c] for c in cleared]
-        nullspace.append(tuple(_a_poly_from_list(c) for c in cleared))
+    for fc in (c for c in range(ncols) if c not in pivot_cols):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for p, pc in enumerate(pivot_cols):
+            vec[pc] = -mat[p][fc]
+        den = math.lcm(*(q.denominator for q in vec))
+        ints = [int(q * den) for q in vec]
+        g = math.gcd(*ints)
+        ints = [n // g for n in ints]
+        top = max(degrees[i] for i, n in enumerate(ints) if n)
+        first = next(i for i, n in enumerate(ints) if n)
+        if ints[first] < 0 and degrees[first] == top:
+            ints = [-n for n in ints]
+        nullspace.append(tuple(BivariatePoly.monomial(n, 0, 0, top - degrees[i]) if n else zero
+                               for i, n in enumerate(ints)))
 
     return ConstraintSystem(
         x_powers=tuple(powers),
         rows=tuple(tuple(row) for row in rows),
         nullspace=tuple(nullspace),
-        rank=rank,
+        rank=len(pivot_cols),
     )

@@ -337,18 +337,6 @@ class BivariatePoly:
             out.setdefault(i, {})[(0, j, k)] = c
         return {i: BivariatePoly(m) for i, m in sorted(out.items())}
 
-    def univariate_a_coeffs(self) -> list[Fraction]:
-        """Dense coefficient list in a; requires v1 and v2 to be absent."""
-        if self.degree() > 0:
-            raise ValueError("polynomial still depends on v1/v2")
-        if not self._coef:
-            return []
-        n = max(k for _, _, k in self._coef)
-        dense = [Fraction(0)] * (n + 1)
-        for (_, _, k), c in self._coef.items():
-            dense[k] = c
-        return dense
-
     # ------------------------------------------------------------------
     # formatting
 

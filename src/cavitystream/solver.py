@@ -7,16 +7,16 @@ is forced by the Green-theorem bookkeeping: the boundary line integral
 of the gradient equals the area integral of half the source, and the
 resulting field is the one that actually satisfies both the operator
 identity and the boundary condition (checked exactly below for every
-polynomial solve).  For polynomial stresses the whole formula is
-carried out by exact antidifferentiation with symbolic limits, yielding
-the stream function as an exact polynomial.  Otherwise psi is evaluated
-by a subdivided tensor Gauss rule over the first rectangle
-[-Y, X] x [Y, 0] alone: the second rectangle [X, 2a] x [-X, 0] is, term
-for term, the admissibility residual R(X), which is zero once the
-admissibility gate has passed.  A QuadratureStreamFunction is therefore
-only valid for a stress that passed the gate (``solve_quadrature``
-checks first); evaluation is batched over points.  The closed-form
-sinusoidal case is provided as a builtin.
+polynomial solve).  The second rectangle [X, 2a] x [-X, 0] is, term for
+term, the admissibility residual R(X), which is zero once the
+admissibility gate has passed, so both paths integrate the first
+rectangle [-Y, X] x [Y, 0] alone and are valid only behind the gate
+(``solve_exact_poly`` and ``solve_quadrature`` check first).  For
+polynomial stresses that integral is carried out by exact
+antidifferentiation with symbolic limits, yielding the stream function
+as an exact polynomial; otherwise psi is evaluated by a subdivided
+tensor Gauss rule, batched over points.  The closed-form sinusoidal
+case is provided as a builtin.
 """
 
 from __future__ import annotations
@@ -60,30 +60,21 @@ class IncompatibleStress(ValueError):
 # ----------------------------------------------------------------------
 # exact path
 
-def solve_poly_symbolic(f: BivariatePoly, a_poly: BivariatePoly) -> BivariatePoly:
-    """Exact evaluation of the solution formula for a polynomial stress.
+def solve_poly_symbolic(f: BivariatePoly) -> BivariatePoly:
+    """Exact psi for a polynomial stress: -1/4 times the integral over
+    the first rectangle [-Y, X] x [Y, 0] alone.
 
-    ``a_poly`` is either the symbol a or an exact constant.  No
-    admissibility gate here; callers check first.
+    The second rectangle [X, 2a] x [-X, 0] is the admissibility residual
+    R(X), so the result is the solution only when ``exact_residual_poly``
+    is the zero polynomial; callers check first.  The symbol a, if
+    present, passes through untouched.
     """
     t, s = BivariatePoly.v1(), BivariatePoly.v2()
     g = f.compose((t - s) * HALF, (t + s) * HALF)
     h = g.antideriv(2)
-    h0 = h.compose(t, 0)
-
-    # first rectangle: t in [-Y, X], s in [Y, 0]; slots become (t, Y)
-    inner1 = h0 - h
-    i1 = inner1.antideriv(1)
-    term1 = i1 - i1.compose(-s, s)  # upper t = X (rename), lower t = -Y
-
-    # second rectangle: t in [X, 2a], s in [-X, 0]; slots become (t, X)
-    inner2 = h0 - h.compose(t, -s)
-    i2 = inner2.antideriv(1)
-    term2 = i2.compose(2 * a_poly, s) - i2.compose(s, s)
-    term2 = term2.compose(s, t)  # move X into slot v1
-
-    # term1 lives in (X, Y); term2 in X alone; fold back to (x, y)
-    phi = (term1 + term2) * SOLUTION_PREFACTOR
+    # t in [-Y, X], s in [Y, 0]; slots become (X, Y)
+    i1 = (h.compose(t, 0) - h).antideriv(1)
+    phi = (i1 - i1.compose(-s, s)) * SOLUTION_PREFACTOR
     x, y = BivariatePoly.v1(), BivariatePoly.v2()
     return phi.compose(x + y, -x + y)
 
@@ -265,7 +256,7 @@ def solve_exact_poly(
         a_poly = BivariatePoly.const(Fraction(d.a))
         if fp.has_symbol_a:
             fp = fp.subs_a(Fraction(d.a))
-    psi = solve_poly_symbolic(fp, a_poly)
+    psi = solve_poly_symbolic(fp)
     if wave_operator(psi) != fp:
         raise ArithmeticError("internal error: operator identity violated by the exact solve")
     if not _check_poly_boundary_exact(psi, a_poly):

@@ -1,7 +1,9 @@
 """Admissibility condition: exact criterion, closed forms, constraint subspace."""
 
+import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cavitystream.geometry import TriangleDomain
 from cavitystream.polyalg import BivariatePoly, poly_vars, wave_operator
 from cavitystream.quadrature import QuadratureSpec
+from cavitystream import compatibility
 from cavitystream.compatibility import (
     CosineStress,
     OpaqueStress,
@@ -127,6 +130,47 @@ class TestCompatCheck:
         assert len(doc["sweep"]) == 65
 
 
+class TestResidualBuiltOnce:
+    @pytest.mark.parametrize("poly, builds", [(16 * Y - 8, 1), (LINEAR_STRESS, 2)], ids=["bound", "symbolic"])
+    def test_polynomial_check_builds_the_residual_once(self, monkeypatch, poly, builds):
+        real = compatibility.exact_residual_poly
+        calls = []
+
+        def counting(f, d):
+            calls.append(d)
+            return real(f, d)
+
+        monkeypatch.setattr(compatibility, "exact_residual_poly", counting)
+        report = compat_check(PolynomialStress(poly), D1)
+        assert report.is_compatible
+        assert len(calls) == builds
+        # the sweep is the per-node residual, bit for bit
+        assert report.sweep == tuple((x, compat_residual(PolynomialStress(poly), D1, x)) for x, _ in report.sweep)
+
+
+def _rank(rows: list[list[Fraction]]) -> int:
+    """Rank over Q by row reduction (independent of compat_constraints)."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _constraints_text(cs) -> str:
+    lines = [str(cs.rank)]
+    lines += [" | ".join(e.to_text() for e in row) for row in cs.rows]
+    lines += [" | ".join(e.to_text() for e in vec) for vec in cs.nullspace]
+    return "\n".join(lines)
+
+
 class TestConstraints:
     def test_linear_family_admissible_ray(self):
         cs = compat_constraints([Y, BivariatePoly.const(1)], None)
@@ -166,6 +210,35 @@ class TestConstraints:
     def test_rejects_empty_basis(self):
         with pytest.raises(ValueError):
             compat_constraints([], None)
+
+    def test_nonhomogeneous_symbolic_basis_is_rejected(self):
+        with pytest.raises(ValueError, match=r"basis element 0 \(1 \+ y\)"):
+            compat_constraints([Y + 1], None)
+        cs = compat_constraints([Y + 1], TriangleDomain(2))
+        assert cs.rank == 1
+        assert cs.nullspace == ()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_symbolic_nullspace_specializes_to_the_bound_one(self, n):
+        a = Fraction(5, 3)
+        basis = [BivariatePoly.monomial(1, i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i)]
+        symbolic = [[e.eval(0, 0, a) for e in vec] for vec in compat_constraints(basis, None).nullspace]
+        bound = [[e.eval(0, 0) for e in vec] for vec in compat_constraints(basis, TriangleDomain(a)).nullspace]
+        assert len(symbolic) == len(bound) == _rank(symbolic) == _rank(bound)
+        assert _rank(symbolic + bound) == len(bound)
+
+    @pytest.mark.parametrize("d, digest", [
+        (None, "19e01069ef41f6d855c0ae415d42bacc2ad8c5b5644b22d5e703a391ebbc200b"),
+        (TriangleDomain(1), "af5c28cb7ea18fa2239381ab3728e9da0a26a3921909c314e93a1aefcf56a8ed"),
+    ], ids=["symbolic", "a=1"])
+    def test_degree8_monomial_basis_is_pinned(self, d, digest):
+        # digests of the rank, rows and nullspace computed over Q(a) with
+        # rational-function Gauss-Jordan, before the nullspace was taken
+        # over Q and scaled by powers of a
+        basis = [BivariatePoly.monomial(1, i, j) for i in range(9) for j in range(9 - i)]
+        cs = compat_constraints(basis, d)
+        assert (cs.rank, len(cs.nullspace)) == (9, 36)
+        assert hashlib.sha256(_constraints_text(cs).encode()).hexdigest() == digest
 
 
 class TestCosineFamily:
