@@ -43,6 +43,7 @@ from .solver import (
 )
 from .kinematics import (
     CENTER,
+    VelocityField,
     interior_centers,
     stagnation_points,
     trace_streamline,
@@ -420,10 +421,12 @@ def _info(quiet: bool, msg: str) -> None:
         print(msg)
 
 
-def cmd_check(cfg: RunConfig, quiet: bool = False) -> int:
+def cmd_check(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = None) -> int:
+    """``psi``, when given, is the stream function built from ``cfg``;
+    its source stress is the one ``build_stress(cfg)`` would build."""
     _ensure_outdir(cfg.out)
     d = cfg.domain
-    stress = build_stress(cfg)
+    stress = psi.source_stress if psi is not None else build_stress(cfg)
     if cfg.stress.kind == "cosine" and cfg.stress.harmonic % 2 == 0 and not quiet:
         print(f"warning: even harmonic m={cfg.stress.harmonic} is outside the admissible family", file=sys.stderr)
     report = compat_check(stress, d, n_sweep=cfg.n_sweep, tol=cfg.compat_tol)
@@ -439,13 +442,23 @@ def _report_table(report) -> str:
     return "\n".join(lines)
 
 
-def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
-    _ensure_outdir(cfg.out)
-    d = cfg.domain
+def _stream_function(cfg: RunConfig, psi: StreamFunction | None) -> StreamFunction | None:
+    """``psi`` if given, else built from ``cfg``; None (after the error
+    message) when the stress is inadmissible."""
+    if psi is not None:
+        return psi
     try:
-        psi = build_stream_function(cfg)
+        return build_stream_function(cfg)
     except IncompatibleStress as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_solve(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = None) -> int:
+    _ensure_outdir(cfg.out)
+    d = cfg.domain
+    psi = _stream_function(cfg, psi)
+    if psi is None:
         return EXIT_DOMAIN
     f = psi.source_stress
     write_grid_csv(psi, d, cfg.grid_n, os.path.join(cfg.out, "psi.csv"))
@@ -457,10 +470,9 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False) -> int:
     return EXIT_OK if report.overall_pass else EXIT_DOMAIN
 
 
-def default_flow_seeds(cfg: RunConfig, psi: StreamFunction) -> tuple[list[PhysicalPoint], list]:
+def default_flow_seeds(cfg: RunConfig, V: VelocityField) -> tuple[list[PhysicalPoint], list]:
     """Rings of seeds around each interior recirculation center."""
     d = cfg.domain
-    V = velocity_field(psi)
     points = stagnation_points(V, d, seeds_per_axis=cfg.seeds_per_axis)
     seeds = []
     for sp in interior_centers(points, d):
@@ -470,24 +482,22 @@ def default_flow_seeds(cfg: RunConfig, psi: StreamFunction) -> tuple[list[Physic
     return seeds, points
 
 
-def cmd_flow(cfg: RunConfig, quiet: bool = False) -> int:
+def cmd_flow(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = None) -> int:
     _ensure_outdir(cfg.out)
     d = cfg.domain
-    try:
-        psi = build_stream_function(cfg)
-    except IncompatibleStress as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    psi = _stream_function(cfg, psi)
+    if psi is None:
         return EXIT_DOMAIN
     V = velocity_field(psi)
     if cfg.seeds is not None:
         seeds = [PhysicalPoint(x, y) for x, y in cfg.seeds]
         points = stagnation_points(V, d, seeds_per_axis=cfg.seeds_per_axis)
     else:
-        seeds, points = default_flow_seeds(cfg, psi)
+        seeds, points = default_flow_seeds(cfg, V)
     if all(sp.classification == "degenerate" for sp in points) and points:
         _info(quiet, "flow: null field (velocity vanishes everywhere)")
     traces = [trace_streamline(V, s, step=cfg.stream_step(), max_steps=cfg.max_steps) for s in seeds]
-    write_streamlines_csv(traces, psi, os.path.join(cfg.out, "streamlines.csv"))
+    write_streamlines_csv(traces, os.path.join(cfg.out, "streamlines.csv"))
     write_stagnation_csv(points, os.path.join(cfg.out, "stagnation.csv"))
     with open(os.path.join(cfg.out, "flow.svg"), "w", newline="\n") as fh:
         fh.write(render_flow_svg(d, traces, points))
@@ -509,12 +519,12 @@ def cmd_examples(cfg: RunConfig, quiet: bool = False) -> int:
     for name in BUILTIN_NAMES:
         sub = replace(cfg, stress=StressSpec(kind="builtin", name=name), out=os.path.join(cfg.out, name))
         _ensure_outdir(sub.out)
-        rc_check = cmd_check(sub, quiet=True)
-        rc_solve = cmd_solve(sub, quiet=True)
-        rc_flow = cmd_flow(sub, quiet=True)
+        psi = fields[name] = build_stream_function(sub)
+        rc_check = cmd_check(sub, quiet=True, psi=psi)
+        rc_solve = cmd_solve(sub, quiet=True, psi=psi)
+        rc_flow = cmd_flow(sub, quiet=True, psi=psi)
         ok = rc_check == EXIT_OK and rc_solve == EXIT_OK and rc_flow == EXIT_OK
         overall_ok = overall_ok and ok
-        fields[name] = build_stream_function(sub)
         _info(quiet, f"examples/{name}: {'pass' if ok else 'FAIL'}")
 
     n = 201

@@ -1,7 +1,10 @@
 """Flow observables derived from a stream function.
 
-Velocity is (d/dy psi, -d/dx psi) -- exact polynomial derivatives when
-the stream function is polynomial, central differences otherwise.
+Velocity is (d/dy psi, -d/dx psi), differentiated by each backing
+itself: exact derivative polynomials, the closed-form derivatives of
+the sinusoidal builtin, or the Leibniz rule on the quadrature integral
+(three line integrals of the stress).  The one difference quotient left
+is the quadrature Jacobian, taken from the exact velocity.
 Stagnation points come from damped Newton iteration over a seed
 lattice; streamlines from fixed-step classical Runge-Kutta, along which
 the stream function is conserved (that conservation is the main
@@ -14,15 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import (
-    TriangleDomain,
-    PhysicalPoint,
-    classify,
-    distance_to_boundary,
-    interior_lattice,
-    signed_edge_distances,
-)
-from .solver import PolyStreamFunction, QuadratureStreamFunction, StreamFunction
+from .geometry import TriangleDomain, PhysicalPoint, classify, interior_lattice
+from .solver import StreamFunction, format_float
 
 CENTER = "center"
 SADDLE = "saddle"
@@ -34,40 +30,23 @@ STEP_LIMIT = "step_limit"
 
 
 class VelocityField:
-    """Velocity of the flow described by a stream function.
-
-    mode "exact": u, v are exact polynomial derivatives.
-    mode "fd":    central differences with step h.
+    """Velocity (u, v) = (d psi/dy, -d psi/dx) of the flow described by
+    a stream function, from the backing's own derivatives: exact
+    polynomials, the sinusoidal closed form, or the Leibniz rule on the
+    quadrature integral.  Only the quadrature Jacobian is a difference
+    quotient (of the exact velocity).
     """
 
-    def __init__(self, source: StreamFunction, h: float | None = None):
+    def __init__(self, source: StreamFunction):
         self.source = source
         self.domain: TriangleDomain = source.domain
         if self.domain is None:
             raise ValueError("bind a before building a velocity field")
-        if isinstance(source, PolyStreamFunction):
-            self.mode = "exact"
-            self.u_poly = source.poly.diff(2)
-            self.v_poly = -source.poly.diff(1)
-            self._u = self.u_poly.float_evaluator()
-            self._v = self.v_poly.float_evaluator()
-            self._jac = tuple(q.diff(i).float_evaluator()
-                              for q in (self.u_poly, self.v_poly) for i in (1, 2))
-            self.h = None
-        else:
-            self.mode = "fd"
-            self.h = float(h) if h is not None else 1e-5 * float(self.domain.a)
-            self.u_poly = None
-            self.v_poly = None
+        self._vel, self._jac = source.velocity_functions()
+        self._speed_scales: dict[int, float] = {}
 
     def _eval_raw(self, x: float, y: float) -> tuple[float, float]:
-        if self.mode == "exact":
-            return self._u(x, y), self._v(x, y)
-        h = self.h
-        e = self.source.evaluate
-        u = (e(x, y + h) - e(x, y - h)) / (2 * h)
-        v = -(e(x + h, y) - e(x - h, y)) / (2 * h)
-        return u, v
+        return self._vel(x, y)
 
     def velocity(self, p: PhysicalPoint) -> tuple[float, float]:
         """(u, v) at a point of the closed triangle."""
@@ -75,36 +54,26 @@ class VelocityField:
         loc = classify(self.domain, p, tol)
         if loc.is_exterior:
             raise ValueError(f"point {tuple(p)} lies outside the closed cavity")
-        if self.mode == "fd" and isinstance(self.source, QuadratureStreamFunction):
-            if min(signed_edge_distances(self.domain, p)) < self.h:
-                raise ValueError("difference stencil leaves the cavity for a quadrature backing")
         return self._eval_raw(float(p[0]), float(p[1]))
 
     def jacobian(self, p: PhysicalPoint) -> tuple[float, float, float, float]:
-        """(du/dx, du/dy, dv/dx, dv/dy); exact derivatives when available."""
-        x, y = float(p[0]), float(p[1])
-        if self.mode == "exact":
-            return tuple(e(x, y) for e in self._jac)
-        h = 1e-5 * float(self.domain.a)
-        up, vp = self._eval_raw(x + h, y)
-        um, vm = self._eval_raw(x - h, y)
-        uq, vq = self._eval_raw(x, y + h)
-        ur, vr = self._eval_raw(x, y - h)
-        return ((up - um) / (2 * h), (uq - ur) / (2 * h), (vp - vm) / (2 * h), (vq - vr) / (2 * h))
+        """(du/dx, du/dy, dv/dx, dv/dy)."""
+        return self._jac(float(p[0]), float(p[1]))
 
     def speed_scale(self, n: int = 15) -> float:
-        """max speed over a coarse interior lattice (hypot norm); in fd
-        mode the lattice keeps every stencil inside the cavity."""
-        margin = 2 * self.h if self.mode == "fd" else 0.0
-        best = 0.0
-        for p in interior_lattice(self.domain, n, margin=margin):
-            u, v = self._eval_raw(p.x, p.y)
-            best = max(best, math.hypot(u, v))
-        return best
+        """max speed over a coarse interior lattice (hypot norm), computed
+        once per lattice size."""
+        if n not in self._speed_scales:
+            best = 0.0
+            for p in interior_lattice(self.domain, n):
+                u, v = self._eval_raw(p.x, p.y)
+                best = max(best, math.hypot(u, v))
+            self._speed_scales[n] = best
+        return self._speed_scales[n]
 
 
-def velocity_field(source: StreamFunction, h: float | None = None) -> VelocityField:
-    return VelocityField(source, h)
+def velocity_field(source: StreamFunction) -> VelocityField:
+    return VelocityField(source)
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +178,8 @@ def stagnation_points(
         try:
             root = newton(seed.x, seed.y)
         except ValueError:
-            # evaluation left the domain of a quadrature-backed field
+            # a quadrature-backed field: Newton left the cavity, or the
+            # Jacobian stencil would
             root = None
         if root is None:
             continue
@@ -243,9 +213,12 @@ def interior_centers(points: Sequence[StagnationPoint], d: TriangleDomain, tol: 
 
 @dataclass(frozen=True)
 class Streamline:
+    """Traced vertices with the stream function at each of them."""
+
     vertices: tuple[PhysicalPoint, ...]
     termination: str
     psi_drift: float
+    psi: tuple[float, ...]
 
 
 def _project_to_boundary(d: TriangleDomain, p: PhysicalPoint) -> PhysicalPoint:
@@ -288,6 +261,8 @@ def trace_streamline(
     hits the boundary when the next point leaves the closed triangle
     (final point projected back); otherwise runs to the step limit.
     A seed at a stagnation point yields a single-vertex streamline.
+    The stream function is evaluated once per vertex; those values give
+    the drift and are kept on the streamline.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -298,11 +273,23 @@ def trace_streamline(
     psi = V.source
     psi0 = psi.evaluate(seed.x, seed.y)
     vscale = V.speed_scale()
-    u0, v0 = V._eval_raw(float(seed.x), float(seed.y))
+    xs, ys = float(seed.x), float(seed.y)
+    u0, v0 = V._eval_raw(xs, ys)
     if math.hypot(u0, v0) <= 1e-12 * max(vscale, 1e-300):
-        return Streamline((PhysicalPoint(float(seed.x), float(seed.y)),), STEP_LIMIT, 0.0)
+        return Streamline((PhysicalPoint(xs, ys),), STEP_LIMIT, 0.0, (psi0,))
 
-    inside = lambda x, y: not classify(d, PhysicalPoint(x, y), 1e-12 * a).is_exterior
+    tol = 1e-12 * a
+    r2 = math.sqrt(2.0)
+
+    def inside(x: float, y: float) -> bool:
+        # the signed edge distances of ``classify``; it decides only
+        # within tol of an edge line
+        m = min(y, (x - y) / r2, (2 * a - x - y) / r2)
+        if m > tol:
+            return True
+        if m < -tol:
+            return False
+        return not classify(d, PhysicalPoint(x, y), tol).is_exterior
 
     def rk4(x: float, y: float) -> tuple[float, float] | None:
         k1 = V._eval_raw(x, y)
@@ -323,8 +310,8 @@ def trace_streamline(
             y + step / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
         )
 
-    xs, ys = float(seed.x), float(seed.y)
     verts = [PhysicalPoint(xs, ys)]
+    values = [psi0]
     drift = 0.0
     heading = math.atan2(v0, u0)
     winding = 0.0
@@ -334,12 +321,16 @@ def trace_streamline(
         nxt = rk4(x, y)
         if nxt is None or not inside(*nxt):
             target = nxt if nxt is not None else (x, y)
-            verts.append(_project_to_boundary(d, PhysicalPoint(*target)))
+            end = _project_to_boundary(d, PhysicalPoint(*target))
+            verts.append(end)
+            values.append(psi.evaluate(end.x, end.y))
             termination = HIT_BOUNDARY
             break
         xn, yn = nxt
         verts.append(PhysicalPoint(xn, yn))
-        drift = max(drift, abs(psi.evaluate(xn, yn) - psi0))
+        val = psi.evaluate(xn, yn)
+        values.append(val)
+        drift = max(drift, abs(val - psi0))
         un, vn = V._eval_raw(xn, yn)
         hn = math.atan2(vn, un)
         delta = hn - heading
@@ -354,7 +345,7 @@ def trace_streamline(
                 termination = CLOSED
                 break
         x, y = xn, yn
-    return Streamline(tuple(verts), termination, drift)
+    return Streamline(tuple(verts), termination, drift, tuple(values))
 
 
 # ----------------------------------------------------------------------
@@ -392,20 +383,16 @@ def u_profile(
 # ----------------------------------------------------------------------
 # CSV export
 
-def write_streamlines_csv(traces: Sequence[Streamline], psi: StreamFunction, path) -> None:
-    from .solver import format_float
-
+def write_streamlines_csv(traces: Sequence[Streamline], path) -> None:
+    """One row per vertex with the psi value recorded while tracing."""
     with open(path, "w", newline="\n") as fh:
         fh.write("trace_id,step,x,y,psi\n")
         for tid, tr in enumerate(traces):
-            for k, p in enumerate(tr.vertices):
-                val = psi.evaluate(p.x, p.y)
+            for k, (p, val) in enumerate(zip(tr.vertices, tr.psi)):
                 fh.write(f"{tid},{k},{format_float(p.x)},{format_float(p.y)},{format_float(val)}\n")
 
 
 def write_stagnation_csv(points: Sequence[StagnationPoint], path) -> None:
-    from .solver import format_float
-
     with open(path, "w", newline="\n") as fh:
         fh.write("x,y,class,speed\n")
         for sp in points:

@@ -109,6 +109,29 @@ def _integrate_chunk(fn, t0, t1, s0, s1, spec, span):
     return out
 
 
+def integrate_segments(fn: Callable, t0, t1, s0, s1, spec: QuadratureSpec, span: float) -> np.ndarray:
+    """Integrate fn(t, s) with respect to arc length along each segment
+    from (t0[i], s0[i]) to (t1[i], s1[i]).
+
+    The 1-D counterpart of ``integrate_rect``: each segment of length L
+    is cut into clip(ceil(S * L / span), 1, S) equal cells carrying one
+    order-point Gauss rule, and fn sees the nodes of all segments in one
+    call.  Returns one integral per segment; a zero-length segment
+    contributes exactly zero.
+    """
+    x, w = gauss_nodes(spec.order)
+    t0, t1, s0, s1 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (t0, t1, s0, s1))
+    length = np.hypot(t1 - t0, s1 - s0)
+    n = _cell_counts(length, spec, span)
+    seg = np.repeat(np.arange(length.size), n)
+    cell = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)
+    tau = ((cell + 0.5)[:, None] + 0.5 * x) / n[seg][:, None]  # cell nodes in [0, 1]
+    T = t0[seg][:, None] + tau * (t1 - t0)[seg][:, None]
+    S = s0[seg][:, None] + tau * (s1 - s0)[seg][:, None]
+    vals = np.broadcast_to(np.asarray(fn(T, S), dtype=float), T.shape)
+    return np.bincount(seg, weights=(vals @ w) * (0.5 * length / n)[seg], minlength=length.size)
+
+
 def riemann_rect(fn: Callable, rect: Rect, cells_per_axis: int) -> float:
     """Midpoint Riemann sum, the deliberately low-tech cross-check."""
     t0, t1, s0, s1 = (float(v) for v in rect)

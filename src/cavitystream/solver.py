@@ -16,13 +16,17 @@ polynomial stresses that integral is carried out by exact
 antidifferentiation with symbolic limits, yielding the stream function
 as an exact polynomial; otherwise psi is evaluated by a subdivided
 tensor Gauss rule, batched over points.  The closed-form sinusoidal
-case is provided as a builtin.
+case is provided as a builtin.  Every backing differentiates itself:
+derivative polynomials, the closed-form derivatives, or the Leibniz
+rule on the first rectangle (three line integrals of the stress).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable
+
 import numpy as np
 
 from . import geometry
@@ -35,6 +39,7 @@ from .geometry import (
     in_char_image,
     interior_lattice,
     sigma_rectangles,
+    signed_edge_distances,
     to_characteristic,
 )
 from .polyalg import BivariatePoly, wave_operator
@@ -47,7 +52,7 @@ from .compatibility import (
     exact_residual_poly,
     stress_char_evaluator,
 )
-from .quadrature import QuadratureSpec, default_quadrature_spec, integrate_rect
+from .quadrature import QuadratureSpec, default_quadrature_spec, integrate_rect, integrate_segments
 
 HALF = Fraction(1, 2)
 SOLUTION_PREFACTOR = Fraction(-1, 4)
@@ -125,6 +130,12 @@ class StreamFunction:
     def __call__(self, x, y) -> float:
         return self.evaluate(x, y)
 
+    def velocity_functions(self) -> tuple[Callable, Callable]:
+        """(vel, jac) on Python floats: vel(x, y) = (u, v) with
+        u = d psi/dy and v = -d psi/dx, jac(x, y) = (du/dx, du/dy,
+        dv/dx, dv/dy).  Each backing differentiates itself."""
+        raise NotImplementedError(f"{type(self).__name__} does not provide a velocity")
+
     @property
     def source_stress(self) -> StressField:
         raise NotImplementedError
@@ -154,9 +165,28 @@ class PolyStreamFunction(StreamFunction):
         self._stress = stress if stress is not None else PolynomialStress(wave_operator(poly))
         if domain is not None and poly.has_symbol_a:
             raise ValueError("numeric domain with symbolic polynomial; bind a first")
+        self._velocity_fns = None
 
     def _raw_eval(self, x, y):
         return self.poly.float_evaluator()(x, y)
+
+    @property
+    def u_poly(self) -> BivariatePoly:
+        return self.poly.diff(2)
+
+    @property
+    def v_poly(self) -> BivariatePoly:
+        return -self.poly.diff(1)
+
+    def velocity_functions(self) -> tuple[Callable, Callable]:
+        """Exact derivative polynomials, compiled once."""
+        if self._velocity_fns is None:
+            u_poly, v_poly = self.u_poly, self.v_poly
+            u, v = u_poly.float_evaluator(), v_poly.float_evaluator()
+            jac = tuple(q.diff(i).float_evaluator() for q in (u_poly, v_poly) for i in (1, 2))
+            self._velocity_fns = (lambda x, y: (u(x, y), v(x, y)),
+                                  lambda x, y: tuple(e(x, y) for e in jac))
+        return self._velocity_fns
 
     def eval_exact(self, x, y):
         return self.poly.eval(x, y)
@@ -193,6 +223,24 @@ class SinusoidalStreamFunction(StreamFunction):
         k = self._k
         return -self._c * (np.cos(k * y) + np.cos(k * (x - y) / 2.0) - 2.0 * np.cos(k * (x + y) / 4.0) ** 2)
 
+    def velocity_functions(self) -> tuple[Callable, Callable]:
+        """Closed-form derivatives.  With al = k(x-y)/2 and be = k(x+y)/2,
+        u = ck (sin ky - (sin al + sin be)/2), v = ck (sin be - sin al)/2,
+        and the Jacobian carries ck^2/4 times cosines of the same angles."""
+        k, ck = self._k, self._c * self._k
+        q = ck * k / 4.0
+        sin, cos = math.sin, math.cos
+
+        def vel(x, y):
+            sa, sb = sin(k * (x - y) / 2.0), sin(k * (x + y) / 2.0)
+            return ck * (sin(k * y) - 0.5 * (sa + sb)), 0.5 * ck * (sb - sa)
+
+        def jac(x, y):
+            ca, cb = cos(k * (x - y) / 2.0), cos(k * (x + y) / 2.0)
+            return -q * (ca + cb), q * (4.0 * cos(k * y) + ca - cb), q * (cb - ca), q * (ca + cb)
+
+        return vel, jac
+
     @property
     def source_stress(self) -> CosineStress:
         return CosineStress(2.0 * self.amplitude, self._k)
@@ -225,6 +273,37 @@ class QuadratureStreamFunction(StreamFunction):
             sigma_rectangles(self.domain, CharPoint(float(X[i]), float(Y[i])))  # raises
         rect1 = Rect(-Y, X, Y, np.zeros_like(Y))
         return float(SOLUTION_PREFACTOR) * integrate_rect(self._g, rect1, self.spec, 2 * float(self.domain.a))
+
+    def velocity_functions(self) -> tuple[Callable, Callable]:
+        return self._velocity, self._velocity_jacobian
+
+    def _velocity(self, x, y):
+        """The Leibniz rule on the first rectangle:
+        psi_X = -1/4 int_Y^0 g(X, s) ds,
+        psi_Y = -1/4 [int_Y^0 g(-Y, s) ds - int_{-Y}^X g(t, Y) dt],
+        u = psi_X + psi_Y, v = psi_Y - psi_X; the three line integrals
+        take one stress call.  Defined on the closed triangle."""
+        X, Y = x + y, -x + y
+        if not in_char_image(self.domain, X, Y):
+            sigma_rectangles(self.domain, CharPoint(X, Y))  # raises
+        i_x, i_top, i_side = integrate_segments(
+            self._g, (X, -Y, -Y), (X, -Y, X), (Y, Y, Y), (0.0, 0.0, Y), self.spec, 2 * float(self.domain.a))
+        p = float(SOLUTION_PREFACTOR)
+        psi_X, psi_Y = p * i_x, p * (i_top - i_side)
+        return float(psi_X + psi_Y), float(psi_Y - psi_X)
+
+    def _velocity_jacobian(self, x, y):
+        """Central differences of the exact velocity (an opaque stress
+        gives no derivative of g), step 1e-5 a; the stencil must stay
+        inside the cavity."""
+        h = 1e-5 * float(self.domain.a)
+        if min(signed_edge_distances(self.domain, PhysicalPoint(x, y))) < h:
+            raise ValueError("difference stencil leaves the cavity for a quadrature backing")
+        up, vp = self._velocity(x + h, y)
+        um, vm = self._velocity(x - h, y)
+        uq, vq = self._velocity(x, y + h)
+        ur, vr = self._velocity(x, y - h)
+        return (up - um) / (2 * h), (uq - ur) / (2 * h), (vp - vm) / (2 * h), (vq - vr) / (2 * h)
 
     @property
     def source_stress(self) -> StressField:

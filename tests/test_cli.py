@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, exit codes, artifacts."""
 
+import hashlib
 import json
 import math
 import os
@@ -13,9 +14,11 @@ from cavitystream.cli import (
     EXIT_USAGE,
     ConfigError,
     RunConfig,
+    build_stream_function,
     parse_config,
     run,
 )
+from cavitystream.solver import format_float
 from cavitystream.polyalg import poly_vars
 
 X, Y, A = poly_vars()
@@ -250,10 +253,53 @@ class TestFlowCommand:
         assert err <= 1e-5 * scale
 
 
+    @pytest.mark.parametrize("doc", [
+        # step 0.5 sends the second seed across the wall: a projected vertex
+        {"stress": {"kind": "builtin", "name": "sinusoidal"},
+         "streamlines": {"seeds": [[1.0, 0.5], [1.3, 0.65]], "step": 0.5, "max_steps": 400}},
+        {"stress": {"kind": "cosine", "A": 10, "m": 3}, "seeds_per_axis": 3,
+         "streamlines": {"seeds": [[1.0, 0.2]], "max_steps": 400}},
+    ])
+    def test_streamline_psi_is_psi_at_each_vertex(self, tmp_path, doc):
+        out = tmp_path / "o"
+        assert run(["flow", "--config", write_config(tmp_path, {**doc, "out": str(out)}), "--quiet"]) == EXIT_OK
+        psi = build_stream_function(parse_config(doc))
+        rows = [line.split(",") for line in (out / "streamlines.csv").read_text().splitlines()[1:]]
+        assert len(rows) > 2
+        for _, _, x, y, value in rows:
+            assert value == format_float(psi.evaluate(float(x), float(y)))
+
+
+# sha256 of the polynomial cases of `examples --a 1`, recorded before the
+# velocity of the non-polynomial backings became exact; the exact
+# polynomial path must keep producing these bytes
+POLYNOMIAL_EXAMPLE_DIGESTS = {
+    "linear/compat.json": "64c295223d2f03793ce21757fa78d1eaf4728c8f28e7fe154ddb15c89c48c62d",
+    "linear/flow.svg": "e4fb82c1659b66d9e1b5098195ac51afbf40b8522d4c6c03fa54361a03e6d168",
+    "linear/psi.csv": "dd1edfec133fea447841e6d52bc2c4e7247f937bf755577c244efbbda4b8bcca",
+    "linear/stagnation.csv": "938100031f923e0a74a314693a9aa70d9a1fa12679fae11a8b5b44e40bcd363d",
+    "linear/streamlines.csv": "771c0abcdd0b5c23c32e3152fcbaff8aeada85da4c7dd9947434b882ac8fe857",
+    "linear/verify.json": "9a15e4ae1117efd646437e7c853f51ab86800d583990b36bdb960041aab7bd24",
+    "realistic/compat.json": "04f62f3c055fee0561019eb2305b8fbebe69c91c1d74bb19030c0e77310a8d32",
+    "realistic/flow.svg": "0e9b698cb8ca9bc86381649a83b73dd25487cd3b372d9b5de74a5b81d587717c",
+    "realistic/psi.csv": "a8dde85d28a71b35b5f0c2731557bd0f14e24928a72b50900b06f7e553e9d711",
+    "realistic/stagnation.csv": "44e843ceaf23ca7e9edd399fc812b09d5586abf5b3e5dbdf6d5fbd93716171c4",
+    "realistic/streamlines.csv": "95bea2cd612475eb22940a07ba22a6cc15529911eed1a0ec5813180072eb4afb",
+    "realistic/verify.json": "5c551b11983d44f110c31720fc3d916eae11422cba1e35fa4e58bd4d6674466b",
+    "fig7_shear_profile.csv": "ed1c8087f0a62dce4aa67475f9329a8eac36c84b1663e95cf7653624f0642999",
+}
+
+
+@pytest.fixture(scope="module")
+def examples_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("examples") / "all"
+    assert run(["examples", "--a", "1", "--out", str(out), "--quiet"]) == EXIT_OK
+    return out
+
+
 class TestExamplesCommand:
-    def test_full_regeneration(self, tmp_path):
-        out = tmp_path / "all"
-        assert run(["examples", "--out", str(out), "--quiet"]) == EXIT_OK
+    def test_full_regeneration(self, examples_out):
+        out = examples_out
         for name in ("linear", "sinusoidal", "realistic"):
             for artifact in ("compat.json", "psi.csv", "verify.json", "streamlines.csv", "stagnation.csv", "flow.svg"):
                 assert (out / name / artifact).exists(), f"{name}/{artifact} missing"
@@ -265,6 +311,12 @@ class TestExamplesCommand:
         fig7 = (out / "fig7_shear_profile.csv").read_text().splitlines()
         assert fig7[0] == "x,u"
         assert all(float(line.split(",")[1]) > 0 for line in fig7[2:-1])
+
+    def test_polynomial_cases_are_pinned(self, examples_out):
+        files = [examples_out / "fig7_shear_profile.csv"]
+        files += [p for case in ("linear", "realistic") for p in (examples_out / case).iterdir()]
+        got = {p.relative_to(examples_out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+        assert got == POLYNOMIAL_EXAMPLE_DIGESTS
 
     def test_unwritable_output_dir(self, tmp_path):
         blocker = tmp_path / "file"

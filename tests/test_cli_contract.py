@@ -1,0 +1,67 @@
+"""The CLI contract, swept with hypothesis: `check` and `solve` on every
+stress kind at the extremes of the unit of length.
+
+Each config is run twice in-process through ``cli.run`` with
+``--grid 11``.  The exit code must be 0, 1 or 2, nothing may escape as
+a traceback, and the two runs must write byte-identical files.
+
+`flow` stays out of the sweep: its default streamline step is a time
+step, so at a = 1e-3 a streamline can run to the step limit without
+closing (see the streamline-step entry in CHANGES.md).  It joins once
+the step is made independent of the unit of length.
+"""
+
+import io
+import itertools
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings, strategies as st
+
+from cavitystream.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, run
+
+STRESSES = [
+    {"kind": "builtin", "name": "linear"},
+    {"kind": "builtin", "name": "sinusoidal"},
+    {"kind": "builtin", "name": "realistic"},
+    {"kind": "cosine", "A": 1, "m": 3},
+    {"kind": "cosine", "A": 1, "m": 2},
+    {"kind": "polynomial", "terms": [{"i": 0, "j": 1, "coefficient": 16}, {"i": 0, "j": 0, "coefficient": -8}]},
+]
+A_VALUES = [1e-3, 1.0, 1e3]
+COMMANDS = ["check", "solve"]
+CASES = list(itertools.product(COMMANDS, range(len(STRESSES)), A_VALUES))
+
+
+def _run(command: str, doc: dict, work: str, tag: str) -> tuple[int, str, dict]:
+    """Exit code, stderr and the written files of one in-process run."""
+    config = os.path.join(work, f"{tag}.json")
+    with open(config, "w") as fh:
+        json.dump(doc, fh)
+    out = os.path.join(work, tag)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = run([command, "--config", config, "--out", out, "--grid", "11", "--quiet"])
+    files = {}
+    if os.path.isdir(out):
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as fh:
+                files[name] = fh.read()
+    return rc, err.getvalue(), files
+
+
+@settings(max_examples=2 * len(CASES), deadline=None)
+@given(st.sampled_from(CASES))
+def test_check_and_solve_keep_the_contract(case):
+    command, stress, a = case
+    doc = {"a": a, "stress": STRESSES[stress]}
+    with tempfile.TemporaryDirectory() as work:
+        first = _run(command, doc, work, "first")
+        second = _run(command, doc, work, "second")
+    rc, err, files = first
+    assert rc in (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE)
+    assert "Traceback" not in err
+    assert rc != EXIT_OK or files, "a successful run wrote nothing"
+    assert second == first

@@ -7,11 +7,14 @@ import pytest
 
 from cavitystream.geometry import TriangleDomain, PhysicalPoint, boundary_sample, interior_lattice
 from cavitystream.polyalg import BivariatePoly, poly_vars, wave_operator
+from cavitystream.compatibility import cosine_from_harmonic
 from cavitystream.solver import (
+    StreamFunction,
     linear_example,
     realistic_example,
     sinusoidal_closed_form,
     solve_exact_poly,
+    solve_quadrature,
 )
 from cavitystream.kinematics import (
     CENTER,
@@ -58,8 +61,8 @@ def real_field():
 
 class TestVelocity:
     def test_linear_case_matches_closed_form(self, lin_field):
-        assert lin_field.u_poly == (-2 * X**2 + 6 * Y**2 + 4 * X - 8 * Y).subs_a(1)
-        assert lin_field.v_poly == (4 * X * Y - 4 * Y).subs_a(1)
+        assert lin_field.source.u_poly == (-2 * X**2 + 6 * Y**2 + 4 * X - 8 * Y).subs_a(1)
+        assert lin_field.source.v_poly == (4 * X * Y - 4 * Y).subs_a(1)
 
     def test_vertices_are_stagnant(self, lin_field):
         for v in D1.vertices():
@@ -80,30 +83,64 @@ class TestVelocity:
             psi = solve_exact_poly(
                 wave_operator(boundary_vanishing_poly(random_poly(rng, max_degree=3))), None
             )
-            V = velocity_field(psi.bind_a(1))
-            assert (V.u_poly.diff(1) + V.v_poly.diff(2)).is_zero
+            bound = psi.bind_a(1)
+            assert (bound.u_poly.diff(1) + bound.v_poly.diff(2)).is_zero
 
     def test_finite_differences_match_exact(self):
-        psi = linear_example(D1)
-        exact = velocity_field(psi)
+        # reference: central differences of psi at h = 1e-4; their error
+        # is h^2/6 times a third derivative of psi
+        h = 1e-4
 
-        # force fd mode by hiding the polynomial behind a plain stream function
-        from cavitystream.kinematics import VelocityField
-        from cavitystream.solver import StreamFunction
+        def fd_velocity(psi, p):
+            e = psi.evaluate
+            return ((e(p.x, p.y + h) - e(p.x, p.y - h)) / (2 * h),
+                    -(e(p.x + h, p.y) - e(p.x - h, p.y)) / (2 * h))
 
-        class Wrapped(StreamFunction):
-            kind = "wrapped"
+        # both non-polynomial backings have third derivatives bounded by
+        # C k^3 (1 + 2/8) for psi = -C (cos ky + cos k(x-y)/2 -/+ ...)
+        k = 3 * math.pi
+        sin_c = 2 * 5.0 / (9 * math.pi**2)
+        cases = [
+            (linear_example(D1), 1e-6),
+            # C = 2*5/(9 pi^2): h^2/6 * 1.25 C k^3 = 1.9e-7
+            (sinusoidal_closed_form(5.0, D1), h**2 / 6 * 1.25 * sin_c * k**3),
+            # C = A/k^2, A = 1: h^2/6 * 1.25 k = 2.0e-8, plus 1e-10 for
+            # the quadrature psi's rounding divided by h
+            (solve_quadrature(cosine_from_harmonic(1.0, 3, D1), D1), h**2 / 6 * 1.25 * k + 1e-10),
+        ]
+        for psi, tol in cases:
+            V = velocity_field(psi)
+            worst = 0.0
+            for p in interior_lattice(D1, 12, margin=1e-3):
+                ue, ve = V.velocity(p)
+                uf, vf = fd_velocity(psi, p)
+                worst = max(worst, abs(ue - uf), abs(ve - vf))
+            assert worst <= tol, (psi.kind, worst, tol)
 
-            def _raw_eval(self, x, y):
-                return psi.evaluate(x, y)
-
-        fd = VelocityField(Wrapped(D1), h=1e-4)
+    def test_sinusoidal_jacobian_matches_differences(self, sin_field):
+        # central differences of the exact velocity, h = 1e-4; the error
+        # is h^2/6 times third derivatives of u, v, at most
+        # 1.25 C k^4 = 9.9e2 with C = 2*5/(9 pi^2), k = 3 pi
+        h = 1e-4
+        k = 3 * math.pi
+        tol = h**2 / 6 * 1.25 * (2 * 5.0 / (9 * math.pi**2)) * k**4
         worst = 0.0
         for p in interior_lattice(D1, 12, margin=1e-3):
-            ue, ve = exact.velocity(p)
-            uf, vf = fd.velocity(p)
-            worst = max(worst, abs(ue - uf), abs(ve - vf))
-        assert worst <= 1e-6
+            up, vp = sin_field.velocity(PhysicalPoint(p.x + h, p.y))
+            um, vm = sin_field.velocity(PhysicalPoint(p.x - h, p.y))
+            uq, vq = sin_field.velocity(PhysicalPoint(p.x, p.y + h))
+            ur, vr = sin_field.velocity(PhysicalPoint(p.x, p.y - h))
+            fd = ((up - um) / (2 * h), (uq - ur) / (2 * h), (vp - vm) / (2 * h), (vq - vr) / (2 * h))
+            worst = max(worst, max(abs(e - f) for e, f in zip(sin_field.jacobian(p), fd)))
+        assert worst <= tol
+
+    def test_velocity_needs_a_backing_derivative(self):
+        class Opaque(StreamFunction):
+            def _raw_eval(self, x, y):
+                return 0.0
+
+        with pytest.raises(NotImplementedError):
+            velocity_field(Opaque(D1))
 
     def test_boundary_velocity_is_tangent(self, lin_field, real_field):
         for V in (lin_field, real_field):
@@ -166,6 +203,19 @@ class TestStagnation:
         assert len(centers) == 4
         for got, exp in zip(sorted((c.location.x, c.location.y) for c in centers), SINUSOIDAL_CENTERS):
             assert math.hypot(got[0] - exp[0], got[1] - exp[1]) <= 1e-9
+
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    def test_sinusoidal_roots_to_machine_precision(self, a):
+        # u and v vanish together exactly at the 13 lattice points
+        # (i a/3, j a/9) of the closed triangle
+        d = TriangleDomain(a)
+        V = velocity_field(sinusoidal_closed_form(5.0, d))
+        pts = stagnation_points(V, d, seeds_per_axis=21)
+        assert len(pts) == 13
+        for p in pts:
+            i, j = round(3 * p.location.x / a), round(9 * p.location.y / a)
+            assert math.hypot(p.location.x - i * a / 3, p.location.y - j * a / 9) <= 1e-12 * a
+            assert p.residual_speed <= 1e-14 * V.speed_scale()
 
     def test_seed_refinement_stability(self, lin_field):
         coarse = stagnation_points(lin_field, D1, seeds_per_axis=10)
@@ -271,6 +321,22 @@ class TestProfiles:
         for xv, uv in rows:
             if 0 < xv < 2:
                 assert uv > 0
+
+    def test_quadrature_base_shear(self):
+        # fig7 on a quadrature backing: u along the stressed base y = 0,
+        # against d psi/dy of the odd-m closed form
+        # psi = -(A/k^2)(cos ky + cos k(x-y)/2 - cos k(x+y)/2 - 1)
+        A, k = 10.0, 3 * math.pi
+        V = velocity_field(solve_quadrature(cosine_from_harmonic(A, 3, D1), D1))
+        rows = u_profile(V, "y", 0.0)
+        assert len(rows) == 201
+
+        def u_closed(x, y):
+            return (A / k) * (math.sin(k * y) - 0.5 * math.sin(k * (x - y) / 2) - 0.5 * math.sin(k * (x + y) / 2))
+
+        want = [u_closed(xv, 0.0) for xv, _ in rows]
+        scale = max(abs(w) for w in want)
+        assert max(abs(uv - w) for (_, uv), w in zip(rows, want)) <= 1e-8 * scale
 
     def test_bad_lines_rejected(self, lin_field):
         with pytest.raises(ValueError):

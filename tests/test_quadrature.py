@@ -1,4 +1,4 @@
-"""Tensor Gauss quadrature: batched rectangles, degenerate cases, memory."""
+"""Gauss quadrature: batched rectangles and segments, degenerate cases, memory."""
 
 import math
 import tracemalloc
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cavitystream.geometry import Rect
-from cavitystream.quadrature import MAX_BLOCK, QuadratureSpec, gauss_nodes, integrate_rect
+from cavitystream.quadrature import MAX_BLOCK, QuadratureSpec, gauss_nodes, integrate_rect, integrate_segments
 
 
 def _meshgrid_reference(fn, rect, spec, span):
@@ -154,3 +154,32 @@ class TestBatchedIntegrateRect:
         for k in range(0, n, 20_000):
             ref = _meshgrid_reference(lambda t, s: np.cos(t) * s, Rect(*(v[k] for v in rects)), spec, 2.0)
             assert abs(got[k] - ref) <= 1e-14 * abs(ref)
+
+
+class TestIntegrateSegments:
+    def test_axis_segments_match_closed_form(self):
+        # int_{-1}^{0} e^{0.3 t} dt along s = 0.5, int_{0.2}^{1.7} cos(s) ds along t = -2
+        spec = QuadratureSpec(order=6, subdivision=4)
+        got = integrate_segments(lambda t, s: np.where(t == -2.0, np.cos(s), np.exp(0.3 * t)),
+                                 (-1.0, -2.0), (0.0, -2.0), (0.5, 0.2), (0.5, 1.7), spec, 2.0)
+        want = ((1 - math.exp(-0.3)) / 0.3, math.sin(1.7) - math.sin(0.2))
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_oblique_segment_uses_arc_length(self):
+        # f = 1 integrates to the length of the segment
+        spec = QuadratureSpec(order=2, subdivision=3)
+        got = integrate_segments(lambda t, s: np.ones_like(t), 0.0, 3.0, 0.0, 4.0, spec, 2.0)
+        assert got == pytest.approx([5.0], rel=1e-15)
+
+    def test_cells_follow_the_span_and_zero_length_is_zero(self):
+        seen = []
+
+        def fn(t, s):
+            seen.append(t.shape)
+            return t * 0 + 1.0
+
+        spec = QuadratureSpec(order=3, subdivision=8)
+        got = integrate_segments(fn, (0.0, 0.0, 0.5), (2.0, 0.5, 0.5), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), spec, 2.0)
+        assert seen == [(8 + 2 + 1, 3)]  # one call: 8 cells across the span, 2 for a quarter, 1 for a point
+        assert list(got) == pytest.approx([2.0, 0.5, 0.0], abs=1e-15)
+        assert got[2] == 0.0
