@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Run every benchmark workload once, traced, and fail unless each run
-is correct with no failed operation.
+is correct with no failed operation and its traced psi.csv error
+against the closed form (`solver.psi_rel_err`) is at most 1e-12.
 
 A traced run fails loudly when a must-fire counter reads 0, so this
 also catches a renamed wrapped function (such as `integrate_rect`) and
-a broken oracle.
+a broken oracle.  The benchmark's own oracle tolerance on psi.csv is
+1e-5, loose enough to pass a quadrature rule that has lost ten digits;
+the exported grids are right to about 1e-14 of max|psi|.
 
 Usage: python scripts/bench_smoke.py [--seconds S]
 """
@@ -16,6 +19,7 @@ import subprocess
 import sys
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+PSI_REL_ERR_MAX = 1e-12
 
 
 def main() -> int:
@@ -35,10 +39,12 @@ def main() -> int:
         lines = proc.stdout.strip().splitlines()
         try:
             result = json.loads(lines[-1])
-            ok = proc.returncode == 0 and result["correct"] is True and result["failed"] == 0
+            psi_err = result["metrics"]["solver.psi_rel_err"]["value"]
+            ok = (proc.returncode == 0 and result["correct"] is True and result["failed"] == 0
+                  and psi_err <= PSI_REL_ERR_MAX)
         except (IndexError, ValueError, KeyError, TypeError):
-            ok = False
-        print(f"{name}: {'ok' if ok else 'FAILED'} (exit {proc.returncode})")
+            ok, psi_err = False, None
+        print(f"{name}: {'ok' if ok else 'FAILED'} (exit {proc.returncode}, psi_rel_err {psi_err})")
         if not ok:
             bad.append(name)
             sys.stdout.write(proc.stdout[-4000:])

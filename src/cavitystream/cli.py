@@ -63,6 +63,9 @@ EXIT_USAGE = 2
 # Upper bounds on the size settings, so that a config that parses
 # cannot ask for unbounded time or memory.
 MAX_GRID_N = 1001
+# Cosine harmonics: the default subdivision max(8, ceil(m/2)) and the
+# Riemann oracle's max(256, 16m) cells per axis grow with m.
+MAX_HARMONIC = 200
 MAX_QUAD_ORDER = 64
 MAX_QUAD_SUBDIVISION = 1000
 MAX_STREAM_STEPS = 1_000_000
@@ -105,7 +108,7 @@ class RunConfig:
         return TriangleDomain(self.a)
 
     def quadrature_spec(self) -> QuadratureSpec:
-        sub = self.quad_subdivision or default_quadrature_spec().subdivision
+        sub = self.quad_subdivision or default_quadrature_spec(self.stress.harmonic).subdivision
         return QuadratureSpec(order=self.quad_order, subdivision=sub)
 
     def stream_step(self) -> float:
@@ -157,7 +160,7 @@ def _parse_stress(d: dict) -> StressSpec:
     if kind == "cosine":
         _require_keys(d, {"kind", "A", "m"}, "stress")
         A = _finite_number(d.get("A"), "stress.A")
-        m = _positive_int(d.get("m"), "stress.m")
+        m = _positive_int(d.get("m"), "stress.m", MAX_HARMONIC)
         return StressSpec(kind="cosine", amplitude=A, harmonic=m)
     if kind == "builtin":
         _require_keys(d, {"kind", "name"}, "stress")

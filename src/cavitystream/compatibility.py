@@ -82,6 +82,11 @@ def cosine_from_harmonic(amplitude: float, m: int, d: TriangleDomain) -> CosineS
     return CosineStress(amplitude, m * math.pi / float(d.a))
 
 
+def cosine_harmonic(f: StressField, a: float) -> float:
+    """m = k a / pi for a cosine stress cos(k y), 0 for any other."""
+    return abs(f.wavenumber) * a / math.pi if isinstance(f, CosineStress) else 0.0
+
+
 def stress_char_evaluator(f: StressField, a: float | None = None) -> Callable:
     """Evaluator of g(t, s) = f((t-s)/2, (t+s)/2) on numpy arrays."""
     ev = f.evaluator(a)

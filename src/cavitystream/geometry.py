@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 
 class PhysicalPoint(NamedTuple):
     x: float
@@ -170,13 +172,28 @@ def classify(d: TriangleDomain, p: PhysicalPoint, tol: float) -> PointLocation:
 
 def in_char_image(d: TriangleDomain, X, Y):
     """Whether (X, Y) lies in the image of the closed triangle, with a
-    small slack that absorbs roundoff from the coordinate change.
+    slack of 1e-9*a in physical distance from each edge line (the
+    tolerance ``classify`` uses) that absorbs roundoff from the
+    coordinate change.
 
+    In (X, Y) the edges are OA: X + Y = 0, OB: Y = 0 and AB: X = 2a, at
+    physical distances (X + Y)/2, -Y/sqrt2 and (2a - X)/sqrt2.
     Elementwise on numpy arrays.
     """
     a = float(d.a)
     slack = 1e-9 * a
-    return (-slack <= X) & (X <= 2 * a + slack) & (-X - slack <= Y) & (Y <= slack)
+    r2 = math.sqrt(2.0)
+    return (X + Y >= -2 * slack) & (Y <= r2 * slack) & (X <= 2 * a + r2 * slack)
+
+
+def require_in_char_image(d: TriangleDomain, X, Y) -> None:
+    """Raise ValueError at the first (X, Y) outside ``in_char_image``;
+    scalars or numpy arrays."""
+    outside = ~np.asarray(in_char_image(d, X, Y))
+    if np.any(outside):
+        i = np.argmax(outside)
+        q = (float(np.ravel(X)[i]), float(np.ravel(Y)[i]))
+        raise ValueError(f"characteristic point {q} outside the closed triangle image")
 
 
 def sigma_rectangles(d: TriangleDomain, q: CharPoint) -> SigmaDecomposition:
@@ -187,8 +204,7 @@ def sigma_rectangles(d: TriangleDomain, q: CharPoint) -> SigmaDecomposition:
     """
     X, Y = q
     a = float(d.a)
-    if not in_char_image(d, X, Y):
-        raise ValueError(f"characteristic point {tuple(q)} outside the closed triangle image")
+    require_in_char_image(d, X, Y)
     return SigmaDecomposition(
         rect1=Rect(-Y, X, Y, 0 * Y),
         rect2=Rect(X, 2 * a, -X, 0 * X),

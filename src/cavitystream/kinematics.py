@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import TriangleDomain, PhysicalPoint, classify, interior_lattice
+from .geometry import TriangleDomain, PhysicalPoint, _dist_point_segment, classify, interior_lattice
 from .solver import StreamFunction, format_float
 
 CENTER = "center"
@@ -237,16 +237,6 @@ def _project_to_boundary(d: TriangleDomain, p: PhysicalPoint) -> PhysicalPoint:
     return best[1]
 
 
-def _seg_point_distance(px, py, ax, ay, bx, by) -> float:
-    vx, vy = bx - ax, by - ay
-    vv = vx * vx + vy * vy
-    if vv == 0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * vx + (py - ay) * vy) / vv
-    t = 0.0 if t < 0 else (1.0 if t > 1 else t)
-    return math.hypot(px - (ax + t * vx), py - (ay + t * vy))
-
-
 def trace_streamline(
     V: VelocityField,
     seed: PhysicalPoint,
@@ -341,7 +331,7 @@ def trace_streamline(
         winding += delta
         heading = hn
         if n >= 10 and abs(winding) >= 1.5 * math.pi:
-            if _seg_point_distance(xs, ys, x, y, xn, yn) <= step / 2:
+            if _dist_point_segment(xs, ys, x, y, xn, yn) <= step / 2:
                 termination = CLOSED
                 break
         x, y = xn, yn

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -16,6 +17,9 @@ from .geometry import Rect
 MAX_BLOCK = 2**16
 # Rectangles whose per-rectangle bookkeeping is held at once.
 RECT_CHUNK = 2**12
+# Relative size below which a Gauss remainder bound is lost in double
+# roundoff (see ``gauss_order``).
+ROUNDOFF = 1e-17
 
 
 @dataclass(frozen=True)
@@ -39,13 +43,36 @@ class QuadratureSpec:
             raise ValueError("subdivision must be >= 1")
 
 
-def default_quadrature_spec() -> QuadratureSpec:
-    """Order 12 (exact through degree 23 per cell), 8 cells across 2a.
+def default_quadrature_spec(harmonic: float = 0.0) -> QuadratureSpec:
+    """Order 12 (exact through degree 23 per cell) and
+    S = max(8, ceil(harmonic / 2)) cells across 2a.
 
-    The rule is the same for every a: cell widths are fractions of 2a,
-    so accuracy and cost do not depend on the unit of length.
+    ``harmonic`` is m for a cosine stress cos(m pi y / a) (0 for any
+    other stress).  Its phase across one cell is then at most
+    m pi / S <= about 2 pi.  The rule is the same for every a: cell
+    widths are fractions of 2a, so accuracy and cost do not depend on
+    the unit of length.
     """
-    return QuadratureSpec(order=12, subdivision=8)
+    return QuadratureSpec(order=12, subdivision=max(8, math.ceil(harmonic / 2 - 1e-9)))
+
+
+def gauss_order(phase: float, max_order: int) -> int:
+    """Smallest Gauss order n <= max_order whose Legendre remainder
+    bound (phase)^(2n) (n!)^4 / ((2n+1) ((2n)!)^3) is below ROUNDOFF,
+    else max_order.
+
+    ``phase`` is the wavenumber along one axis times the cell width, so
+    the bound is the n-point error on that cell relative to the
+    integrand's amplitude times the width.
+    """
+    if phase <= 0:
+        return 1
+    for n in range(1, max_order):
+        log_bound = (2 * n * math.log(phase) + 4 * math.lgamma(n + 1)
+                     - math.log(2 * n + 1) - 3 * math.lgamma(2 * n + 1))
+        if log_bound < math.log(ROUNDOFF):
+            return n
+    return max_order
 
 
 @lru_cache(maxsize=32)
@@ -132,8 +159,56 @@ def integrate_segments(fn: Callable, t0, t1, s0, s1, spec: QuadratureSpec, span:
     return np.bincount(seg, weights=(vals @ w) * (0.5 * length / n)[seg], minlength=length.size)
 
 
+def cell_table(fn: Callable, size: int, h: float, spec: QuadratureSpec, span: float,
+               wavenumber: float = 0.0) -> np.ndarray:
+    """Summed-area table of fn(t, s) over the cells of a square lattice
+    of step h below its diagonal.
+
+    Cell (p, q), 0 <= q < p < size, is [p h, (p+1) h] x [-(q+1) h, -q h].
+    Like a rectangle side in ``integrate_rect``, it is cut into
+    sub x sub equal sub-cells no wider than span / S,
+    sub = clip(ceil(S * h / span), 1, S), each carrying one Gauss
+    tensor.  The order is spec.order, or, given the integrand's
+    per-axis ``wavenumber``, the ``gauss_order`` of its phase across a
+    sub-cell.  Returns T of shape (size+1, size+1) with T[P, Q] the
+    integral over the cells p < P, q < Q; cells with q >= p count zero
+    and are not evaluated.  The cells are taken in row-major order, fn
+    receives blocks of whole cells of at most MAX_BLOCK nodes, and each
+    block's cell integrals are written into the table, which two
+    in-place cumsums then sum.
+    """
+    sub = int(_cell_counts(np.array([h]), spec, span)[0])
+    order = gauss_order(wavenumber * h / sub, spec.order) if wavenumber else spec.order
+    x, w = gauss_nodes(order)
+    u = ((np.arange(sub)[:, None] + 0.5 + 0.5 * x) / sub).ravel()  # cell nodes in [0, 1]
+    wu = np.tile(w, sub) * (0.5 / sub)
+    ww = np.outer(wu, wu).ravel() * (h * h)
+    table = np.zeros((size + 1, size + 1))
+    total = size * (size - 1) // 2
+    per = max(1, MAX_BLOCK // u.size**2)
+    for c0 in range(0, total, per):
+        c = np.arange(c0, min(c0 + per, total))
+        # row p holds the cells p (p - 1) / 2 <= c < p (p + 1) / 2
+        p = ((1 + np.sqrt(1 + 8 * c)) / 2).astype(np.int64)
+        p -= p * (p - 1) // 2 > c
+        p += p * (p + 1) // 2 <= c
+        q = c - p * (p - 1) // 2
+        T = (p[:, None] + u) * h
+        S = (u - (q + 1)[:, None]) * h
+        T, S = np.broadcast_arrays(T[:, :, None], S[:, None, :])
+        vals = np.broadcast_to(np.asarray(fn(T, S), dtype=float), T.shape).reshape(len(c), -1)
+        table[p + 1, q + 1] = vals @ ww
+    np.cumsum(table, axis=0, out=table)
+    np.cumsum(table, axis=1, out=table)
+    return table
+
+
 def riemann_rect(fn: Callable, rect: Rect, cells_per_axis: int) -> float:
-    """Midpoint Riemann sum, the deliberately low-tech cross-check."""
+    """Midpoint Riemann sum, the deliberately low-tech cross-check.
+
+    fn sees blocks of whole rows of at most MAX_BLOCK nodes, so memory
+    stays flat however many cells are asked for.
+    """
     t0, t1, s0, s1 = (float(v) for v in rect)
     if t1 <= t0 or s1 <= s0:
         return 0.0
@@ -141,6 +216,9 @@ def riemann_rect(fn: Callable, rect: Rect, cells_per_axis: int) -> float:
     hs = (s1 - s0) / cells_per_axis
     tn = t0 + ht * (np.arange(cells_per_axis) + 0.5)
     sn = s0 + hs * (np.arange(cells_per_axis) + 0.5)
-    T, S = np.meshgrid(tn, sn, indexing="ij")
-    vals = np.asarray(fn(T, S), dtype=float)
-    return float(vals.sum() * ht * hs)
+    rows = max(1, MAX_BLOCK // cells_per_axis)
+    total = 0.0
+    for r in range(0, cells_per_axis, rows):
+        T, S = np.meshgrid(tn[r:r + rows], sn, indexing="ij")
+        total += np.asarray(fn(T, S), dtype=float).sum()
+    return float(total * ht * hs)

@@ -15,7 +15,8 @@ rectangle [-Y, X] x [Y, 0] alone and are valid only behind the gate
 polynomial stresses that integral is carried out by exact
 antidifferentiation with symbolic limits, yielding the stream function
 as an exact polynomial; otherwise psi is evaluated by a subdivided
-tensor Gauss rule, batched over points.  The closed-form sinusoidal
+tensor Gauss rule, batched over points, and on the export lattice from
+one summed-area table of lattice cells.  The closed-form sinusoidal
 case is provided as a builtin.  Every backing differentiates itself:
 derivative polynomials, the closed-form derivatives, or the Leibniz
 rule on the first rectangle (three line integrals of the stress).
@@ -29,16 +30,12 @@ from typing import Callable
 
 import numpy as np
 
-from . import geometry
 from .geometry import (
-    CharPoint,
     TriangleDomain,
     PhysicalPoint,
     Rect,
     boundary_sample,
-    in_char_image,
-    interior_lattice,
-    sigma_rectangles,
+    require_in_char_image,
     signed_edge_distances,
     to_characteristic,
 )
@@ -49,10 +46,17 @@ from .compatibility import (
     PolynomialStress,
     StressField,
     compat_check,
+    cosine_harmonic,
     exact_residual_poly,
     stress_char_evaluator,
 )
-from .quadrature import QuadratureSpec, default_quadrature_spec, integrate_rect, integrate_segments
+from .quadrature import (
+    QuadratureSpec,
+    cell_table,
+    default_quadrature_spec,
+    integrate_rect,
+    integrate_segments,
+)
 
 HALF = Fraction(1, 2)
 SOLUTION_PREFACTOR = Fraction(-1, 4)
@@ -117,10 +121,20 @@ class StreamFunction:
         return float(self._raw_eval(float(x), float(y)))
 
     def evaluate_many(self, x, y) -> np.ndarray:
-        """psi at each point (x[i], y[i]) of two 1-d sequences; one
-        ``evaluate`` per point unless the backing evaluates a batch at
-        once."""
-        return np.array([self.evaluate(xi, yi) for xi, yi in zip(x, y)], dtype=float)
+        """psi at each point (x[i], y[i]) of two 1-d sequences, in one
+        ``_raw_eval`` on float arrays."""
+        x = np.asarray(x, dtype=float)
+        return np.array(np.broadcast_to(self._raw_eval(x, np.asarray(y, dtype=float)), x.shape), dtype=float)
+
+    def lattice_values(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ix, iy, psi) at the points x = 2a ix/(n-1), y = a iy/(n-1)
+        of the n x n bounding-box lattice clipped to the closed triangle,
+        row-major (iy outer)."""
+        if self.domain is None:
+            raise ValueError("bind a before evaluating on a lattice")
+        ix, iy = clipped_lattice(n)
+        a = float(self.domain.a)
+        return ix, iy, self.evaluate_many(2 * a * ix / (n - 1), a * iy / (n - 1))
 
     def max_abs(self, points) -> float:
         """max |psi| over a sequence of points (0 for none)."""
@@ -141,11 +155,13 @@ class StreamFunction:
         raise NotImplementedError
 
     def scale(self) -> float:
-        """max |psi| over a fixed 51x51 clipped lattice (cached)."""
+        """max |psi| over the interior points of the 51 x 51 clipped
+        lattice (cached)."""
         if self._scale is None:
-            if self.domain is None:
-                raise ValueError("bind a before computing a numeric scale")
-            self._scale = self.max_abs(interior_lattice(self.domain, 51))
+            n = 51
+            ix, iy, values = self.lattice_values(n)
+            interior = (iy > 0) & (iy < 2 * ix) & (2 * ix + iy < 2 * (n - 1))
+            self._scale = float(np.max(np.abs(values[interior]), initial=0.0))
         return self._scale
 
     def check_boundary(self, n: int = 100, tol: float = 1e-9) -> float:
@@ -187,9 +203,6 @@ class PolyStreamFunction(StreamFunction):
             self._velocity_fns = (lambda x, y: (u(x, y), v(x, y)),
                                   lambda x, y: tuple(e(x, y) for e in jac))
         return self._velocity_fns
-
-    def eval_exact(self, x, y):
-        return self.poly.eval(x, y)
 
     @property
     def source_stress(self) -> PolynomialStress:
@@ -258,7 +271,7 @@ class QuadratureStreamFunction(StreamFunction):
     def __init__(self, stress: StressField, domain: TriangleDomain, spec: QuadratureSpec | None = None):
         super().__init__(domain)
         self.stress = stress
-        self.spec = spec or default_quadrature_spec()
+        self.spec = spec or default_quadrature_spec(cosine_harmonic(stress, float(domain.a)))
         self._g = stress_char_evaluator(stress, float(domain.a))
 
     def _raw_eval(self, x, y):
@@ -267,12 +280,30 @@ class QuadratureStreamFunction(StreamFunction):
     def evaluate_many(self, x, y) -> np.ndarray:
         """All points in one batched ``integrate_rect`` call."""
         X, Y = to_characteristic(PhysicalPoint(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
-        outside = ~in_char_image(self.domain, X, Y)
-        if np.any(outside):
-            i = np.argmax(outside)
-            sigma_rectangles(self.domain, CharPoint(float(X[i]), float(Y[i])))  # raises
+        require_in_char_image(self.domain, X, Y)
         rect1 = Rect(-Y, X, Y, np.zeros_like(Y))
         return float(SOLUTION_PREFACTOR) * integrate_rect(self._g, rect1, self.spec, 2 * float(self.domain.a))
+
+    def lattice_values(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One summed-area table of lattice cells answers every point.
+
+        With h = a/(n-1) the point (ix, iy) has X = (2 ix + iy) h and
+        Y = (iy - 2 ix) h, so its rectangle [-Y, X] x [Y, 0] is the union
+        of the cells [p h, (p+1) h] x [-(q+1) h, -q h] with
+        2 ix - iy <= p < 2 ix + iy and q < 2 ix - iy, all below the
+        diagonal q < p.  Each cell is integrated once (``cell_table``),
+        cut into sub-cells no wider than 2a/S; a cosine stress takes the
+        smallest Gauss order whose remainder bound on a sub-cell is
+        below roundoff (``gauss_order``), any other stress spec.order.
+        The quadrature ``evaluate_many`` stays the per-point path.
+        """
+        ix, iy = clipped_lattice(n)
+        a = float(self.domain.a)
+        # g(t, s) = A cos(k (t + s) / 2) has wavenumber k/2 along each axis
+        kappa = 0.5 * abs(self.stress.wavenumber) if isinstance(self.stress, CosineStress) else 0.0
+        table = cell_table(self._g, 2 * (n - 1), a / (n - 1), self.spec, 2 * a, kappa)
+        q = 2 * ix - iy
+        return ix, iy, float(SOLUTION_PREFACTOR) * (table[2 * ix + iy, q] - table[q, q])
 
     def velocity_functions(self) -> tuple[Callable, Callable]:
         return self._velocity, self._velocity_jacobian
@@ -284,8 +315,7 @@ class QuadratureStreamFunction(StreamFunction):
         u = psi_X + psi_Y, v = psi_Y - psi_X; the three line integrals
         take one stress call.  Defined on the closed triangle."""
         X, Y = x + y, -x + y
-        if not in_char_image(self.domain, X, Y):
-            sigma_rectangles(self.domain, CharPoint(X, Y))  # raises
+        require_in_char_image(self.domain, X, Y)
         i_x, i_top, i_side = integrate_segments(
             self._g, (X, -Y, -Y), (X, -Y, X), (Y, Y, Y), (0.0, 0.0, Y), self.spec, 2 * float(self.domain.a))
         p = float(SOLUTION_PREFACTOR)
@@ -426,9 +456,7 @@ def residual(psi: StreamFunction, f: StressField, p, h: float):
             f"stencil at {(float(x[i]), float(y[i]))} leaves the closed triangle "
             f"(margin {margin[i]:g} < h*sqrt2)"
         )
-    # lists keep the scalar backings on Python floats
-    e = psi.evaluate_many(np.concatenate([x, x - h, x + h, x, x]).tolist(),
-                          np.concatenate([y, y, y, y - h, y + h]).tolist())
+    e = psi.evaluate_many(np.concatenate([x, x - h, x + h, x, x]), np.concatenate([y, y, y, y - h, y + h]))
     center, west, east, south, north = e.reshape(5, -1)
     lap = (-west + 2 * center - east) / h**2 + (south - 2 * center + north) / h**2
     fv = f.evaluator(a)(x, y)
@@ -439,22 +467,28 @@ def residual(psi: StreamFunction, f: StressField, p, h: float):
 # ----------------------------------------------------------------------
 # grid export
 
-def grid_rows(psi: StreamFunction, d: TriangleDomain, n: int, tol: float | None = None) -> list[tuple[float, float, float]]:
-    """Row-major (x, y, psi) over the n x n bounding-box lattice clipped
-    to the closed triangle."""
+def clipped_lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ix, iy) of the n x n lattice x = 2a ix/(n-1), y = a iy/(n-1)
+    that lie in the closed triangle, row-major (iy outer): the exact
+    integer form of y <= x and x + y <= 2a."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    iy, ix = np.divmod(np.arange(n * n), n)
+    keep = (iy <= 2 * ix) & (2 * ix + iy <= 2 * (n - 1))
+    return ix[keep], iy[keep]
+
+
+def grid_rows(psi: StreamFunction, d: TriangleDomain, n: int) -> list[tuple[float, float, float]]:
+    """Row-major (x, y, psi) over the n x n bounding-box lattice clipped
+    to the closed triangle, read from ``psi.lattice_values``."""
+    ix, iy, values = psi.lattice_values(n)
     a = float(d.a)
-    tol = 1e-10 * a if tol is None else tol
-    xs, ys = [], []
-    for iy in range(n):
-        y = a * iy / (n - 1)
-        for ix in range(n):
-            x = 2 * a * ix / (n - 1)
-            if not geometry.classify(d, PhysicalPoint(x, y), tol).is_exterior:
-                xs.append(x)
-                ys.append(y)
-    return list(zip(xs, ys, psi.evaluate_many(xs, ys).tolist()))
+    # coordinates repeat along the lattice: one shared float per column and row
+    xs = np.array([2 * a * i / (n - 1) for i in range(n)], dtype=object)[ix].tolist()
+    ys = np.array([a * j / (n - 1) for j in range(n)], dtype=object)[iy].tolist()
+    vs = values.tolist()
+    del ix, iy, values  # the lists hold all the rows need
+    return list(zip(xs, ys, vs))
 
 
 def format_float(v: float) -> str:

@@ -10,6 +10,7 @@ generated boundary-vanishing polynomials.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ from .geometry import (
 )
 from .polyalg import BivariatePoly, wave_operator
 from .quadrature import riemann_rect
-from .compatibility import StressField, stress_char_evaluator
+from .compatibility import StressField, cosine_harmonic, stress_char_evaluator
 from . import solver as _solver
 from .solver import QuadratureStreamFunction, StreamFunction, solve_exact_poly
 
@@ -76,7 +77,7 @@ def verify_solution(
     tol_pde: float = 5e-3,
     tol_bc: float = 1e-9,
     fd_h: float | None = None,
-    riemann_cells: int = 256,
+    riemann_cells: int | None = None,
     tol_quad: float | None = None,
     rng_seed: int = 20260808,
 ) -> VerificationReport:
@@ -84,7 +85,9 @@ def verify_solution(
 
     ``tol_bc`` is absolute; pick it relative to the field's scale at the
     call site.  The interior lattice is the grid-export lattice minus a
-    one-stencil margin.
+    one-stencil margin.  ``riemann_cells`` defaults to max(256, 16 m)
+    per axis for a cosine stress of harmonic m (256 otherwise), so the
+    oracle stays finer than the Gauss rule as m grows.
     """
     if lattice_n < 4:
         raise ValueError("lattice_n must be >= 4")
@@ -102,6 +105,8 @@ def verify_solution(
         "boundary_value": {"value": max_bc, "tol": tol_bc, "pass": max_bc <= tol_bc},
     }
     if isinstance(psi, QuadratureStreamFunction):
+        if riemann_cells is None:
+            riemann_cells = max(256, math.ceil(16 * cosine_harmonic(f, a) - 1e-9))
         rng = random.Random(rng_seed)
         worst = 0.0
         count = 0

@@ -94,6 +94,19 @@ class TestConfigParsing:
                             "streamlines": {"max_steps": 1_000_000}})
         assert (cfg.grid_n, cfg.quad_order, cfg.quad_subdivision, cfg.max_steps) == (1001, 64, 1000, 1_000_000)
 
+    def test_harmonic_upper_bound(self, tmp_path, capsys):
+        assert parse_config({"stress": {"kind": "cosine", "A": 1, "m": 200}}).stress.harmonic == 200
+        doc = {"stress": {"kind": "cosine", "A": 1, "m": 201}, "out": str(tmp_path / "o")}
+        assert run(["solve", "--config", write_config(tmp_path, doc), "--quiet"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "config error: stress.m must be at most 200\n"
+
+    def test_subdivision_follows_the_harmonic(self):
+        cosine = {"kind": "cosine", "A": 1, "m": 61}
+        assert parse_config({"stress": cosine}).quadrature_spec().subdivision == 31
+        assert parse_config({"stress": cosine, "quadrature": {"subdivision": 5}}).quadrature_spec().subdivision == 5
+        assert parse_config({"stress": {**cosine, "m": 15}}).quadrature_spec().subdivision == 8
+        assert parse_config(LINEAR_STRESS_DOC).quadrature_spec().subdivision == 8
+
     def test_grid_flag_upper_bound(self, tmp_path):
         cfg = write_config(tmp_path, {**LINEAR_STRESS_DOC, "out": str(tmp_path / "o")})
         assert run(["solve", "--config", cfg, "--grid", "1002", "--quiet"]) == EXIT_USAGE
@@ -177,6 +190,16 @@ class TestSolveCommand:
         verdict = json.loads((out / "verify.json").read_text())
         assert verdict["overall_pass"] is True
         assert verdict["quadrature_vs_riemann"] is not None
+
+    def test_high_harmonic_solves(self, tmp_path):
+        out = tmp_path / "o"
+        doc = {"a": 1, "stress": {"kind": "cosine", "A": 1, "m": 61}, "grid_n": 21, "out": str(out)}
+        assert run(["solve", "--config", write_config(tmp_path, doc), "--quiet"]) == EXIT_OK
+        rows = np.loadtxt(out / "psi.csv", delimiter=",", skiprows=1)
+        k = 61 * math.pi
+        x, y, psi = rows.T
+        want = -(np.cos(k * y) + np.cos(k * (x - y) / 2) - np.cos(k * (x + y) / 2) - 1) / k**2
+        assert np.max(np.abs(psi - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_grid_override_flag(self, tmp_path):
         out = tmp_path / "o"

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +12,9 @@ from cavitystream.geometry import (
     CharPoint,
     boundary_sample,
     classify,
+    in_char_image,
     interior_lattice,
+    require_in_char_image,
     sigma_rectangles,
     to_characteristic,
     to_physical,
@@ -128,6 +131,25 @@ class TestSigmaRectangles:
     def test_rectangles_share_only_the_seam(self):
         dec = sigma_rectangles(D1, CharPoint(1.2, -0.7))
         assert dec.rect1.t1 == dec.rect2.t0
+
+
+class TestCharImageSlack:
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    def test_slack_is_a_physical_distance_from_each_edge(self, a):
+        d = TriangleDomain(a)
+        r2 = math.sqrt(2.0)
+        # a point of each edge and the outward unit normal there
+        for (x, y), (nx, ny) in (((a, 0.0), (0.0, -1.0)), ((a / 2, a / 2), (-1 / r2, 1 / r2)),
+                                 ((1.5 * a, a / 2), (1 / r2, 1 / r2))):
+            for dist, inside in ((0.9e-9 * a, True), (1.1e-9 * a, False)):
+                p = PhysicalPoint(x + dist * nx, y + dist * ny)
+                assert bool(in_char_image(d, *to_characteristic(p))) is inside
+                assert classify(d, p, 1e-9 * a).is_boundary is inside
+
+    def test_require_names_the_first_point_outside(self):
+        require_in_char_image(D1, np.array([1.0, 2.0]), np.array([-0.5, 0.0]))
+        with pytest.raises(ValueError, match=r"characteristic point \(2\.5, -0\.5\) outside"):
+            require_in_char_image(D1, np.array([1.0, 2.5, 3.0]), np.array([-0.5, -0.5, 0.0]))
 
 
 class TestBoundarySample:

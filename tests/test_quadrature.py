@@ -7,7 +7,17 @@ import numpy as np
 import pytest
 
 from cavitystream.geometry import Rect
-from cavitystream.quadrature import MAX_BLOCK, QuadratureSpec, gauss_nodes, integrate_rect, integrate_segments
+from cavitystream.quadrature import (
+    MAX_BLOCK,
+    QuadratureSpec,
+    cell_table,
+    default_quadrature_spec,
+    gauss_nodes,
+    gauss_order,
+    integrate_rect,
+    integrate_segments,
+    riemann_rect,
+)
 
 
 def _meshgrid_reference(fn, rect, spec, span):
@@ -183,3 +193,107 @@ class TestIntegrateSegments:
         assert seen == [(8 + 2 + 1, 3)]  # one call: 8 cells across the span, 2 for a quarter, 1 for a point
         assert list(got) == pytest.approx([2.0, 0.5, 0.0], abs=1e-15)
         assert got[2] == 0.0
+
+
+class TestCellTable:
+    def test_entries_are_integrals_over_the_cells_below_the_diagonal(self):
+        # fn = t*s + 1 is exact under any Gauss order; cell (p, q) with
+        # q < p is [p h, (p+1) h] x [-(q+1) h, -q h]
+        size, h = 7, 0.3
+        table = cell_table(lambda t, s: t * s + 1.0, size, h, QuadratureSpec(2, 1), 1.0)
+        assert table.shape == (size + 1, size + 1)
+
+        def cell(p, q):
+            t0, t1, s0, s1 = p * h, (p + 1) * h, -(q + 1) * h, -q * h
+            return (t1**2 - t0**2) / 2 * (s1**2 - s0**2) / 2 + h * h
+
+        for P in range(size + 1):
+            for Q in range(size + 1):
+                want = sum(cell(p, q) for p in range(P) for q in range(min(Q, p)))
+                assert table[P, Q] == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+    def test_sub_cells_refine_the_rule(self):
+        fn = lambda t, s: np.cos(3 * t) * np.exp(s)  # noqa: E731
+        # h = 0.5 against span / S = 0.125: four sub-cells per axis
+        coarse = cell_table(fn, 6, 0.5, QuadratureSpec(3, 1), 1.0)
+        fine = cell_table(fn, 6, 0.5, QuadratureSpec(3, 8), 1.0)
+        exact = cell_table(fn, 6, 0.5, QuadratureSpec(12, 8), 1.0)
+        assert np.max(np.abs(fine - exact)) < np.max(np.abs(coarse - exact)) / 100
+
+    def test_blocks_respect_the_cap(self):
+        sizes = []
+
+        def fn(t, s):
+            sizes.append(t.size)
+            return np.cos(t) * s
+
+        size, order, sub = 60, 12, 2
+        cell_table(fn, size, 0.01, QuadratureSpec(order, sub), 0.01)
+        assert max(sizes) <= MAX_BLOCK
+        assert sum(sizes) == size * (size - 1) // 2 * (sub * order) ** 2
+
+    def test_wavenumber_lowers_the_order(self):
+        sizes = []
+
+        def fn(t, s):
+            sizes.append(t.size)
+            return np.cos(1.5 * np.pi * (t + s))
+
+        size, h = 20, 0.01
+        table = cell_table(fn, size, h, QuadratureSpec(12, 8), 2.0, 1.5 * np.pi)
+        cells = size * (size - 1) // 2
+        assert sum(sizes) == cells * gauss_order(1.5 * np.pi * h, 12) ** 2 == cells * 4**2
+        full = cell_table(fn, size, h, QuadratureSpec(12, 8), 2.0)
+        assert np.max(np.abs(table - full)) <= 1e-15 * np.max(np.abs(full))
+
+
+class TestGaussOrder:
+    @pytest.mark.parametrize("m, a, n, want", [(3, 1.0, 101, 4), (15, 0.25, 51, 6), (15, 100.0, 51, 6)])
+    def test_cosine_lattice_cells(self, m, a, n, want):
+        # per-axis wavenumber k/2 of g(t, s) = cos(k (t + s) / 2), cell a/(n-1)
+        assert gauss_order(0.5 * m * math.pi / a * a / (n - 1), 12) == want
+
+    def test_chosen_order_meets_roundoff(self):
+        for phase in (1e-3, 0.05, 0.5, 2.0):
+            n = gauss_order(phase, 64)
+            got = integrate_rect(lambda t, s: np.cos(phase * t), Rect(-0.5, 0.5, 0.0, 1.0), QuadratureSpec(n, 1), 1.0)
+            assert got == pytest.approx(2 * math.sin(phase / 2) / phase, rel=1e-15, abs=1e-16)
+
+    def test_bounds(self):
+        assert gauss_order(0.0, 12) == 1
+        assert gauss_order(50.0, 12) == 12
+        assert gauss_order(0.05, 2) == 2
+
+
+class TestDefaultSpec:
+    @pytest.mark.parametrize("m, S", [(0, 8), (3, 8), (15, 8), (16, 8), (17, 9), (61, 31), (200, 100)])
+    def test_subdivision_grows_with_the_harmonic(self, m, S):
+        assert default_quadrature_spec(m) == QuadratureSpec(order=12, subdivision=S)
+
+
+class TestRiemannRect:
+    def test_row_blocks_match_one_meshgrid(self):
+        fn = lambda t, s: np.cos(7 * t) * (1 + s)  # noqa: E731
+        rect, cells = (0.1, 1.3, -0.7, 0.0), 600
+        t0, t1, s0, s1 = rect
+        ht, hs = (t1 - t0) / cells, (s1 - s0) / cells
+        T, S = np.meshgrid(t0 + ht * (np.arange(cells) + 0.5), s0 + hs * (np.arange(cells) + 0.5), indexing="ij")
+        want = float(fn(T, S).sum() * ht * hs)
+        assert riemann_rect(fn, Rect(*rect), cells) == pytest.approx(want, rel=1e-13)
+
+    def test_memory_stays_flat(self):
+        sizes = []
+
+        def fn(t, s):
+            sizes.append(t.size)
+            return np.cos(t) * s
+
+        tracemalloc.start()
+        try:
+            got = riemann_rect(fn, Rect(0.0, 1.0, 0.0, 1.0), 3200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == pytest.approx(math.sin(1.0) / 2, rel=1e-6)
+        assert max(sizes) <= MAX_BLOCK and sum(sizes) == 3200**2
+        assert peak < 8 * 2**20

@@ -2,17 +2,20 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cavitystream.geometry import TriangleDomain, PhysicalPoint, boundary_sample, interior_lattice
+from cavitystream.geometry import TriangleDomain, PhysicalPoint, boundary_sample, classify, interior_lattice
 from cavitystream.polyalg import BivariatePoly, poly_vars, wave_operator
 from cavitystream.quadrature import QuadratureSpec
-from cavitystream.compatibility import CosineStress, OpaqueStress, PolynomialStress, compat_check
+from cavitystream.compatibility import CosineStress, OpaqueStress, PolynomialStress, compat_check, cosine_from_harmonic
+from cavitystream.kinematics import velocity_field
 from cavitystream.solver import (
     IncompatibleStress,
     QuadratureStreamFunction,
+    StreamFunction,
     grid_rows,
     linear_example,
     realistic_example,
@@ -347,3 +350,117 @@ class TestBatchedQuadratureEvaluation:
         exact = linear_example(D1)
         with pytest.raises(ValueError, match="is not interior"):
             residual(exact, f, [inside, PhysicalPoint(1.0, 0.0)], 1e-3)
+
+
+def _per_point(psi, n):
+    """The base class's lattice: one ``evaluate_many`` on the clipped points."""
+    return StreamFunction.lattice_values(psi, n)
+
+
+class TestLatticeTable:
+    @pytest.mark.parametrize("A, m, a, n", [
+        (10.0, 3, 1.0, 101), (1.0, 15, 0.25, 51), (1.0, 15, 100.0, 51),
+        # cells wider than 2a/S: sub-cells
+        (10.0, 3, 1.0, 2), (10.0, 3, 1.0, 3), (10.0, 3, 1.0, 5), (1.0, 15, 0.25, 5),
+    ])
+    def test_table_matches_per_point(self, A, m, a, n):
+        d = TriangleDomain(a)
+        psi = solve_quadrature(CosineStress(A, m * math.pi / a), d)
+        ix, iy, got = psi.lattice_values(n)
+        jx, jy, want = _per_point(psi, n)
+        assert ix.tolist() == jx.tolist() and iy.tolist() == jy.tolist()
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [3, 21])
+    def test_table_matches_per_point_for_an_opaque_stress(self, n):
+        f = OpaqueStress(lambda x, y: 16.0 * y - 8.0 + 5.0 * np.cos(3 * math.pi * y))
+        psi = solve_quadrature(f, D1)
+        got = psi.lattice_values(n)[2]
+        want = _per_point(psi, n)[2]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("A, m, a, n", [(10.0, 3, 1.0, 101), (1.0, 15, 0.25, 51), (1.0, 15, 100.0, 51)])
+    def test_table_matches_closed_form(self, A, m, a, n):
+        d = TriangleDomain(a)
+        rows = np.array(grid_rows(solve_quadrature(CosineStress(A, m * math.pi / a), d), d, n))
+        want = _odd_cosine_psi(A, m, a, rows[:, 0], rows[:, 1])
+        assert np.max(np.abs(rows[:, 2] - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("m, a", [(3, 1.0), (15, 0.25)])
+    def test_scale_is_the_interior_lattice_max(self, m, a):
+        d = TriangleDomain(a)
+        psi = solve_quadrature(CosineStress(1.0, m * math.pi / a), d)
+        pts = interior_lattice(d, 51)
+        want = float(np.max(np.abs([psi.evaluate(p.x, p.y) for p in pts])))
+        assert psi.scale() == pytest.approx(want, rel=1e-14)
+
+    def test_integer_clip_is_the_closed_triangle(self):
+        psi = linear_example(D1)
+        for n in (2, 3, 10, 21):
+            ix, iy, _ = psi.lattice_values(n)
+            pts = [(2 * i / (n - 1), j / (n - 1)) for j in range(n) for i in range(n)]
+            inside = [p for p in pts if p[1] <= p[0] + 1e-12 and p[0] + p[1] <= 2 + 1e-12]
+            assert list(zip((2 * ix / (n - 1)).tolist(), (iy / (n - 1)).tolist())) == inside
+
+    def test_stress_calls_are_bounded_by_the_cells(self):
+        psi = solve_quadrature(CosineStress(10.0, 3 * math.pi), D1)
+        g, seen = psi._g, []
+
+        def counted(t, s):
+            seen.append(np.broadcast(t, s).size)
+            return g(t, s)
+
+        psi._g = counted
+        n = 101
+        psi.lattice_values(n)
+        cells = 2 * (n - 1) * (2 * (n - 1) - 1) // 2
+        assert 0 < sum(seen) <= cells * 4**2
+
+    def test_grid_rows_peak_memory(self):
+        # the list of rows itself is about 57 MiB at n = 1001; the
+        # per-point export peaked at 69 MiB
+        psi = solve_quadrature(CosineStress(10.0, 3 * math.pi), D1)
+        tracemalloc.start()
+        try:
+            rows = grid_rows(psi, D1, 1001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 501_001
+        assert peak <= 69 * 2**20
+
+
+class TestBoundarySlack:
+    """One slack, 1e-9 a in physical distance from each edge line, as in
+    ``classify``."""
+
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("edge", ["OA", "OB", "AB"])
+    def test_quadrature_psi_and_velocity_near_an_edge(self, a, edge):
+        d = TriangleDomain(a)
+        psi = solve_quadrature(cosine_from_harmonic(10.0, 3, d), d)
+        V = velocity_field(psi)
+        r2 = math.sqrt(2.0)
+        # a point of the edge and its outward unit normal
+        base, normal = {"OA": ((a, 0.0), (0.0, -1.0)), "OB": ((0.5 * a, 0.5 * a), (-1 / r2, 1 / r2)),
+                        "AB": ((1.5 * a, 0.5 * a), (1 / r2, 1 / r2))}[edge]
+        near = PhysicalPoint(base[0] + 0.9e-9 * a * normal[0], base[1] + 0.9e-9 * a * normal[1])
+        assert classify(d, near, 1e-9 * a).is_boundary
+        assert abs(psi.evaluate(*near)) <= 1e-6 * psi.scale()
+        u, v = V.velocity(near)
+        assert math.isfinite(u) and math.isfinite(v)
+        far = PhysicalPoint(base[0] + 2e-9 * a * normal[0], base[1] + 2e-9 * a * normal[1])
+        with pytest.raises(ValueError, match="outside the closed triangle image"):
+            psi.evaluate(*far)
+        with pytest.raises(ValueError):
+            V.velocity(far)
+
+    def test_point_just_outside_ob(self):
+        psi = solve_quadrature(CosineStress(10.0, 3 * math.pi), D1)
+        V = velocity_field(psi)
+        p = PhysicalPoint(0.5, 0.5 + 0.9e-9 * math.sqrt(2.0))
+        u, v = V.velocity(p)
+        assert math.isfinite(u) and math.isfinite(v)
+        assert math.isfinite(psi.evaluate(*p))
+        with pytest.raises(ValueError):
+            V.velocity(PhysicalPoint(0.5, 0.5 + 2e-9 * math.sqrt(2.0)))

@@ -89,6 +89,24 @@ class TestVerifySolution:
         assert report.quadrature_vs_riemann is not None
         assert report.checks["quadrature_vs_riemann"]["pass"]
 
+    @pytest.mark.parametrize("m, cells", [(3, 256), (15, 256), (61, 976)])
+    def test_riemann_cells_grow_with_the_harmonic(self, monkeypatch, m, cells):
+        import cavitystream.verify as verify_mod
+
+        seen = set()
+        inner = verify_mod.riemann_rect
+
+        def spy(fn, rect, n):
+            seen.add(n)
+            return inner(fn, rect, n)
+
+        monkeypatch.setattr(verify_mod, "riemann_rect", spy)
+        stress = CosineStress(1.0, m * math.pi)
+        psi = solve_quadrature(stress, D1)
+        report = verify_solution(psi, stress, D1, lattice_n=8, tol_pde=5e-3, tol_bc=1e-6)
+        assert seen == {cells}
+        assert report.checks["quadrature_vs_riemann"]["pass"]
+
     def test_monotone_refinement(self):
         # in exact arithmetic the cubic's residual field is identically
         # zero, so refining the lattice cannot raise the maximum at all
