@@ -12,11 +12,9 @@ oracles.
 from .geometry import (
     CharPoint,
     PhysicalPoint,
-    SigmaDecomposition,
     TriangleDomain,
     boundary_sample,
     classify,
-    sigma_rectangles,
     to_characteristic,
     to_physical,
 )

@@ -63,6 +63,10 @@ EXIT_USAGE = 2
 # Upper bounds on the size settings, so that a config that parses
 # cannot ask for unbounded time or memory.
 MAX_GRID_N = 1001
+# verify_lattice and seeds_per_axis loop over n^2 points, n_sweep over n.
+MAX_VERIFY_LATTICE = 256
+MAX_SEEDS_PER_AXIS = 101
+MAX_N_SWEEP = 4097
 # Cosine harmonics: the default subdivision max(8, ceil(m/2)) and the
 # Riemann oracle's max(256, 16m) cells per axis grow with m.
 MAX_HARMONIC = 200
@@ -198,7 +202,7 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError("grid_n must be >= 2")
         cfg = replace(cfg, grid_n=n)
     if "n_sweep" in doc:
-        cfg = replace(cfg, n_sweep=max(2, _positive_int(doc["n_sweep"], "n_sweep")))
+        cfg = replace(cfg, n_sweep=max(2, _positive_int(doc["n_sweep"], "n_sweep", MAX_N_SWEEP)))
     if "tolerances" in doc:
         tols = doc["tolerances"]
         if not isinstance(tols, dict):
@@ -245,12 +249,12 @@ def parse_config(doc: dict) -> RunConfig:
                 ))
             cfg = replace(cfg, seeds=tuple(parsed))
     if "verify_lattice" in doc:
-        n = _positive_int(doc["verify_lattice"], "verify_lattice")
+        n = _positive_int(doc["verify_lattice"], "verify_lattice", MAX_VERIFY_LATTICE)
         if n < 4:
             raise ConfigError("verify_lattice must be >= 4")
         cfg = replace(cfg, verify_lattice=n)
     if "seeds_per_axis" in doc:
-        cfg = replace(cfg, seeds_per_axis=_positive_int(doc["seeds_per_axis"], "seeds_per_axis"))
+        cfg = replace(cfg, seeds_per_axis=_positive_int(doc["seeds_per_axis"], "seeds_per_axis", MAX_SEEDS_PER_AXIS))
     return cfg
 
 

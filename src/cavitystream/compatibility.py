@@ -4,10 +4,11 @@ A stress profile f = (1/mu) T_xy admits a boundary-vanishing stream
 function iff the double integral of f over the rectangle
 [X, 2a] x [-X, 0] (in characteristic coordinates, after the inverse
 coordinate substitution) vanishes for every X in [0, 2a].  This module
-evaluates that residual exactly for polynomial stresses, in closed form
-for cosine stresses, and by Gauss quadrature for opaque evaluators; for
-a polynomial basis it computes the exact subspace of admissible
-coefficient vectors.
+evaluates that residual exactly for polynomial stresses, as the corner
+values of one double antiderivative of the rotated stress
+(``char_antiderivative``), in closed form for cosine stresses, and by
+Gauss quadrature for opaque evaluators; for a polynomial basis it
+computes the exact subspace of admissible coefficient vectors.
 """
 
 from __future__ import annotations
@@ -93,38 +94,44 @@ def stress_char_evaluator(f: StressField, a: float | None = None) -> Callable:
     return lambda t, s: ev((t - s) / 2.0, (t + s) / 2.0)
 
 
-def stress_scale(f: StressField, d: TriangleDomain, n: int = 21) -> float:
-    """max |f| over a clipped lattice plus the boundary sample."""
+def stress_scale(f: StressField, d: TriangleDomain) -> float:
+    """max |f| over the clipped 21 x 21 lattice plus the boundary sample."""
     ev = f.evaluator(float(d.a))
-    pts = interior_lattice(d, n) + boundary_sample(d, 3 * n)
+    pts = interior_lattice(d, 21) + boundary_sample(d, 63)
     return max(abs(float(ev(p.x, p.y))) for p in pts)
 
 
 # ----------------------------------------------------------------------
 # residuals
 
+def char_antiderivative(f: BivariatePoly) -> BivariatePoly:
+    """H(t, s) = int_0^t int_0^s g, g(t, s) = f((t-s)/2, (t+s)/2), exact.
+
+    H vanishes on both axes, so g integrates over [t0, t1] x [s0, s1] to
+    H(t1, s1) - H(t0, s1) - H(t1, s0) + H(t0, s0), the parallelogram rule
+    of the wave equation.  The symbol a passes through untouched.
+    """
+    t, s = BivariatePoly.v1(), BivariatePoly.v2()
+    return f.compose((t - s) * HALF, (t + s) * HALF).antideriv(2).antideriv(1)
+
+
 def exact_residual_poly(f: BivariatePoly, d: TriangleDomain | None) -> BivariatePoly:
-    """The admissibility integral as an exact polynomial in X (slot v1).
+    """The admissibility integral as an exact polynomial in X (slot v1),
+    R(X) = H(X, -X) - H(2a, -X): the corners of [X, 2a] x [-X, 0] off
+    the t axis.
 
     Pass d=None to keep the length parameter symbolic; the result is the
     zero polynomial iff the stress is admissible.
     """
     if d is None:
-        a_poly = BivariatePoly.sym_a()
-        fp = f
+        two_a = 2 * BivariatePoly.sym_a()
     else:
-        a_poly = BivariatePoly.const(Fraction(d.a))
-        fp = f.subs_a(Fraction(d.a)) if f.has_symbol_a else f
-    t, s = BivariatePoly.v1(), BivariatePoly.v2()
-    g = fp.compose((t - s) * HALF, (t + s) * HALF)
-    h = g.antideriv(2)
-    # inner integral over s in [-X, 0]; reinterpret v2 as X afterwards
-    inner = h.compose(t, 0) - h.compose(t, -s)
-    outer = inner.antideriv(1)
-    # t from X to 2a; X currently sits in slot v2
-    res = outer.compose(2 * a_poly, s) - outer.compose(s, s)
-    # move X into slot v1
-    return res.compose(s, t)
+        two_a = 2 * BivariatePoly.const(Fraction(d.a))
+        if f.has_symbol_a:
+            f = f.subs_a(Fraction(d.a))
+    X = BivariatePoly.v1()
+    h = char_antiderivative(f)
+    return h.compose(X, -X) - h.compose(two_a, -X)
 
 
 def _cosine_residual(A: float, k: float, a: float, X) -> float:

@@ -43,13 +43,6 @@ class Rect(NamedTuple):
         return self.t1 <= self.t0 or self.s1 <= self.s0
 
 
-class SigmaDecomposition(NamedTuple):
-    """The two rectangles the solution formula integrates over."""
-
-    rect1: Rect
-    rect2: Rect
-
-
 INTERIOR = "interior"
 BOUNDARY = "boundary"
 EXTERIOR = "exterior"
@@ -194,21 +187,6 @@ def require_in_char_image(d: TriangleDomain, X, Y) -> None:
         i = np.argmax(outside)
         q = (float(np.ravel(X)[i]), float(np.ravel(Y)[i]))
         raise ValueError(f"characteristic point {q} outside the closed triangle image")
-
-
-def sigma_rectangles(d: TriangleDomain, q: CharPoint) -> SigmaDecomposition:
-    """Integration rectangles [-Y, X] x [Y, 0] and [X, 2a] x [-X, 0].
-
-    ``q`` must be the image of a point of the closed triangle (see
-    ``in_char_image``).
-    """
-    X, Y = q
-    a = float(d.a)
-    require_in_char_image(d, X, Y)
-    return SigmaDecomposition(
-        rect1=Rect(-Y, X, Y, 0 * Y),
-        rect2=Rect(X, 2 * a, -X, 0 * X),
-    )
 
 
 def boundary_sample(d: TriangleDomain, n: int) -> list[PhysicalPoint]:

@@ -43,7 +43,7 @@ class VelocityField:
         if self.domain is None:
             raise ValueError("bind a before building a velocity field")
         self._vel, self._jac = source.velocity_functions()
-        self._speed_scales: dict[int, float] = {}
+        self._speed_scale: float | None = None
 
     def _eval_raw(self, x: float, y: float) -> tuple[float, float]:
         return self._vel(x, y)
@@ -60,16 +60,16 @@ class VelocityField:
         """(du/dx, du/dy, dv/dx, dv/dy)."""
         return self._jac(float(p[0]), float(p[1]))
 
-    def speed_scale(self, n: int = 15) -> float:
-        """max speed over a coarse interior lattice (hypot norm), computed
-        once per lattice size."""
-        if n not in self._speed_scales:
+    def speed_scale(self) -> float:
+        """max speed over the interior of the 15 x 15 lattice (hypot
+        norm), computed once."""
+        if self._speed_scale is None:
             best = 0.0
-            for p in interior_lattice(self.domain, n):
+            for p in interior_lattice(self.domain, 15):
                 u, v = self._eval_raw(p.x, p.y)
                 best = max(best, math.hypot(u, v))
-            self._speed_scales[n] = best
-        return self._speed_scales[n]
+            self._speed_scale = best
+        return self._speed_scale
 
 
 def velocity_field(source: StreamFunction) -> VelocityField:
@@ -109,21 +109,17 @@ def stagnation_points(
     V: VelocityField,
     d: TriangleDomain,
     seeds_per_axis: int = 21,
-    tol: float | None = None,
-    max_iter: int = 60,
 ) -> list[StagnationPoint]:
     """Damped Newton search for zeros of the velocity over a seed lattice.
 
     Converged roots inside the closed triangle are deduplicated and
-    classified through the velocity Jacobian.  Non-convergent seeds are
-    dropped.  The default tolerance is 1e-10 times the velocity scale.
+    classified through the velocity Jacobian.  Seeds that do not reach
+    a speed of 1e-10 times the velocity scale within 60 damped steps
+    are dropped.
     """
     a = float(d.a)
     vscale = V.speed_scale()
-    if tol is None:
-        tol = 1e-10 * max(vscale, 1e-300)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = 1e-10 * max(vscale, 1e-300)
 
     if vscale == 0.0:
         # null field: every seed is already stagnant and degenerate
@@ -148,7 +144,7 @@ def stagnation_points(
         return (x, y)
 
     def newton(x: float, y: float) -> tuple[float, float] | None:
-        for _ in range(max_iter):
+        for _ in range(60):
             u, v = V._eval_raw(x, y)
             r = math.hypot(u, v)
             if r <= tol:

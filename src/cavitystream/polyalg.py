@@ -104,12 +104,6 @@ class BivariatePoly:
     def is_zero(self) -> bool:
         return not self._coef
 
-    def degree(self) -> int:
-        """Total degree in (v1, v2); -1 for the zero polynomial."""
-        if not self._coef:
-            return -1
-        return max(i + j for i, j, _ in self._coef)
-
     def degree_in(self, var: int) -> int:
         if not self._coef:
             return -1
@@ -262,22 +256,6 @@ class BivariatePoly:
             key = (i, j, 0)
             coef[key] = coef.get(key, Fraction(0)) + c * v**k
         return BivariatePoly(coef)
-
-    def restrict_to_segment(
-        self,
-        origin: tuple["BivariatePoly | Scalar", "BivariatePoly | Scalar"],
-        direction: tuple["BivariatePoly | Scalar", "BivariatePoly | Scalar"],
-    ) -> "BivariatePoly":
-        """Restrict to the line r(tau) = origin + tau * direction.
-
-        Returns a polynomial univariate in v1 (= tau); origin/direction
-        components may carry the symbol a.  The result is the zero
-        polynomial iff self vanishes identically on the segment's line.
-        """
-        tau = BivariatePoly.v1()
-        ox, oy = (self._promote(origin[0]), self._promote(origin[1]))
-        dx, dy = (self._promote(direction[0]), self._promote(direction[1]))
-        return self.compose(ox + tau * dx, oy + tau * dy)
 
     # ------------------------------------------------------------------
     # evaluation

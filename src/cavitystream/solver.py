@@ -12,14 +12,16 @@ term, the admissibility residual R(X), which is zero once the
 admissibility gate has passed, so both paths integrate the first
 rectangle [-Y, X] x [Y, 0] alone and are valid only behind the gate
 (``solve_exact_poly`` and ``solve_quadrature`` check first).  For
-polynomial stresses that integral is carried out by exact
-antidifferentiation with symbolic limits, yielding the stream function
-as an exact polynomial; otherwise psi is evaluated by a subdivided
-tensor Gauss rule, batched over points, and on the export lattice from
-one summed-area table of lattice cells.  The closed-form sinusoidal
-case is provided as a builtin.  Every backing differentiates itself:
-derivative polynomials, the closed-form derivatives, or the Leibniz
-rule on the first rectangle (three line integrals of the stress).
+polynomial stresses that integral is read from the corners of one
+exact double antiderivative H of the rotated stress
+(``char_antiderivative``), yielding the stream function as an exact
+polynomial; otherwise psi is evaluated by a subdivided tensor Gauss
+rule, batched over points, and on the export lattice from one
+summed-area table of lattice cells, the discrete form of the same
+corner rule.  The closed-form sinusoidal case is provided as a
+builtin.  Every backing differentiates itself: derivative polynomials,
+the closed-form derivatives, or the Leibniz rule on the first
+rectangle (three line integrals of the stress).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .compatibility import (
     OpaqueStress,
     PolynomialStress,
     StressField,
+    char_antiderivative,
     compat_check,
     cosine_harmonic,
     exact_residual_poly,
@@ -58,7 +61,6 @@ from .quadrature import (
     integrate_segments,
 )
 
-HALF = Fraction(1, 2)
 SOLUTION_PREFACTOR = Fraction(-1, 4)
 
 
@@ -70,22 +72,22 @@ class IncompatibleStress(ValueError):
 # exact path
 
 def solve_poly_symbolic(f: BivariatePoly) -> BivariatePoly:
-    """Exact psi for a polynomial stress: -1/4 times the integral over
-    the first rectangle [-Y, X] x [Y, 0] alone.
+    """Exact psi = (H(x+y, y-x) - H(x-y, y-x)) / 4 for a polynomial
+    stress, H = ``char_antiderivative(f)``: -1/4 times the integral over
+    the first rectangle [-Y, X] x [Y, 0] alone.  Why it is the solution:
 
-    The second rectangle [X, 2a] x [-X, 0] is the admissibility residual
-    R(X), so the result is the solution only when ``exact_residual_poly``
-    is the zero polynomial; callers check first.  The symbol a, if
-    present, passes through untouched.
+    - in (X, Y) = (x+y, y-x) the operator is 4 d2/dXdY and H_XY = f, so
+      H/4 satisfies the operator;
+    - subtracting its trace H(-Y, Y)/4 makes psi vanish on OA (X = -Y)
+      and OB (Y = 0);
+    - on AB (X = 2a), psi = -R(-Y)/4 with R = ``exact_residual_poly``,
+      so psi vanishes there iff R is zero: callers check first.
+
+    The symbol a, if present, passes through untouched.
     """
-    t, s = BivariatePoly.v1(), BivariatePoly.v2()
-    g = f.compose((t - s) * HALF, (t + s) * HALF)
-    h = g.antideriv(2)
-    # t in [-Y, X], s in [Y, 0]; slots become (X, Y)
-    i1 = (h.compose(t, 0) - h).antideriv(1)
-    phi = (i1 - i1.compose(-s, s)) * SOLUTION_PREFACTOR
+    h = char_antiderivative(f)
     x, y = BivariatePoly.v1(), BivariatePoly.v2()
-    return phi.compose(x + y, -x + y)
+    return (h.compose(x - y, y - x) - h.compose(x + y, y - x)) * SOLUTION_PREFACTOR
 
 
 def _check_poly_boundary_exact(psi: BivariatePoly, a_poly: BivariatePoly) -> bool:
@@ -155,10 +157,13 @@ class StreamFunction:
         raise NotImplementedError
 
     def scale(self) -> float:
-        """max |psi| over the interior points of the 51 x 51 clipped
-        lattice (cached)."""
+        """max |psi| over the interior points of the n x n clipped
+        lattice, n = max(51, 2m + 1) for a source stress of cosine
+        harmonic m (51 for any other stress), so that the lattice
+        resolves every half period of psi (cached)."""
         if self._scale is None:
-            n = 51
+            m = math.ceil(cosine_harmonic(self.source_stress, float(self.domain.a)) - 1e-9)
+            n = max(51, 2 * m + 1)
             ix, iy, values = self.lattice_values(n)
             interior = (iy > 0) & (iy < 2 * ix) & (2 * ix + iy < 2 * (n - 1))
             self._scale = float(np.max(np.abs(values[interior]), initial=0.0))

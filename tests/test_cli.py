@@ -81,6 +81,9 @@ class TestConfigParsing:
         ({"quadrature": {"order": 65}}, "quadrature.order must be at most 64"),
         ({"quadrature": {"subdivision": 1001}}, "quadrature.subdivision must be at most 1000"),
         ({"streamlines": {"max_steps": 1_000_001}}, "streamlines.max_steps must be at most 1000000"),
+        ({"verify_lattice": 257}, "verify_lattice must be at most 256"),
+        ({"seeds_per_axis": 102}, "seeds_per_axis must be at most 101"),
+        ({"n_sweep": 4098}, "n_sweep must be at most 4097"),
     ])
     def test_size_upper_bounds(self, tmp_path, capsys, doc, message):
         with pytest.raises(ConfigError, match=message):
@@ -91,8 +94,10 @@ class TestConfigParsing:
 
     def test_size_bounds_are_inclusive(self):
         cfg = parse_config({"grid_n": 1001, "quadrature": {"order": 64, "subdivision": 1000},
-                            "streamlines": {"max_steps": 1_000_000}})
+                            "streamlines": {"max_steps": 1_000_000}, "verify_lattice": 256,
+                            "seeds_per_axis": 101, "n_sweep": 4097})
         assert (cfg.grid_n, cfg.quad_order, cfg.quad_subdivision, cfg.max_steps) == (1001, 64, 1000, 1_000_000)
+        assert (cfg.verify_lattice, cfg.seeds_per_axis, cfg.n_sweep) == (256, 101, 4097)
 
     def test_harmonic_upper_bound(self, tmp_path, capsys):
         assert parse_config({"stress": {"kind": "cosine", "A": 1, "m": 200}}).stress.harmonic == 200

@@ -16,6 +16,7 @@ from cavitystream.compatibility import (
     CosineStress,
     OpaqueStress,
     PolynomialStress,
+    char_antiderivative,
     compat_check,
     compat_constraints,
     compat_residual,
@@ -89,6 +90,16 @@ class TestExactResidual:
             rq = compat_residual(opaque, D1, xv, quad=spec)
             scale = max(1.0, abs(re))
             assert abs(re - rq) <= 1e-12 * scale
+
+
+class TestCharAntiderivative:
+    @pytest.mark.parametrize("f", [LINEAR_STRESS, X**3 * Y - 2 * A * X + 5, BivariatePoly.const(3)])
+    def test_vanishes_on_both_axes_and_differentiates_back(self, f):
+        # the two properties determine H = int_0^t int_0^s g uniquely
+        t, s = X, Y
+        h = char_antiderivative(f)
+        assert h.compose(t, 0).is_zero and h.compose(0, s).is_zero
+        assert h.diff(1).diff(2) == f.compose((t - s) / 2, (t + s) / 2)
 
 
 class TestCompatCheck:

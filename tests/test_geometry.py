@@ -15,10 +15,10 @@ from cavitystream.geometry import (
     in_char_image,
     interior_lattice,
     require_in_char_image,
-    sigma_rectangles,
     to_characteristic,
     to_physical,
 )
+from cavitystream.verify import _sigma_rectangles as sigma_rectangles
 
 D1 = TriangleDomain(1.0)
 

@@ -113,16 +113,17 @@ class TestSubstitution:
 
 
 class TestSegmentRestriction:
+    # the segment origin + tau * direction, tau in slot v1
     def test_stream_function_vanishes_on_base(self):
         psi = 2 * Y**3 - 2 * X**2 * Y - 4 * Y**2 + 4 * X * Y
-        assert psi.restrict_to_segment((0, 0), (2, 0)).is_zero
+        assert psi.compose(2 * X, 0).is_zero
 
     def test_stream_function_vanishes_on_diagonal(self):
         psi = 2 * Y * (Y - X) * (X + Y - 2 * A)
-        assert psi.restrict_to_segment((0, 0), (A, A)).is_zero
+        assert psi.compose(A * X, A * X).is_zero
 
     def test_nonvanishing_restriction(self):
-        r = X.restrict_to_segment((0, 0), (2 * A, 0))
+        r = X.compose(2 * A * X, 0)
         assert r == 2 * A * X  # 2a * tau in slot v1
 
 

@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ import pytest
 from cavitystream.geometry import TriangleDomain, PhysicalPoint, boundary_sample, classify, interior_lattice
 from cavitystream.polyalg import BivariatePoly, poly_vars, wave_operator
 from cavitystream.quadrature import QuadratureSpec
-from cavitystream.compatibility import CosineStress, OpaqueStress, PolynomialStress, compat_check, cosine_from_harmonic
+from cavitystream.compatibility import (
+    CosineStress,
+    OpaqueStress,
+    PolynomialStress,
+    compat_check,
+    cosine_from_harmonic,
+    exact_residual_poly,
+)
 from cavitystream.kinematics import velocity_field
 from cavitystream.solver import (
     IncompatibleStress,
@@ -22,6 +30,7 @@ from cavitystream.solver import (
     residual,
     sinusoidal_closed_form,
     solve_exact_poly,
+    solve_poly_symbolic,
     solve_quadrature,
     write_grid_csv,
 )
@@ -71,6 +80,86 @@ class TestExactSolve:
             f = wave_operator(psi0)
             psi = solve_exact_poly(f, None)
             assert wave_operator(psi.poly) == f
+
+
+HALF = Fraction(1, 2)
+
+
+def _nested_psi(f):
+    """Reference: -1/4 times [-Y, X] x [Y, 0] by nested antiderivatives
+    with symbolic limits, then (X, Y) -> (x+y, -x+y)."""
+    t, s = BivariatePoly.v1(), BivariatePoly.v2()
+    h = f.compose((t - s) * HALF, (t + s) * HALF).antideriv(2)
+    i1 = (h.compose(t, 0) - h).antideriv(1)
+    phi = (i1 - i1.compose(-s, s)) * Fraction(-1, 4)
+    return phi.compose(t + s, -t + s)
+
+
+def _nested_residual(f, d):
+    """Reference: [X, 2a] x [-X, 0] by nested antiderivatives."""
+    if d is None:
+        a_poly = A
+    else:
+        a_poly = BivariatePoly.const(Fraction(d.a))
+        f = f.subs_a(Fraction(d.a)) if f.has_symbol_a else f
+    t, s = BivariatePoly.v1(), BivariatePoly.v2()
+    h = f.compose((t - s) * HALF, (t + s) * HALF).antideriv(2)
+    outer = (h.compose(t, 0) - h.compose(t, -s)).antideriv(1)
+    return (outer.compose(2 * a_poly, s) - outer.compose(s, s)).compose(s, t)
+
+
+def _random_stress(rng):
+    """Seeded stress of degree <= 5 in (x, y), some terms carrying a."""
+    terms = {}
+    for i in range(6):
+        for j in range(6 - i):
+            c = rng.randint(-4, 4)
+            if c:
+                terms[(i, j, rng.randint(0, 2))] = Fraction(c, rng.randint(1, 5))
+    return BivariatePoly(terms)
+
+
+class TestCornerFormula:
+    """psi and R read from the corners of one double antiderivative equal
+    the nested antiderivative chains coefficient for coefficient."""
+
+    DOMAINS = [None, TriangleDomain(Fraction(3, 7)), TriangleDomain(2.5)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_inadmissible_stresses_match_the_nested_chains(self, seed):
+        f = _random_stress(random.Random(seed))
+        assert solve_poly_symbolic(f) == _nested_psi(f)
+        for d in self.DOMAINS:
+            r = exact_residual_poly(f, d)
+            assert r == _nested_residual(f, d)
+            assert not r.is_zero
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_admissible_stresses_match_the_nested_chains(self, seed):
+        psi0 = boundary_vanishing_poly(random_poly(random.Random(seed), max_degree=3))
+        f = wave_operator(psi0)
+        assert f.has_symbol_a
+        assert solve_poly_symbolic(f) == _nested_psi(f) == psi0
+        for d in self.DOMAINS:
+            assert exact_residual_poly(f, d).is_zero and _nested_residual(f, d).is_zero
+            fd = f if d is None else f.subs_a(Fraction(d.a))
+            assert solve_poly_symbolic(fd) == _nested_psi(fd)
+
+    @pytest.mark.parametrize("d", [None, D1], ids=["symbolic", "bound"])
+    def test_compose_calls(self, monkeypatch, d):
+        real = BivariatePoly.compose
+        calls = []
+
+        def counting(self, img1, img2):
+            calls.append(1)
+            return real(self, img1, img2)
+
+        monkeypatch.setattr(BivariatePoly, "compose", counting)
+        exact_residual_poly(16 * Y - 8 * A, d)
+        assert len(calls) == 3
+        calls.clear()
+        solve_exact_poly(16 * Y - 8 * A, d)
+        assert len(calls) == 9
 
 
 class TestQuadratureSolve:
@@ -188,9 +277,10 @@ class TestSinusoidal:
 class TestRealistic:
     def test_edge_restrictions_vanish(self):
         psi = realistic_example(None)
-        assert psi.poly.restrict_to_segment((0, 0), (2 * A, 0)).is_zero
-        assert psi.poly.restrict_to_segment((0, 0), (A, A)).is_zero
-        assert psi.poly.restrict_to_segment((2 * A, 0), (-A, A)).is_zero
+        # each edge as origin + tau * direction, tau in slot v1
+        assert psi.poly.compose(2 * A * X, 0).is_zero
+        assert psi.poly.compose(A * X, A * X).is_zero
+        assert psi.poly.compose(2 * A - A * X, A * X).is_zero
 
     def test_base_shear_is_positive(self):
         psi = realistic_example(D1)
@@ -393,6 +483,15 @@ class TestLatticeTable:
         pts = interior_lattice(d, 51)
         want = float(np.max(np.abs([psi.evaluate(p.x, p.y) for p in pts])))
         assert psi.scale() == pytest.approx(want, rel=1e-14)
+
+    def test_scale_resolves_a_high_harmonic(self):
+        # at n = 51 the lattice read 1.28e-6 against a max of 1.02e-5
+        m = 199
+        psi = QuadratureStreamFunction(CosineStress(1.0, m * math.pi), D1)
+        x, y = np.meshgrid(np.linspace(0.0, 2.0, 2001), np.linspace(0.0, 1.0, 1001))
+        inside = (y <= x) & (x + y <= 2.0)
+        want = float(np.max(np.abs(_odd_cosine_psi(1.0, m, 1.0, x[inside], y[inside]))))
+        assert psi.scale() == pytest.approx(want, rel=1e-2)
 
     def test_integer_clip_is_the_closed_triangle(self):
         psi = linear_example(D1)
