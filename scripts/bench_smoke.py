@@ -9,6 +9,12 @@ a broken oracle.  The benchmark's own oracle tolerance on psi.csv is
 1e-5, loose enough to pass a quadrature rule that has lost ten digits;
 the exported grids are right to about 1e-14 of max|psi|.
 
+The traced work counters are deterministic, so each run also fails when
+a counter exceeds its ceiling in COUNTER_CEILINGS (the counts at seed 1):
+a regression there shows even when timings are too noisy to.  A change
+to the streamline step rule (ROADMAP item 1) re-sets the kinematics
+ceilings; a change that lowers a count should lower its ceiling.
+
 Usage: python scripts/bench_smoke.py [--seconds S]
 """
 
@@ -20,6 +26,10 @@ import sys
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 PSI_REL_ERR_MAX = 1e-12
+COUNTER_CEILINGS = {
+    "symbolic-exact": {"polyalg.compose_calls": 432, "polyalg.mul_calls": 398},
+    "builtin-flow": {"kinematics.velocity_evals": 123_329, "kinematics.rk4_steps": 26_704},
+}
 
 
 def main() -> int:
@@ -37,14 +47,20 @@ def main() -> int:
             cwd=ROOT, capture_output=True, text=True,
         )
         lines = proc.stdout.strip().splitlines()
+        over = []
         try:
             result = json.loads(lines[-1])
-            psi_err = result["metrics"]["solver.psi_rel_err"]["value"]
+            metrics = result["metrics"]
+            psi_err = metrics["solver.psi_rel_err"]["value"]
+            over = [f"{key} {metrics[key]['value']} > {ceiling}"
+                    for key, ceiling in COUNTER_CEILINGS.get(name, {}).items()
+                    if metrics[key]["value"] > ceiling]
             ok = (proc.returncode == 0 and result["correct"] is True and result["failed"] == 0
-                  and psi_err <= PSI_REL_ERR_MAX)
+                  and psi_err <= PSI_REL_ERR_MAX and not over)
         except (IndexError, ValueError, KeyError, TypeError):
             ok, psi_err = False, None
-        print(f"{name}: {'ok' if ok else 'FAILED'} (exit {proc.returncode}, psi_rel_err {psi_err})")
+        print(f"{name}: {'ok' if ok else 'FAILED'} (exit {proc.returncode}, psi_rel_err {psi_err})"
+              + "".join(f"; {o}" for o in over))
         if not ok:
             bad.append(name)
             sys.stdout.write(proc.stdout[-4000:])

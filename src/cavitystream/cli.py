@@ -73,6 +73,9 @@ MAX_HARMONIC = 200
 MAX_QUAD_ORDER = 64
 MAX_QUAD_SUBDIVISION = 1000
 MAX_STREAM_STEPS = 1_000_000
+# Joint degree i + j of a polynomial stress term: the exact path grows
+# with the degree's square in terms and in the numerators' length.
+MAX_POLY_DEGREE = 64
 
 
 class ConfigError(ValueError):
@@ -158,6 +161,8 @@ def _parse_stress(d: dict) -> StressSpec:
             i, j = term.get("i"), term.get("j")
             if not isinstance(i, int) or not isinstance(j, int) or i < 0 or j < 0:
                 raise ConfigError(f"stress.terms[{idx}]: i and j must be nonnegative integers")
+            if i + j > MAX_POLY_DEGREE:
+                raise ConfigError(f"stress.terms[{idx}]: i + j must be at most {MAX_POLY_DEGREE}")
             c = _finite_number(term.get("coefficient"), f"stress.terms[{idx}].coefficient")
             parsed.append((i, j, Fraction(c)))
         return StressSpec(kind="polynomial", terms=tuple(parsed))

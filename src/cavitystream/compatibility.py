@@ -282,6 +282,11 @@ class ConstraintSystem:
         return len(self.rows[0]) if self.rows else 0
 
 
+def _primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [e // g for e in row] if g > 1 else row
+
+
 def compat_constraints(
     basis: Sequence[BivariatePoly],
     d: TriangleDomain | None = None,
@@ -315,9 +320,14 @@ def compat_constraints(
                 raise ValueError(f"basis element {i} ({basis[i].to_text()}) has a residual that is "
                                  "not homogeneous in (X, a); bind a with a domain")
             degrees[i] = found.pop() if found else 0
-    mat = [[sum(e.coefficients.values(), Fraction(0)) for e in row] for row in rows]
+    # clear each row's denominators; Gauss-Jordan over Z, each new row
+    # divided by its gcd, so every row stays a multiple of the rational one
+    mat = []
+    for row in rows:
+        vals = [sum(e.coefficients.values(), Fraction(0)) for e in row]
+        den = math.lcm(*(q.denominator for q in vals))
+        mat.append(_primitive([q.numerator * (den // q.denominator) for q in vals]))
 
-    # Gauss-Jordan over Q
     ncols = len(basis)
     pivot_cols: list[int] = []
     prow = 0
@@ -326,12 +336,12 @@ def compat_constraints(
         if pivot is None:
             continue
         mat[prow], mat[pivot] = mat[pivot], mat[prow]
-        pv = mat[prow][col]
-        mat[prow] = [e / pv for e in mat[prow]]
+        prow_vals = mat[prow]
+        pv = prow_vals[col]
         for r in range(len(mat)):
             if r != prow and mat[r][col]:
                 factor = mat[r][col]
-                mat[r] = [er - factor * ep for er, ep in zip(mat[r], mat[prow])]
+                mat[r] = _primitive([pv * er - factor * ep for er, ep in zip(mat[r], prow_vals)])
         pivot_cols.append(col)
         prow += 1
         if prow == len(mat):
@@ -339,12 +349,12 @@ def compat_constraints(
 
     nullspace: list[tuple[BivariatePoly, ...]] = []
     for fc in (c for c in range(ncols) if c not in pivot_cols):
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        # vec[fc] = 1, vec[pc] = -mat[p][fc] / mat[p][pc], scaled to integers
+        scale = math.lcm(*(mat[p][pc] for p, pc in enumerate(pivot_cols) if mat[p][fc]))
+        ints = [0] * ncols
+        ints[fc] = scale
         for p, pc in enumerate(pivot_cols):
-            vec[pc] = -mat[p][fc]
-        den = math.lcm(*(q.denominator for q in vec))
-        ints = [int(q * den) for q in vec]
+            ints[pc] = -mat[p][fc] * (scale // mat[p][pc])
         g = math.gcd(*ints)
         ints = [n // g for n in ints]
         top = max(degrees[i] for i, n in enumerate(ints) if n)

@@ -248,7 +248,8 @@ def trace_streamline(
     (final point projected back); otherwise runs to the step limit.
     A seed at a stagnation point yields a single-vertex streamline.
     The stream function is evaluated once per vertex; those values give
-    the drift and are kept on the streamline.
+    the drift and are kept on the streamline.  The velocity at each
+    vertex gives the heading and is the next step's first stage.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -277,8 +278,7 @@ def trace_streamline(
             return False
         return not classify(d, PhysicalPoint(x, y), tol).is_exterior
 
-    def rk4(x: float, y: float) -> tuple[float, float] | None:
-        k1 = V._eval_raw(x, y)
+    def rk4(x: float, y: float, k1: tuple[float, float]) -> tuple[float, float] | None:
         p2 = (x + 0.5 * step * k1[0], y + 0.5 * step * k1[1])
         if not inside(*p2):
             return None
@@ -299,12 +299,13 @@ def trace_streamline(
     verts = [PhysicalPoint(xs, ys)]
     values = [psi0]
     drift = 0.0
+    vel = (u0, v0)
     heading = math.atan2(v0, u0)
     winding = 0.0
     x, y = xs, ys
     termination = STEP_LIMIT
     for n in range(1, max_steps + 1):
-        nxt = rk4(x, y)
+        nxt = rk4(x, y, vel)
         if nxt is None or not inside(*nxt):
             target = nxt if nxt is not None else (x, y)
             end = _project_to_boundary(d, PhysicalPoint(*target))
@@ -317,8 +318,8 @@ def trace_streamline(
         val = psi.evaluate(xn, yn)
         values.append(val)
         drift = max(drift, abs(val - psi0))
-        un, vn = V._eval_raw(xn, yn)
-        hn = math.atan2(vn, un)
+        vel = V._eval_raw(xn, yn)
+        hn = math.atan2(vel[1], vel[0])
         delta = hn - heading
         while delta > math.pi:
             delta -= 2 * math.pi

@@ -11,6 +11,7 @@ soon as a float argument appears.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
@@ -27,6 +28,21 @@ def _frac(c: Scalar) -> Fraction:
         # exact binary value of the float; keeps downstream arithmetic exact
         return Fraction(c)
     raise TypeError(f"unsupported coefficient type: {type(c).__name__}")
+
+
+def _numerators(p: "BivariatePoly") -> tuple[dict[Key, int], int]:
+    """(integer numerators, common denominator) of p's coefficients."""
+    den = math.lcm(*(c.denominator for c in p._coef.values()))
+    return {key: c.numerator * (den // c.denominator) for key, c in p._coef.items()}, den
+
+
+def _int_mul(p: dict[Key, int], q: dict[Key, int]) -> dict[Key, int]:
+    out: dict[Key, int] = {}
+    for (i1, j1, k1), c1 in p.items():
+        for (i2, j2, k2), c2 in q.items():
+            key = (i1 + i2, j1 + j2, k1 + k2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
 
 
 def _grlex(key: Key) -> tuple[int, int, int]:
@@ -226,27 +242,42 @@ class BivariatePoly:
         """Substitute polynomials (or scalars) for v1 and v2.
 
         The symbol a passes through untouched, so images may themselves
-        contain a (e.g. substituting the upper limit t = 2a).
+        contain a (e.g. substituting the upper limit t = 2a).  Works on
+        integer numerators: with self = P/D and the images n1/d1, n2/d2
+        the result is sum_i G_i (n1/d1)^i, G_i collecting the terms of
+        v1 power i with v2 -> n2/d2; Horner in n1 then needs no division
+        until the single denominator D d1^I d2^J (I, J the top powers).
         """
-        p1 = self._promote(img1)
-        p2 = self._promote(img2)
-        pow1: dict[int, BivariatePoly] = {0: BivariatePoly.const(1)}
-        pow2: dict[int, BivariatePoly] = {0: BivariatePoly.const(1)}
+        num, den = _numerators(self)
+        if not num:
+            return BivariatePoly.zero()
+        n1, d1 = _numerators(self._promote(img1))
+        n2, d2 = _numerators(self._promote(img2))
+        top1 = max(i for i, _, _ in num)
+        top2 = max(j for _, j, _ in num)
 
-        def power(base: BivariatePoly, cache: dict[int, BivariatePoly], e: int) -> BivariatePoly:
-            if e not in cache:
-                cache[e] = power(base, cache, e - 1) * base
-            return cache[e]
+        pow2 = [{(0, 0, 0): 1}]
+        for _ in range(top2):
+            pow2.append(_int_mul(pow2[-1], n2))
+        groups: dict[int, dict[Key, int]] = {}
+        for (i, j, k), c in num.items():
+            g = groups.setdefault(i, {})
+            c *= d2 ** (top2 - j)
+            for (i2, j2, k2), c2 in pow2[j].items():
+                key = (i2, j2, k2 + k)
+                g[key] = g.get(key, 0) + c * c2
 
-        out = BivariatePoly.zero()
-        for (i, j, k), c in self.terms():
-            term = BivariatePoly.monomial(c, 0, 0, k)
-            if i:
-                term = term * power(p1, pow1, i)
-            if j:
-                term = term * power(p2, pow2, j)
-            out = out + term
-        return out
+        acc: dict[Key, int] = {}
+        for i in range(top1, -1, -1):
+            if acc:
+                acc = _int_mul(acc, n1)
+            g = groups.get(i)
+            if g:
+                scale = d1 ** (top1 - i)
+                for key, c in g.items():
+                    acc[key] = acc.get(key, 0) + c * scale
+        total = den * d1**top1 * d2**top2
+        return BivariatePoly({key: Fraction(c, total) for key, c in acc.items() if c})
 
     def subs_a(self, value: Scalar) -> "BivariatePoly":
         """Bind the symbolic parameter a to an exact numeric value."""
@@ -264,16 +295,37 @@ class BivariatePoly:
         """Evaluate at (x, y); exact when the inputs are exact.
 
         ``a`` must be supplied iff the polynomial carries the symbol.
+        Exact (int or Fraction) inputs are summed as integers over one
+        denominator, the float case term by term.
         """
-        if self.has_symbol_a and a is None:
+        symbolic = self.has_symbol_a
+        if symbolic and a is None:
             raise ValueError("polynomial carries the symbol a; pass a value for it")
+        if not self._coef:
+            return 0
+        args = (x, y, a) if symbolic else (x, y)
+        if all(isinstance(v, (int, Fraction)) for v in args):
+            return self._eval_exact(Fraction(x), Fraction(y), Fraction(a if symbolic else 1))
         total = None
         for (i, j, k), c in self.terms():
             term = c * x**i * y**j
             if k:
                 term = term * a**k
             total = term if total is None else total + term
-        return 0 if total is None else total
+        return total
+
+    def _eval_exact(self, x: Fraction, y: Fraction, a: Fraction) -> Fraction:
+        # sum of N_ijk x^i y^j a^k with every power over its top power's
+        # denominator: one integer sum, one division
+        num, den = _numerators(self)
+        tables = []
+        for slot, v in enumerate((x, y, a)):
+            top = max(key[slot] for key in num)
+            n, d = v.numerator, v.denominator
+            tables.append([n**e * d ** (top - e) for e in range(top + 1)])
+            den *= d**top
+        px, py, pa = tables
+        return Fraction(sum(c * px[i] * py[j] * pa[k] for (i, j, k), c in num.items()), den)
 
     def float_evaluator(self) -> Callable:
         """Compiled Horner evaluator; requires a to be bound.

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -84,9 +85,14 @@ class TestConfigParsing:
         ({"verify_lattice": 257}, "verify_lattice must be at most 256"),
         ({"seeds_per_axis": 102}, "seeds_per_axis must be at most 101"),
         ({"n_sweep": 4098}, "n_sweep must be at most 4097"),
+        ({"stress": {"kind": "polynomial", "terms": [{"i": 1, "j": 1, "coefficient": 1},
+                                                     {"i": 60, "j": 5, "coefficient": 1}]}},
+         "stress.terms[1]: i + j must be at most 64"),
+        ({"stress": {"kind": "polynomial", "terms": [{"i": 1200, "j": 0, "coefficient": 1}]}},
+         "stress.terms[0]: i + j must be at most 64"),
     ])
     def test_size_upper_bounds(self, tmp_path, capsys, doc, message):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(doc)
         cfg = write_config(tmp_path, {**doc, "out": str(tmp_path / "o")})
         assert run(["solve", "--config", cfg, "--quiet"]) == EXIT_USAGE
@@ -98,6 +104,10 @@ class TestConfigParsing:
                             "seeds_per_axis": 101, "n_sweep": 4097})
         assert (cfg.grid_n, cfg.quad_order, cfg.quad_subdivision, cfg.max_steps) == (1001, 64, 1000, 1_000_000)
         assert (cfg.verify_lattice, cfg.seeds_per_axis, cfg.n_sweep) == (256, 101, 4097)
+        terms = [{"i": 64, "j": 0, "coefficient": 1}, {"i": 30, "j": 34, "coefficient": 1},
+                 {"i": 0, "j": 64, "coefficient": 1}]
+        cfg = parse_config({"stress": {"kind": "polynomial", "terms": terms}})
+        assert [i + j for i, j, _ in cfg.stress.terms] == [64, 64, 64]
 
     def test_harmonic_upper_bound(self, tmp_path, capsys):
         assert parse_config({"stress": {"kind": "cosine", "A": 1, "m": 200}}).stress.harmonic == 200

@@ -182,6 +182,62 @@ def _constraints_text(cs) -> str:
     return "\n".join(lines)
 
 
+def _fraction_nullspace(cs, basis, d):
+    """(rank, nullspace) of cs.rows by Gauss-Jordan over Q, each vector
+    normalised as ConstraintSystem documents."""
+    zero = BivariatePoly.zero()
+    mat = [[sum(e.coefficients.values(), Fraction(0)) for e in row] for row in cs.rows]
+    ncols = len(basis)
+    degrees = [0] * ncols
+    if d is None:
+        degrees = [max((m + k for m, _, k in exact_residual_poly(b, None).coefficients), default=0)
+                   for b in basis]
+    pivot_cols, prow = [], 0
+    for col in range(ncols):
+        pivot = next((r for r in range(prow, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[prow], mat[pivot] = mat[pivot], mat[prow]
+        mat[prow] = [e / mat[prow][col] for e in mat[prow]]
+        for r in range(len(mat)):
+            if r != prow and mat[r][col]:
+                mat[r] = [er - mat[r][col] * ep for er, ep in zip(mat[r], mat[prow])]
+        pivot_cols.append(col)
+        prow += 1
+        if prow == len(mat):
+            break
+    nullspace = []
+    for fc in (c for c in range(ncols) if c not in pivot_cols):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for p, pc in enumerate(pivot_cols):
+            vec[pc] = -mat[p][fc]
+        den = math.lcm(*(q.denominator for q in vec))
+        ints = [int(q * den) for q in vec]
+        g = math.gcd(*ints)
+        ints = [n // g for n in ints]
+        top = max(degrees[i] for i, n in enumerate(ints) if n)
+        first = next(i for i, n in enumerate(ints) if n)
+        if ints[first] < 0 and degrees[first] == top:
+            ints = [-n for n in ints]
+        nullspace.append(tuple(BivariatePoly.monomial(n, 0, 0, top - degrees[i]) if n else zero
+                               for i, n in enumerate(ints)))
+    return len(pivot_cols), tuple(nullspace)
+
+
+def _random_bound_basis(rng):
+    """Inadmissible elements, admissible ones and combinations of both."""
+    free = [random_poly(rng, max_degree=rng.randint(1, 4)) * Fraction(1, rng.choice([1, 3, 7]))
+            for _ in range(rng.randint(2, 5))]
+    admissible = [wave_operator(boundary_vanishing_poly(random_poly(rng, max_degree=2)))
+                  for _ in range(rng.randint(1, 3))]
+    mixed = [sum((f * Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for f in free), admissible[0])
+             for _ in range(2)]
+    basis = free + admissible + mixed
+    rng.shuffle(basis)
+    return basis
+
+
 class TestConstraints:
     def test_linear_family_admissible_ray(self):
         cs = compat_constraints([Y, BivariatePoly.const(1)], None)
@@ -250,6 +306,22 @@ class TestConstraints:
         cs = compat_constraints(basis, d)
         assert (cs.rank, len(cs.nullspace)) == (9, 36)
         assert hashlib.sha256(_constraints_text(cs).encode()).hexdigest() == digest
+
+
+    @pytest.mark.parametrize("d", [None, TriangleDomain(1), TriangleDomain(0.37)], ids=["symbolic", "a=1", "a=0.37"])
+    def test_integer_elimination_matches_fraction_gauss_jordan(self, d):
+        basis = [BivariatePoly.monomial(1, i, j) for i in range(9) for j in range(9 - i)]
+        cs = compat_constraints(basis, d)
+        assert (cs.rank, cs.nullspace) == _fraction_nullspace(cs, basis, d)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integer_elimination_on_random_bases(self, seed):
+        rng = random.Random(seed)
+        basis = _random_bound_basis(rng)
+        for d in (TriangleDomain(Fraction(3, 7)), TriangleDomain(2.5)):
+            cs = compat_constraints(basis, d)
+            assert (cs.rank, cs.nullspace) == _fraction_nullspace(cs, basis, d)
+        assert compat_constraints(basis, TriangleDomain(Fraction(3, 7))).nullspace
 
 
 class TestCosineFamily:

@@ -1,5 +1,6 @@
 """Exact polynomial engine: ring behavior, calculus, substitution."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,55 @@ class TestSubstitution:
         assert p.subs_a(Fraction(1, 2)) == 2 * X * Y - 2
 
 
+def _compose_reference(p, img1, img2):
+    """Substitution by Fraction dict products, term by term."""
+    out = BivariatePoly.zero()
+    for (i, j, k), c in p.terms():
+        out = out + BivariatePoly.monomial(c, 0, 0, k) * img1**i * img2**j
+    return out
+
+
+def _seeded_poly(rng, degree, with_a, dens=(1, 2, 3, 5, 7)):
+    return BivariatePoly({(i, j, rng.randint(0, 2) if with_a else 0):
+                          Fraction(rng.randint(-9, 9), rng.choice(dens))
+                          for i in range(degree + 1) for j in range(degree + 1 - i)})
+
+
+class TestIntegerCompose:
+    """compose on integer numerators equals the Fraction dict products."""
+
+    IMAGES = {
+        "characteristic": ((X - Y) * Fraction(1, 2), (X + Y) * Fraction(1, 2)),
+        "corners": (X + Y, Y - X),
+        "odd denominators": (X * Fraction(5, 3) - Fraction(2, 7), Y * Fraction(-1, 9) + X),
+        "symbolic edge": (X, 2 * A - X),
+        "scalar 2a": (2 * A, -X),
+        "a = 3/7": (2 * BivariatePoly.const(Fraction(3, 7)), -X),
+        "a = 0.37": (X * 0.37, 2 * 0.37 - X),
+        "scalar zero": (X, 0),
+        "nonlinear 2aX": (2 * A * X, X * Y + Fraction(1, 3)),
+        "nonlinear squares": (X**2 - A, Y**2 * Fraction(2, 5) + A * X),
+    }
+
+    @pytest.mark.parametrize("name", list(IMAGES))
+    @pytest.mark.parametrize("with_a", [False, True], ids=["bound", "symbolic"])
+    def test_matches_dict_products(self, name, with_a):
+        img1, img2 = self.IMAGES[name]
+        rng = random.Random(f"{name}-{with_a}")
+        for degree in (0, 1, 4, 7):
+            p = _seeded_poly(rng, degree, with_a)
+            assert p.compose(img1, img2) == _compose_reference(p, img1, img2)
+
+    def test_scalar_images(self):
+        p = _seeded_poly(random.Random(5), 5, True)
+        for v1, v2 in [(Fraction(3, 7), 2), (0.37, Fraction(-1, 3)), (0, 0)]:
+            expected = _compose_reference(p, BivariatePoly.const(v1), BivariatePoly.const(v2))
+            assert p.compose(v1, v2) == expected
+
+    def test_zero_polynomial(self):
+        assert BivariatePoly.zero().compose(X + 1, Y).is_zero
+
+
 class TestSegmentRestriction:
     # the segment origin + tau * direction, tau in slot v1
     def test_stream_function_vanishes_on_base(self):
@@ -150,6 +200,24 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             p.eval(1.0, 2.0)
         assert p.eval(1, 2, a=3) == 3
+
+    def test_exact_eval_equals_the_fraction_sum(self):
+        rng = random.Random(11)
+        points = [Fraction(0), Fraction(3, 7), Fraction(0.37), Fraction(-5, 2), 2, Fraction(1.9999999)]
+        for with_a in (False, True):
+            for degree in (0, 3, 9):
+                p = _seeded_poly(rng, degree, with_a)
+                for x, y, a in zip(points, reversed(points), points[2:] + points[:2]):
+                    expected = sum((c * Fraction(x)**i * Fraction(y)**j * Fraction(a)**k
+                                    for (i, j, k), c in p.terms()), Fraction(0))
+                    got = p.eval(x, y, a if with_a else None)
+                    assert type(got) is Fraction and got == expected
+
+    def test_float_arguments_stay_on_the_float_path(self):
+        p = X**3 * Fraction(1, 3) - A * Y
+        assert type(p.eval(0.5, 2, Fraction(1, 2))) is float
+        assert p.eval(0.5, 2, Fraction(1, 2)) == pytest.approx(1 / 24 - 1)
+        assert BivariatePoly.zero().eval(Fraction(1, 3), 0) == 0
 
     def test_float_evaluator_matches_exact(self):
         p = 2 * Y**3 - 2 * X**2 * Y - 4 * Y**2 + 4 * X * Y
