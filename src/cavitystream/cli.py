@@ -27,7 +27,6 @@ from .compatibility import (
     cosine_from_harmonic,
     stress_scale,
 )
-from .quadrature import QuadratureSpec, default_quadrature_spec
 from .solver import (
     IncompatibleStress,
     PolyStreamFunction,
@@ -43,10 +42,11 @@ from .solver import (
 )
 from .kinematics import (
     CENTER,
-    VelocityField,
+    StagnationPoint,
     interior_centers,
     stagnation_points,
     trace_streamline,
+    u_profile,
     velocity_field,
     write_stagnation_csv,
     write_streamlines_csv,
@@ -63,15 +63,11 @@ EXIT_USAGE = 2
 # Upper bounds on the size settings, so that a config that parses
 # cannot ask for unbounded time or memory.
 MAX_GRID_N = 1001
-# verify_lattice and seeds_per_axis loop over n^2 points, n_sweep over n.
-MAX_VERIFY_LATTICE = 256
+# seeds_per_axis loops over n^2 points.
 MAX_SEEDS_PER_AXIS = 101
-MAX_N_SWEEP = 4097
-# Cosine harmonics: the default subdivision max(8, ceil(m/2)) and the
+# Cosine harmonics: the quadrature subdivision max(8, ceil(m/2)) and the
 # Riemann oracle's max(256, 16m) cells per axis grow with m.
 MAX_HARMONIC = 200
-MAX_QUAD_ORDER = 64
-MAX_QUAD_SUBDIVISION = 1000
 MAX_STREAM_STEPS = 1_000_000
 # Joint degree i + j of a polynomial stress term: the exact path grows
 # with the degree's square in terms and in the numerators' length.
@@ -100,12 +96,7 @@ class RunConfig:
     stress: StressSpec = StressSpec(kind="builtin", name="linear")
     out: str = "out"
     grid_n: int = 101
-    n_sweep: int = 65
-    compat_tol: float = 1e-10
-    verify_lattice: int = 32
     seeds_per_axis: int = 21
-    quad_order: int = 12
-    quad_subdivision: int | None = None
     step: float | None = None
     max_steps: int = 100_000
     seeds: tuple[tuple[float, float], ...] | None = None
@@ -113,10 +104,6 @@ class RunConfig:
     @property
     def domain(self) -> TriangleDomain:
         return TriangleDomain(self.a)
-
-    def quadrature_spec(self) -> QuadratureSpec:
-        sub = self.quad_subdivision or default_quadrature_spec(self.stress.harmonic).subdivision
-        return QuadratureSpec(order=self.quad_order, subdivision=sub)
 
     def stream_step(self) -> float:
         return self.step if self.step is not None else 1e-3 * self.a
@@ -185,8 +172,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("config must be a JSON object")
     _require_keys(
         doc,
-        {"a", "stress", "out", "grid_n", "n_sweep", "tolerances", "quadrature",
-         "streamlines", "verify_lattice", "seeds_per_axis"},
+        {"a", "stress", "out", "grid_n", "streamlines", "seeds_per_axis"},
         "config",
     )
     cfg = RunConfig()
@@ -206,28 +192,6 @@ def parse_config(doc: dict) -> RunConfig:
         if n < 2:
             raise ConfigError("grid_n must be >= 2")
         cfg = replace(cfg, grid_n=n)
-    if "n_sweep" in doc:
-        cfg = replace(cfg, n_sweep=max(2, _positive_int(doc["n_sweep"], "n_sweep", MAX_N_SWEEP)))
-    if "tolerances" in doc:
-        tols = doc["tolerances"]
-        if not isinstance(tols, dict):
-            raise ConfigError("tolerances must be an object")
-        _require_keys(tols, {"compat"}, "tolerances")
-        if "compat" in tols:
-            t = _finite_number(tols["compat"], "tolerances.compat")
-            if t <= 0:
-                raise ConfigError("tolerances.compat must be positive")
-            cfg = replace(cfg, compat_tol=t)
-    if "quadrature" in doc:
-        q = doc["quadrature"]
-        if not isinstance(q, dict):
-            raise ConfigError("quadrature must be an object")
-        _require_keys(q, {"order", "subdivision"}, "quadrature")
-        if "order" in q:
-            cfg = replace(cfg, quad_order=_positive_int(q["order"], "quadrature.order", MAX_QUAD_ORDER))
-        if "subdivision" in q:
-            cfg = replace(cfg, quad_subdivision=_positive_int(
-                q["subdivision"], "quadrature.subdivision", MAX_QUAD_SUBDIVISION))
     if "streamlines" in doc:
         s = doc["streamlines"]
         if not isinstance(s, dict):
@@ -253,11 +217,6 @@ def parse_config(doc: dict) -> RunConfig:
                     _finite_number(pair[1], f"streamlines.seeds[{idx}][1]"),
                 ))
             cfg = replace(cfg, seeds=tuple(parsed))
-    if "verify_lattice" in doc:
-        n = _positive_int(doc["verify_lattice"], "verify_lattice", MAX_VERIFY_LATTICE)
-        if n < 4:
-            raise ConfigError("verify_lattice must be >= 4")
-        cfg = replace(cfg, verify_lattice=n)
     if "seeds_per_axis" in doc:
         cfg = replace(cfg, seeds_per_axis=_positive_int(doc["seeds_per_axis"], "seeds_per_axis", MAX_SEEDS_PER_AXIS))
     return cfg
@@ -291,21 +250,13 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
 # stress / solution assembly
 
 def build_stress(cfg: RunConfig) -> StressField:
-    d = cfg.domain
     spec = cfg.stress
     if spec.kind == "polynomial":
         poly = BivariatePoly({(i, j, 0): c for i, j, c in spec.terms})
         return PolynomialStress(poly)
     if spec.kind == "cosine":
-        return cosine_from_harmonic(spec.amplitude, spec.harmonic, d)
-    if spec.name == "linear":
-        y, a = BivariatePoly.v2(), Fraction(d.a)
-        return PolynomialStress(16 * y - BivariatePoly.const(8 * a))
-    if spec.name == "sinusoidal":
-        return SinusoidalStreamFunction(SINUSOIDAL_AMPLITUDE, d).source_stress
-    if spec.name == "realistic":
-        return realistic_example(d).source_stress
-    raise ConfigError(f"unsupported stress spec: {spec}")
+        return cosine_from_harmonic(spec.amplitude, spec.harmonic, cfg.domain)
+    return build_stream_function(cfg).source_stress
 
 
 def build_stream_function(cfg: RunConfig) -> StreamFunction:
@@ -320,7 +271,7 @@ def build_stream_function(cfg: RunConfig) -> StreamFunction:
     stress = build_stress(cfg)
     if isinstance(stress, PolynomialStress):
         return solve_exact_poly(stress, d)
-    return solve_quadrature(stress, d, cfg.quadrature_spec(), cfg.compat_tol)
+    return solve_quadrature(stress, d)
 
 
 def _poly_roundoff_bound(psi: PolyStreamFunction, d: TriangleDomain) -> float:
@@ -441,7 +392,7 @@ def cmd_check(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = 
     stress = psi.source_stress if psi is not None else build_stress(cfg)
     if cfg.stress.kind == "cosine" and cfg.stress.harmonic % 2 == 0 and not quiet:
         print(f"warning: even harmonic m={cfg.stress.harmonic} is outside the admissible family", file=sys.stderr)
-    report = compat_check(stress, d, n_sweep=cfg.n_sweep, tol=cfg.compat_tol)
+    report = compat_check(stress, d)
     _write_json(os.path.join(cfg.out, "compat.json"), report.to_json_dict())
     _info(quiet, f"check: {report.verdict} (max residual {report.max_abs_residual:.3e})")
     return EXIT_OK if report.is_compatible else EXIT_DOMAIN
@@ -476,22 +427,21 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = 
     write_grid_csv(psi, d, cfg.grid_n, os.path.join(cfg.out, "psi.csv"))
     h = 1e-4 * cfg.a
     tol_pde, tol_bc = auto_verify_tols(psi, f, d, h)
-    report = verify_solution(psi, f, d, lattice_n=cfg.verify_lattice, tol_pde=tol_pde, tol_bc=tol_bc, fd_h=h)
+    report = verify_solution(psi, f, d, tol_pde=tol_pde, tol_bc=tol_bc, fd_h=h)
     _write_json(os.path.join(cfg.out, "verify.json"), report.to_json_dict())
     _info(quiet, _report_table(report))
     return EXIT_OK if report.overall_pass else EXIT_DOMAIN
 
 
-def default_flow_seeds(cfg: RunConfig, V: VelocityField) -> tuple[list[PhysicalPoint], list]:
-    """Rings of seeds around each interior recirculation center."""
-    d = cfg.domain
-    points = stagnation_points(V, d, seeds_per_axis=cfg.seeds_per_axis)
+def default_flow_seeds(d: TriangleDomain, points: list[StagnationPoint]) -> list[PhysicalPoint]:
+    """Rings of seeds around each interior recirculation center among
+    the stagnation ``points``."""
     seeds = []
     for sp in interior_centers(points, d):
         reach = distance_to_boundary(d, sp.location)
         for frac in (0.25, 0.5, 0.75):
             seeds.append(PhysicalPoint(sp.location.x + frac * reach, sp.location.y))
-    return seeds, points
+    return seeds
 
 
 def cmd_flow(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = None) -> int:
@@ -501,11 +451,11 @@ def cmd_flow(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = N
     if psi is None:
         return EXIT_DOMAIN
     V = velocity_field(psi)
+    points = stagnation_points(V, d, seeds_per_axis=cfg.seeds_per_axis)
     if cfg.seeds is not None:
         seeds = [PhysicalPoint(x, y) for x, y in cfg.seeds]
-        points = stagnation_points(V, d, seeds_per_axis=cfg.seeds_per_axis)
     else:
-        seeds, points = default_flow_seeds(cfg, V)
+        seeds = default_flow_seeds(d, points)
     if all(sp.classification == "degenerate" for sp in points) and points:
         _info(quiet, "flow: null field (velocity vanishes everywhere)")
     traces = [trace_streamline(V, s, step=cfg.stream_step(), max_steps=cfg.max_steps) for s in seeds]
@@ -516,12 +466,6 @@ def cmd_flow(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = N
     closed = sum(1 for t in traces if t.termination == "closed")
     _info(quiet, f"flow: {len(traces)} streamlines ({closed} closed), {len(points)} stagnation points")
     return EXIT_OK
-
-
-def _u_profile_rows(V, x0: float, n: int) -> list[tuple[float, float]]:
-    from .kinematics import u_profile
-
-    return u_profile(V, "x", x0, n)
 
 
 def cmd_examples(cfg: RunConfig, quiet: bool = False) -> int:
@@ -543,16 +487,14 @@ def cmd_examples(cfg: RunConfig, quiet: bool = False) -> int:
     a = cfg.a
     v_lin = velocity_field(fields["linear"])
     v_sin = velocity_field(fields["sinusoidal"])
-    lin_rows = _u_profile_rows(v_lin, a, n)
-    sin_rows = _u_profile_rows(v_sin, a, n)
+    lin_rows = u_profile(v_lin, "x", a, n)
+    sin_rows = u_profile(v_sin, "x", a, n)
     with open(os.path.join(cfg.out, "fig6_u_profiles.csv"), "w", newline="\n") as fh:
         fh.write("y,u_linear,u_sinusoidal\n")
         for (yv, ul), (_, us) in zip(lin_rows, sin_rows):
             fh.write(f"{format_float(yv)},{format_float(ul)},{format_float(us)}\n")
 
     v_real = velocity_field(fields["realistic"])
-    from .kinematics import u_profile
-
     with open(os.path.join(cfg.out, "fig7_shear_profile.csv"), "w", newline="\n") as fh:
         fh.write("x,u\n")
         for xv, uv in u_profile(v_real, "y", 0.0, n):

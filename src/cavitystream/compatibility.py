@@ -205,7 +205,6 @@ def compat_check(
     d: TriangleDomain,
     n_sweep: int = 65,
     tol: float = 1e-10,
-    quad: QuadratureSpec | None = None,
 ) -> CompatibilityReport:
     """Residual sweep over Chebyshev nodes plus, for polynomial stresses,
     the exact vanishing criterion (which then decides the verdict)."""
@@ -223,7 +222,7 @@ def compat_check(
         if f.poly.has_symbol_a:
             exact = exact_residual_poly(f.poly, None)
     else:
-        sweep = tuple((X, compat_residual(f, d, X, quad)) for X in nodes)
+        sweep = tuple((X, compat_residual(f, d, X)) for X in nodes)
     max_abs = max(abs(r) for _, r in sweep)
     norm = (2 * a) ** 2 * stress_scale(f, d)
     exact_text = None

@@ -123,15 +123,21 @@ def to_physical(q: CharPoint) -> PhysicalPoint:
     return PhysicalPoint((X - Y) / 2, (X + Y) / 2)
 
 
-def _dist_point_segment(px, py, ax, ay, bx, by) -> float:
+def _nearest_on_segment(px, py, ax, ay, bx, by) -> tuple[float, float]:
+    """The point of the segment from (ax, ay) to (bx, by) nearest to
+    (px, py)."""
     vx, vy = bx - ax, by - ay
-    wx, wy = px - ax, py - ay
     vv = vx * vx + vy * vy
     if vv == 0:
-        return math.hypot(wx, wy)
-    t = (wx * vx + wy * vy) / vv
+        return ax, ay
+    t = ((px - ax) * vx + (py - ay) * vy) / vv
     t = 0.0 if t < 0 else (1.0 if t > 1 else t)
-    return math.hypot(px - (ax + t * vx), py - (ay + t * vy))
+    return ax + t * vx, ay + t * vy
+
+
+def _dist_point_segment(px, py, ax, ay, bx, by) -> float:
+    qx, qy = _nearest_on_segment(px, py, ax, ay, bx, by)
+    return math.hypot(px - qx, py - qy)
 
 
 def signed_edge_distances(d: TriangleDomain, p: PhysicalPoint) -> tuple[float, float, float]:
@@ -222,21 +228,26 @@ def boundary_sample(d: TriangleDomain, n: int) -> list[PhysicalPoint]:
     return pts
 
 
-def interior_lattice(d: TriangleDomain, n: int, margin: float = 0.0) -> list[PhysicalPoint]:
-    """Regular n x n lattice over the bounding box, clipped to interior
-    points whose distance to every edge line exceeds ``margin``."""
+def clipped_lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ix, iy) of the n x n lattice x = 2a ix/(n-1), y = a iy/(n-1)
+    that lie in the closed triangle, row-major (iy outer): the exact
+    integer form of y <= x and x + y <= 2a."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    iy, ix = np.divmod(np.arange(n * n), n)
+    keep = (iy <= 2 * ix) & (2 * ix + iy <= 2 * (n - 1))
+    return ix[keep], iy[keep]
+
+
+def interior_lattice(d: TriangleDomain, n: int, margin: float = 0.0) -> list[PhysicalPoint]:
+    """Points of ``clipped_lattice(n)``, row-major, whose distance to
+    every edge line (``signed_edge_distances``) exceeds ``margin`` >= 0."""
+    ix, iy = clipped_lattice(n)
     a = float(d.a)
-    pts = []
-    for iy in range(n):
-        y = a * iy / (n - 1)
-        for ix in range(n):
-            x = 2 * a * ix / (n - 1)
-            p = PhysicalPoint(x, y)
-            if min(signed_edge_distances(d, p)) > margin:
-                pts.append(p)
-    return pts
+    x, y = 2 * a * ix / (n - 1), a * iy / (n - 1)
+    r2 = math.sqrt(2.0)
+    keep = (y > margin) & ((x - y) / r2 > margin) & ((2 * a - x - y) / r2 > margin)
+    return [PhysicalPoint(px, py) for px, py in zip(x[keep].tolist(), y[keep].tolist())]
 
 
 def distance_to_boundary(d: TriangleDomain, p: PhysicalPoint) -> float:

@@ -17,7 +17,14 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import TriangleDomain, PhysicalPoint, _dist_point_segment, classify, interior_lattice
+from .geometry import (
+    TriangleDomain,
+    PhysicalPoint,
+    _dist_point_segment,
+    _nearest_on_segment,
+    classify,
+    interior_lattice,
+)
 from .solver import StreamFunction, format_float
 
 CENTER = "center"
@@ -220,17 +227,11 @@ class Streamline:
 def _project_to_boundary(d: TriangleDomain, p: PhysicalPoint) -> PhysicalPoint:
     """Nearest point of the closed triangle (projection onto each edge)."""
     x, y = float(p[0]), float(p[1])
-    best = None
-    for pa, pb in d.edges():
-        ax, ay, bx, by = float(pa.x), float(pa.y), float(pb.x), float(pb.y)
-        vx, vy = bx - ax, by - ay
-        t = ((x - ax) * vx + (y - ay) * vy) / (vx * vx + vy * vy)
-        t = 0.0 if t < 0 else (1.0 if t > 1 else t)
-        qx, qy = ax + t * vx, ay + t * vy
-        dist = math.hypot(x - qx, y - qy)
-        if best is None or dist < best[0]:
-            best = (dist, PhysicalPoint(qx, qy))
-    return best[1]
+    nearest = (
+        _nearest_on_segment(x, y, float(pa.x), float(pa.y), float(pb.x), float(pb.y))
+        for pa, pb in d.edges()
+    )
+    return PhysicalPoint(*min(nearest, key=lambda q: math.hypot(x - q[0], y - q[1])))
 
 
 def trace_streamline(

@@ -37,6 +37,7 @@ from .geometry import (
     PhysicalPoint,
     Rect,
     boundary_sample,
+    clipped_lattice,
     require_in_char_image,
     signed_edge_distances,
     to_characteristic,
@@ -385,10 +386,10 @@ def solve_quadrature(
     f: StressField,
     d: TriangleDomain,
     spec: QuadratureSpec | None = None,
-    compat_tol: float = 1e-8,
 ) -> QuadratureStreamFunction:
-    """Quadrature-backed stream function for a general admissible stress."""
-    report = compat_check(f, d, tol=compat_tol)
+    """Quadrature-backed stream function for a general admissible stress,
+    behind ``compat_check`` with its default sweep and tolerance."""
+    report = compat_check(f, d)
     if not report.is_compatible:
         raise IncompatibleStress(
             f"stress fails the admissibility sweep: max residual {report.max_abs_residual:g} "
@@ -471,17 +472,6 @@ def residual(psi: StreamFunction, f: StressField, p, h: float):
 
 # ----------------------------------------------------------------------
 # grid export
-
-def clipped_lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ix, iy) of the n x n lattice x = 2a ix/(n-1), y = a iy/(n-1)
-    that lie in the closed triangle, row-major (iy outer): the exact
-    integer form of y <= x and x + y <= 2a."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    iy, ix = np.divmod(np.arange(n * n), n)
-    keep = (iy <= 2 * ix) & (2 * ix + iy <= 2 * (n - 1))
-    return ix[keep], iy[keep]
-
 
 def grid_rows(psi: StreamFunction, d: TriangleDomain, n: int) -> list[tuple[float, float, float]]:
     """Row-major (x, y, psi) over the n x n bounding-box lattice clipped

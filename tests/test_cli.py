@@ -79,12 +79,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("doc, message", [
         ({"grid_n": 1002}, "grid_n must be at most 1001"),
-        ({"quadrature": {"order": 65}}, "quadrature.order must be at most 64"),
-        ({"quadrature": {"subdivision": 1001}}, "quadrature.subdivision must be at most 1000"),
         ({"streamlines": {"max_steps": 1_000_001}}, "streamlines.max_steps must be at most 1000000"),
-        ({"verify_lattice": 257}, "verify_lattice must be at most 256"),
         ({"seeds_per_axis": 102}, "seeds_per_axis must be at most 101"),
-        ({"n_sweep": 4098}, "n_sweep must be at most 4097"),
         ({"stress": {"kind": "polynomial", "terms": [{"i": 1, "j": 1, "coefficient": 1},
                                                      {"i": 60, "j": 5, "coefficient": 1}]}},
          "stress.terms[1]: i + j must be at most 64"),
@@ -98,12 +94,23 @@ class TestConfigParsing:
         assert run(["solve", "--config", cfg, "--quiet"]) == EXIT_USAGE
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"n_sweep": 3}, "n_sweep"),
+        ({"tolerances": {"compat": 1}}, "tolerances"),
+        ({"quadrature": {"order": 12}}, "quadrature"),
+        ({"quadrature": {"subdivision": 8}}, "quadrature"),
+        ({"verify_lattice": 32}, "verify_lattice"),
+    ])
+    def test_removed_tuning_keys_are_unknown(self, tmp_path, capsys, doc, key):
+        # the code decides these: the admissibility sweep, its tolerance,
+        # the quadrature rule and the verify lattice
+        doc = {**doc, "stress": {"kind": "cosine", "A": 1, "m": 4}, "out": str(tmp_path / "o")}
+        assert run(["check", "--config", write_config(tmp_path, doc), "--quiet"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: unknown key(s) in config: {key}\n"
+
     def test_size_bounds_are_inclusive(self):
-        cfg = parse_config({"grid_n": 1001, "quadrature": {"order": 64, "subdivision": 1000},
-                            "streamlines": {"max_steps": 1_000_000}, "verify_lattice": 256,
-                            "seeds_per_axis": 101, "n_sweep": 4097})
-        assert (cfg.grid_n, cfg.quad_order, cfg.quad_subdivision, cfg.max_steps) == (1001, 64, 1000, 1_000_000)
-        assert (cfg.verify_lattice, cfg.seeds_per_axis, cfg.n_sweep) == (256, 101, 4097)
+        cfg = parse_config({"grid_n": 1001, "streamlines": {"max_steps": 1_000_000}, "seeds_per_axis": 101})
+        assert (cfg.grid_n, cfg.max_steps, cfg.seeds_per_axis) == (1001, 1_000_000, 101)
         terms = [{"i": 64, "j": 0, "coefficient": 1}, {"i": 30, "j": 34, "coefficient": 1},
                  {"i": 0, "j": 64, "coefficient": 1}]
         cfg = parse_config({"stress": {"kind": "polynomial", "terms": terms}})
@@ -117,10 +124,8 @@ class TestConfigParsing:
 
     def test_subdivision_follows_the_harmonic(self):
         cosine = {"kind": "cosine", "A": 1, "m": 61}
-        assert parse_config({"stress": cosine}).quadrature_spec().subdivision == 31
-        assert parse_config({"stress": cosine, "quadrature": {"subdivision": 5}}).quadrature_spec().subdivision == 5
-        assert parse_config({"stress": {**cosine, "m": 15}}).quadrature_spec().subdivision == 8
-        assert parse_config(LINEAR_STRESS_DOC).quadrature_spec().subdivision == 8
+        assert build_stream_function(parse_config({"stress": cosine})).spec.subdivision == 31
+        assert build_stream_function(parse_config({"stress": {**cosine, "m": 15}})).spec.subdivision == 8
 
     def test_grid_flag_upper_bound(self, tmp_path):
         cfg = write_config(tmp_path, {**LINEAR_STRESS_DOC, "out": str(tmp_path / "o")})
@@ -198,7 +203,6 @@ class TestSolveCommand:
             "stress": {"kind": "cosine", "A": 5.0, "m": 3},
             "out": str(out),
             "grid_n": 9,
-            "verify_lattice": 8,
         }
         cfg = write_config(tmp_path, doc)
         assert run(["solve", "--config", cfg, "--quiet"]) == EXIT_OK

@@ -15,6 +15,7 @@ from cavitystream.geometry import (
     in_char_image,
     interior_lattice,
     require_in_char_image,
+    signed_edge_distances,
     to_characteristic,
     to_physical,
 )
@@ -183,6 +184,27 @@ class TestBoundarySample:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             boundary_sample(D1, 2)
+
+
+class TestInteriorLattice:
+    @pytest.mark.parametrize("a", [1.0, 0.37, 2.5, 1e-3, 1e3])
+    def test_same_points_as_the_per_point_loop(self, a):
+        d = TriangleDomain(a)
+        for n in (2, 3, 15, 23, 51):
+            for margin in (0.0, 1e-9 * a, 1e-6 * a, 0.05 * a):
+                want = []
+                for iy in range(n):
+                    for ix in range(n):
+                        p = PhysicalPoint(2 * a * ix / (n - 1), a * iy / (n - 1))
+                        if min(signed_edge_distances(d, p)) > margin:
+                            want.append(p)
+                got = interior_lattice(d, n, margin)
+                assert got == want
+                assert all(type(p.x) is float and type(p.y) is float for p in got)
+
+    def test_rejects_small_n(self):
+        with pytest.raises(ValueError):
+            interior_lattice(D1, 1)
 
 
 class TestDomain:
