@@ -200,27 +200,23 @@ class CompatibilityReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def compat_check(
-    f: StressField,
-    d: TriangleDomain,
-    n_sweep: int = 65,
-    tol: float = 1e-10,
-) -> CompatibilityReport:
-    """Residual sweep over Chebyshev nodes plus, for polynomial stresses,
-    the exact vanishing criterion (which then decides the verdict)."""
-    if n_sweep < 2:
-        raise ValueError("n_sweep must be >= 2")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+N_SWEEP = 65
+TOLERANCE = 1e-10
+
+
+def compat_check(f: StressField, d: TriangleDomain) -> CompatibilityReport:
+    """Residual sweep over N_SWEEP Chebyshev nodes plus, for polynomial
+    stresses, the exact vanishing criterion (which then decides the
+    verdict); other stresses pass when the largest residual is at most
+    TOLERANCE times (2a)^2 max|f|."""
     a = float(d.a)
-    nodes = chebyshev_nodes(n_sweep, 0.0, 2 * a)
+    nodes = chebyshev_nodes(N_SWEEP, 0.0, 2 * a)
     exact = None
     if isinstance(f, PolynomialStress):
-        # one residual polynomial serves every sweep node
-        exact = exact_residual_poly(f.poly, d)
-        sweep = tuple((X, float(exact.eval(Fraction(X), 0))) for X in nodes)
-        if f.poly.has_symbol_a:
-            exact = exact_residual_poly(f.poly, None)
+        # one residual polynomial, symbolic in a iff the stress is, serves
+        # the verdict and every sweep node
+        exact = exact_residual_poly(f.poly, None if f.poly.has_symbol_a else d)
+        sweep = tuple((X, float(exact.eval(Fraction(X), 0, Fraction(d.a)))) for X in nodes)
     else:
         sweep = tuple((X, compat_residual(f, d, X)) for X in nodes)
     max_abs = max(abs(r) for _, r in sweep)
@@ -230,12 +226,12 @@ def compat_check(
         exact_text = exact.to_text(names=("X", "_"))
         verdict = COMPATIBLE if exact.is_zero else INCOMPATIBLE
     else:
-        verdict = COMPATIBLE if max_abs <= tol * max(norm, 1e-300) else INCOMPATIBLE
+        verdict = COMPATIBLE if max_abs <= TOLERANCE * max(norm, 1e-300) else INCOMPATIBLE
     return CompatibilityReport(
         sweep=sweep,
         max_abs_residual=max_abs,
         normalization=norm,
-        tolerance=tol,
+        tolerance=TOLERANCE,
         verdict=verdict,
         exact_constraints=exact_text,
     )
@@ -249,7 +245,7 @@ def cosine_admissible_wavenumbers(d: TriangleDomain, n_max: int) -> list[float]:
     out = []
     for n in range(n_max + 1):
         k = (2 * n + 1) * math.pi / a
-        report = compat_check(CosineStress(1.0, k), d, tol=1e-10)
+        report = compat_check(CosineStress(1.0, k), d)
         if not report.is_compatible:
             raise ArithmeticError(f"wavenumber {k} failed the admissibility sweep")
         out.append(k)

@@ -133,17 +133,23 @@ def stagnation_points(
         seeds = interior_lattice(d, seeds_per_axis + 2, margin=1e-9 * a)
         return [StagnationPoint(p, DEGENERATE, 0.0) for p in seeds]
 
+    def direction(x: float, y: float, u: float, v: float) -> tuple[float, float] | None:
+        # the Newton step for velocity (u, v) at (x, y); None where the
+        # Jacobian is singular
+        ux, uy, vx, vy = V.jacobian(PhysicalPoint(x, y))
+        det = ux * vy - uy * vx
+        if det == 0 or not math.isfinite(det):
+            return None
+        return (-u * vy + v * uy) / det, (u * vx - v * ux) / det
+
     def polish(x: float, y: float) -> tuple[float, float]:
         # a few undamped steps drive the position to machine precision
         r = math.hypot(*V._eval_raw(x, y))
         for _ in range(4):
-            u, v = V._eval_raw(x, y)
-            ux, uy, vx, vy = V.jacobian(PhysicalPoint(x, y))
-            det = ux * vy - uy * vx
-            if det == 0 or not math.isfinite(det):
+            step = direction(x, y, *V._eval_raw(x, y))
+            if step is None:
                 break
-            xn = x + (-u * vy + v * uy) / det
-            yn = y + (u * vx - v * ux) / det
+            xn, yn = x + step[0], y + step[1]
             rn = math.hypot(*V._eval_raw(xn, yn))
             if not rn < r:
                 break
@@ -156,12 +162,10 @@ def stagnation_points(
             r = math.hypot(u, v)
             if r <= tol:
                 return polish(x, y)
-            ux, uy, vx, vy = V.jacobian(PhysicalPoint(x, y))
-            det = ux * vy - uy * vx
-            if det == 0 or not math.isfinite(det):
+            newton_step = direction(x, y, u, v)
+            if newton_step is None:
                 return None
-            dx = (-u * vy + v * uy) / det
-            dy = (-v * ux + u * vx) / det
+            dx, dy = newton_step
             step = 1.0
             for _ in range(30):
                 xn, yn = x + step * dx, y + step * dy

@@ -160,15 +160,11 @@ class BivariatePoly:
         return BivariatePoly({key: -c for key, c in self._coef.items()})
 
     def __mul__(self, other) -> "BivariatePoly":
-        if not isinstance(other, BivariatePoly):
-            c = _frac(other)
-            return BivariatePoly({key: v * c for key, v in self._coef.items()})
-        coef: dict[Key, Fraction] = {}
-        for (i1, j1, k1), c1 in self._coef.items():
-            for (i2, j2, k2), c2 in other._coef.items():
-                key = (i1 + i2, j1 + j2, k1 + k2)
-                coef[key] = coef.get(key, Fraction(0)) + c1 * c2
-        return BivariatePoly(coef)
+        # integer numerators, one division per result coefficient
+        num1, den1 = _numerators(self)
+        num2, den2 = _numerators(self._promote(other))
+        den = den1 * den2
+        return BivariatePoly({key: Fraction(c, den) for key, c in _int_mul(num1, num2).items()})
 
     __rmul__ = __mul__
 
@@ -296,7 +292,8 @@ class BivariatePoly:
 
         ``a`` must be supplied iff the polynomial carries the symbol.
         Exact (int or Fraction) inputs are summed as integers over one
-        denominator, the float case term by term.
+        denominator; a float input goes to ``float_evaluator``, after
+        binding a.
         """
         symbolic = self.has_symbol_a
         if symbolic and a is None:
@@ -306,13 +303,7 @@ class BivariatePoly:
         args = (x, y, a) if symbolic else (x, y)
         if all(isinstance(v, (int, Fraction)) for v in args):
             return self._eval_exact(Fraction(x), Fraction(y), Fraction(a if symbolic else 1))
-        total = None
-        for (i, j, k), c in self.terms():
-            term = c * x**i * y**j
-            if k:
-                term = term * a**k
-            total = term if total is None else total + term
-        return total
+        return (self.subs_a(a) if symbolic else self).float_evaluator()(x, y)
 
     def _eval_exact(self, x: Fraction, y: Fraction, a: Fraction) -> Fraction:
         # sum of N_ijk x^i y^j a^k with every power over its top power's

@@ -10,13 +10,14 @@ identity and the boundary condition (checked exactly below for every
 polynomial solve).  The second rectangle [X, 2a] x [-X, 0] is, term for
 term, the admissibility residual R(X), which is zero once the
 admissibility gate has passed, so both paths integrate the first
-rectangle [-Y, X] x [Y, 0] alone and are valid only behind the gate
-(``solve_exact_poly`` and ``solve_quadrature`` check first).  For
-polynomial stresses that integral is read from the corners of one
+rectangle [-Y, X] x [Y, 0] alone and are valid only behind the gate.
+For polynomial stresses that integral is read from the corners of one
 exact double antiderivative H of the rotated stress
 (``char_antiderivative``), yielding the stream function as an exact
-polynomial; otherwise psi is evaluated by a subdivided tensor Gauss
-rule, batched over points, and on the export lattice from one
+polynomial, and the gate is that polynomial's own trace on AB, which
+is -R/4 (``solve_exact_poly``); otherwise ``solve_quadrature`` runs the
+admissibility sweep first and psi is evaluated by a subdivided tensor
+Gauss rule, batched over points, and on the export lattice from one
 summed-area table of lattice cells, the discrete form of the same
 corner rule.  The closed-form sinusoidal case is provided as a
 builtin.  Every backing differentiates itself: derivative polynomials,
@@ -44,6 +45,7 @@ from .geometry import (
 )
 from .polyalg import BivariatePoly, wave_operator
 from .compatibility import (
+    HALF,
     CosineStress,
     OpaqueStress,
     PolynomialStress,
@@ -51,7 +53,6 @@ from .compatibility import (
     char_antiderivative,
     compat_check,
     cosine_harmonic,
-    exact_residual_poly,
     stress_char_evaluator,
 )
 from .quadrature import (
@@ -82,7 +83,8 @@ def solve_poly_symbolic(f: BivariatePoly) -> BivariatePoly:
     - subtracting its trace H(-Y, Y)/4 makes psi vanish on OA (X = -Y)
       and OB (Y = 0);
     - on AB (X = 2a), psi = -R(-Y)/4 with R = ``exact_residual_poly``,
-      so psi vanishes there iff R is zero: callers check first.
+      so psi vanishes there iff R is zero: ``solve_exact_poly`` reads R
+      from this trace and raises unless it is zero.
 
     The symbol a, if present, passes through untouched.
     """
@@ -91,13 +93,11 @@ def solve_poly_symbolic(f: BivariatePoly) -> BivariatePoly:
     return (h.compose(x - y, y - x) - h.compose(x + y, y - x)) * SOLUTION_PREFACTOR
 
 
-def _check_poly_boundary_exact(psi: BivariatePoly, a_poly: BivariatePoly) -> bool:
-    """Psi restricted to each edge must be the zero polynomial."""
+def _check_poly_boundary_exact(psi: BivariatePoly) -> bool:
+    """Psi restricted to OA and OB must be the zero polynomial (AB is
+    the admissibility gate)."""
     v1 = BivariatePoly.v1()
-    on_oa = psi.compose(v1, 0)
-    on_ob = psi.compose(v1, v1)
-    on_ab = psi.compose(v1, 2 * a_poly - v1)
-    return on_oa.is_zero and on_ob.is_zero and on_ab.is_zero
+    return psi.compose(v1, 0).is_zero and psi.compose(v1, v1).is_zero
 
 
 # ----------------------------------------------------------------------
@@ -356,15 +356,10 @@ def solve_exact_poly(
     """Exact stream function for a polynomial stress.
 
     Pass d=None to keep the length parameter symbolic.  Raises
-    IncompatibleStress when the admissibility polynomial is nonzero.
+    IncompatibleStress when the admissibility polynomial is nonzero; it
+    is read from psi on AB, R(X) = -4 psi((2a + X)/2, (2a - X)/2).
     """
     fp = f.poly if isinstance(f, PolynomialStress) else f
-    constraint = exact_residual_poly(fp, d)
-    if not constraint.is_zero:
-        raise IncompatibleStress(
-            "stress fails the admissibility condition; constraint polynomial: "
-            + constraint.to_text(names=("X", "_"))
-        )
     if d is None:
         a_poly = BivariatePoly.sym_a()
     else:
@@ -372,9 +367,16 @@ def solve_exact_poly(
         if fp.has_symbol_a:
             fp = fp.subs_a(Fraction(d.a))
     psi = solve_poly_symbolic(fp)
+    half = BivariatePoly.v1() * HALF
+    constraint = psi.compose(a_poly + half, a_poly - half) * -4
+    if not constraint.is_zero:
+        raise IncompatibleStress(
+            "stress fails the admissibility condition; constraint polynomial: "
+            + constraint.to_text(names=("X", "_"))
+        )
     if wave_operator(psi) != fp:
         raise ArithmeticError("internal error: operator identity violated by the exact solve")
-    if not _check_poly_boundary_exact(psi, a_poly):
+    if not _check_poly_boundary_exact(psi):
         raise ArithmeticError("internal error: exact solution does not vanish on the boundary")
     out = PolyStreamFunction(psi, d, PolynomialStress(fp))
     if d is not None:

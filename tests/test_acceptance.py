@@ -103,11 +103,11 @@ def test_03_compatibility_identity():
 def test_04_cosine_admissibility():
     with criterion(4, "odd cosine harmonics pass the sweep, even ones fail"):
         for k in (math.pi, 3 * math.pi, 5 * math.pi):
-            report = compat_check(CosineStress(1.0, k), D1, n_sweep=65)
+            report = compat_check(CosineStress(1.0, k), D1)
             assert report.max_abs_residual <= 1e-12
             assert report.is_compatible
         for k in (2 * math.pi, 4 * math.pi):
-            report = compat_check(CosineStress(1.0, k), D1, n_sweep=65)
+            report = compat_check(CosineStress(1.0, k), D1)
             assert report.max_abs_residual >= 1e-2 * report.normalization
             assert not report.is_compatible
 

@@ -116,18 +116,19 @@ class TestCompatCheck:
         assert report.exact_constraints != "0"
 
     def test_cosine_odd_harmonic_compatible(self):
-        report = compat_check(CosineStress(5.0, math.pi), D1, tol=1e-10)
+        report = compat_check(CosineStress(5.0, math.pi), D1)
         assert report.is_compatible
         assert report.max_abs_residual <= 1e-12
 
     def test_cosine_even_harmonic_incompatible(self):
-        report = compat_check(CosineStress(5.0, 2 * math.pi), D1, tol=1e-10)
-        assert not report.is_compatible
-        assert report.max_abs_residual >= 1e-2 * report.normalization
+        for m in (2, 4):
+            report = compat_check(CosineStress(5.0, m * math.pi), D1)
+            assert not report.is_compatible
+            assert report.max_abs_residual >= 1e-2 * report.normalization
 
     def test_sweep_shape_and_max(self):
-        report = compat_check(CosineStress(1.0, 2.0), D1, n_sweep=33)
-        assert len(report.sweep) == 33
+        report = compat_check(CosineStress(1.0, 2.0), D1)
+        assert len(report.sweep) == 65
         assert report.sweep[0][0] == 0.0
         assert report.sweep[-1][0] == pytest.approx(2.0)
         assert report.max_abs_residual == max(abs(r) for _, r in report.sweep)
@@ -142,7 +143,7 @@ class TestCompatCheck:
 
 
 class TestResidualBuiltOnce:
-    @pytest.mark.parametrize("poly, builds", [(16 * Y - 8, 1), (LINEAR_STRESS, 2)], ids=["bound", "symbolic"])
+    @pytest.mark.parametrize("poly, builds", [(16 * Y - 8, 1), (LINEAR_STRESS, 1)], ids=["bound", "symbolic"])
     def test_polynomial_check_builds_the_residual_once(self, monkeypatch, poly, builds):
         real = compatibility.exact_residual_poly
         calls = []

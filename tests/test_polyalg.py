@@ -113,11 +113,25 @@ class TestSubstitution:
         assert p.subs_a(Fraction(1, 2)) == 2 * X * Y - 2
 
 
+def _dict_product(p, q):
+    """p * q by Fraction products over both coefficient maps."""
+    coef = {}
+    for (i1, j1, k1), c1 in p.coefficients.items():
+        for (i2, j2, k2), c2 in q.coefficients.items():
+            key = (i1 + i2, j1 + j2, k1 + k2)
+            coef[key] = coef.get(key, Fraction(0)) + c1 * c2
+    return BivariatePoly(coef)
+
+
 def _compose_reference(p, img1, img2):
     """Substitution by Fraction dict products, term by term."""
+    img1, img2 = (i if isinstance(i, BivariatePoly) else BivariatePoly.const(i) for i in (img1, img2))
     out = BivariatePoly.zero()
     for (i, j, k), c in p.terms():
-        out = out + BivariatePoly.monomial(c, 0, 0, k) * img1**i * img2**j
+        term = BivariatePoly.monomial(c, 0, 0, k)
+        for img in [img1] * i + [img2] * j:
+            term = _dict_product(term, img)
+        out = out + term
     return out
 
 
@@ -160,6 +174,29 @@ class TestIntegerCompose:
 
     def test_zero_polynomial(self):
         assert BivariatePoly.zero().compose(X + 1, Y).is_zero
+
+
+class TestIntegerMul:
+    """The product on integer numerators equals the Fraction dict product."""
+
+    @pytest.mark.parametrize("with_a", [False, True], ids=["bound", "symbolic"])
+    def test_matches_dict_products(self, with_a):
+        rng = random.Random(f"mul-{with_a}")
+        for d1, d2 in [(0, 0), (1, 4), (4, 1), (5, 7)]:
+            p, q = _seeded_poly(rng, d1, with_a), _seeded_poly(rng, d2, with_a, dens=(1, 3, 4, 9))
+            assert p * q == _dict_product(p, q)
+            assert q * p == _dict_product(p, q)
+
+    def test_scalars(self):
+        p = _seeded_poly(random.Random(3), 5, True)
+        for c in (Fraction(3, 7), 0.37, -2, 0, Fraction(1, 2)):
+            expected = _dict_product(p, BivariatePoly.const(c))
+            assert p * c == expected and c * p == expected
+
+    def test_zero(self):
+        p = _seeded_poly(random.Random(4), 3, True)
+        zero = BivariatePoly.zero()
+        assert (p * zero).is_zero and (zero * p).is_zero and (zero * zero).is_zero
 
 
 class TestSegmentRestriction:
@@ -218,6 +255,18 @@ class TestEvaluation:
         assert type(p.eval(0.5, 2, Fraction(1, 2))) is float
         assert p.eval(0.5, 2, Fraction(1, 2)) == pytest.approx(1 / 24 - 1)
         assert BivariatePoly.zero().eval(Fraction(1, 3), 0) == 0
+
+    def test_float_eval_is_the_float_evaluator(self):
+        rng = random.Random(13)
+        points = [(0.3, 0.1), (1.5, 0.2), (1.0, 1.0), (-0.7, 2.25)]
+        bound = _seeded_poly(rng, 6, False)
+        symbolic = _seeded_poly(rng, 6, True)
+        for x, y in points:
+            assert bound.eval(x, y) == bound.float_evaluator()(x, y)
+            assert bound.eval(x, Fraction(1, 3)) == bound.float_evaluator()(x, Fraction(1, 3))
+            for a in (0.37, Fraction(3, 7), 2):
+                assert symbolic.eval(x, y, a) == symbolic.subs_a(a).float_evaluator()(x, y)
+        assert symbolic.eval(Fraction(1, 3), 2, 0.37) == symbolic.subs_a(0.37).float_evaluator()(Fraction(1, 3), 2)
 
     def test_float_evaluator_matches_exact(self):
         p = 2 * Y**3 - 2 * X**2 * Y - 4 * Y**2 + 4 * X * Y

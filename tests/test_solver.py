@@ -11,6 +11,7 @@ import pytest
 from cavitystream.geometry import TriangleDomain, PhysicalPoint, boundary_sample, classify, interior_lattice
 from cavitystream.polyalg import BivariatePoly, poly_vars, wave_operator
 from cavitystream.quadrature import QuadratureSpec
+from cavitystream import compatibility, solver
 from cavitystream.compatibility import (
     CosineStress,
     OpaqueStress,
@@ -159,7 +160,30 @@ class TestCornerFormula:
         assert len(calls) == 3
         calls.clear()
         solve_exact_poly(16 * Y - 8 * A, d)
-        assert len(calls) == 9
+        assert len(calls) == 6
+
+
+class TestGateFromTrace:
+    """The gate read from psi on AB gives exact_residual_poly's verdict and
+    message, and the solve never builds that residual itself."""
+
+    @pytest.mark.parametrize("d", TestCornerFormula.DOMAINS, ids=["symbolic", "a=3/7", "a=2.5"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_verdict_and_message_match_the_residual(self, monkeypatch, seed, d):
+        rng = random.Random(seed)
+        admissible = wave_operator(boundary_vanishing_poly(random_poly(rng, max_degree=3)))
+        stresses = [admissible, _random_stress(rng), admissible + Y * Fraction(rng.randint(1, 9), 7)]
+        expected = [exact_residual_poly(f, d) for f in stresses]
+        monkeypatch.setattr(compatibility, "exact_residual_poly", None)
+        monkeypatch.setattr(solver, "exact_residual_poly", None, raising=False)
+        for f, r in zip(stresses, expected):
+            if r.is_zero:
+                assert solve_exact_poly(f, d).poly == solve_poly_symbolic(f if d is None else f.subs_a(Fraction(d.a)))
+                continue
+            with pytest.raises(IncompatibleStress) as err:
+                solve_exact_poly(f, d)
+            assert str(err.value) == ("stress fails the admissibility condition; constraint polynomial: "
+                                      + r.to_text(names=("X", "_")))
 
 
 class TestQuadratureSolve:
