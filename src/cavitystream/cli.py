@@ -17,20 +17,16 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .geometry import TriangleDomain, PhysicalPoint, distance_to_boundary, interior_lattice
+from .geometry import TriangleDomain, PhysicalPoint, classify, distance_to_boundary
 from .polyalg import BivariatePoly
 from .compatibility import (
-    CosineStress,
     PolynomialStress,
     StressField,
     compat_check,
     cosine_from_harmonic,
-    stress_scale,
 )
 from .solver import (
     IncompatibleStress,
-    PolyStreamFunction,
-    SinusoidalStreamFunction,
     StreamFunction,
     format_float,
     linear_example,
@@ -243,6 +239,10 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         if not 2 <= overrides.grid <= MAX_GRID_N:
             raise ConfigError(f"--grid must be between 2 and {MAX_GRID_N}")
         cfg = replace(cfg, grid_n=overrides.grid)
+    # the test trace_streamline applies to its seed, at the final a
+    for idx, (x, y) in enumerate(cfg.seeds or ()):
+        if not classify(cfg.domain, PhysicalPoint(x, y), 1e-9 * cfg.a).is_interior:
+            raise ConfigError(f"streamlines.seeds[{idx}] ({x:g}, {y:g}) is not inside the cavity (a = {cfg.a:g})")
     return cfg
 
 
@@ -272,34 +272,6 @@ def build_stream_function(cfg: RunConfig) -> StreamFunction:
     if isinstance(stress, PolynomialStress):
         return solve_exact_poly(stress, d)
     return solve_quadrature(stress, d)
-
-
-def _poly_roundoff_bound(psi: PolyStreamFunction, d: TriangleDomain) -> float:
-    a = float(d.a)
-    total = 0.0
-    for (i, j, _), c in psi.poly.terms():
-        total += abs(float(c)) * (2 * a) ** i * a**j
-    return 4 * 2.3e-16 * max(total, 1.0)
-
-
-def auto_verify_tols(psi: StreamFunction, f: StressField, d: TriangleDomain, h: float) -> tuple[float, float]:
-    """(tol_pde, tol_bc) sized to each backing's honest error budget."""
-    if isinstance(psi, PolyStreamFunction):
-        # second differences: truncation h^2/12 * 4th derivatives + cancellation
-        pts = interior_lattice(d, 15)
-        d4x = psi.poly.diff(1, 4).float_evaluator()
-        d4y = psi.poly.diff(2, 4).float_evaluator()
-        b4 = max((abs(d4x(p.x, p.y)) + abs(d4y(p.x, p.y)) for p in pts), default=0.0)
-        trunc = h * h / 12.0 * b4
-        cancel = 16 * 2.3e-16 * max(psi.scale(), 1.0) / (h * h)
-        tol_pde = 10 * (trunc + cancel) + 1e-12
-        tol_bc = max(_poly_roundoff_bound(psi, d), 1e-12)
-        return tol_pde, tol_bc
-    if isinstance(psi, SinusoidalStreamFunction):
-        c = 2 * abs(psi.amplitude) * float(d.a) ** 2 / (9 * math.pi**2)
-        return 5e-3 * max(1.0, abs(psi.amplitude) / 5.0), max(1e-13 * c, 1e-300)
-    scale = max(psi.scale(), 1e-12)
-    return 5e-3 * max(1.0, stress_scale(f, d)), 1e-6 * scale
 
 
 # ----------------------------------------------------------------------
@@ -423,11 +395,8 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = 
     psi = _stream_function(cfg, psi)
     if psi is None:
         return EXIT_DOMAIN
-    f = psi.source_stress
     write_grid_csv(psi, d, cfg.grid_n, os.path.join(cfg.out, "psi.csv"))
-    h = 1e-4 * cfg.a
-    tol_pde, tol_bc = auto_verify_tols(psi, f, d, h)
-    report = verify_solution(psi, f, d, tol_pde=tol_pde, tol_bc=tol_bc, fd_h=h)
+    report = verify_solution(psi, psi.source_stress)
     _write_json(os.path.join(cfg.out, "verify.json"), report.to_json_dict())
     _info(quiet, _report_table(report))
     return EXIT_OK if report.overall_pass else EXIT_DOMAIN

@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry import TriangleDomain, interior_lattice, boundary_sample
 from .polyalg import BivariatePoly
-from .quadrature import QuadratureSpec, default_quadrature_spec, integrate_rect
+from .quadrature import default_quadrature_spec, integrate_rect
 from .geometry import Rect
 
 HALF = Fraction(1, 2)
@@ -62,15 +62,13 @@ class CosineStress:
 
 @dataclass(frozen=True)
 class OpaqueStress:
-    """Stress known only through a continuous point evaluator f(x, y)."""
+    """Stress known only through a continuous evaluator f(x, y) that
+    takes numpy arrays."""
 
     fn: Callable
-    vectorized: bool = True
 
     def evaluator(self, a: float | None = None) -> Callable:
-        if self.vectorized:
-            return self.fn
-        return np.vectorize(self.fn, otypes=[float])
+        return self.fn
 
 
 StressField = PolynomialStress | CosineStress | OpaqueStress
@@ -142,13 +140,9 @@ def _cosine_residual(A: float, k: float, a: float, X) -> float:
     return c * (np.cos(k * X / 2.0) - np.cos(k * a) + np.cos(k * (2 * a - X) / 2.0) - 1.0)
 
 
-def compat_residual(
-    f: StressField,
-    d: TriangleDomain,
-    X: float,
-    quad: QuadratureSpec | None = None,
-) -> float:
-    """Residual of the admissibility condition at a single X in [0, 2a]."""
+def compat_residual(f: StressField, d: TriangleDomain, X: float) -> float:
+    """Residual of the admissibility condition at a single X in [0, 2a];
+    an opaque stress is integrated under ``default_quadrature_spec()``."""
     a = float(d.a)
     if not (-1e-12 * a <= X <= 2 * a * (1 + 1e-12)):
         raise ValueError(f"X={X} outside [0, {2 * a}]")
@@ -158,7 +152,7 @@ def compat_residual(
     if isinstance(f, CosineStress):
         return float(_cosine_residual(f.amplitude, f.wavenumber, a, X))
     g = stress_char_evaluator(f, a)
-    return integrate_rect(g, Rect(X, 2 * a, -X, 0.0), quad or default_quadrature_spec(), 2 * a)
+    return integrate_rect(g, Rect(X, 2 * a, -X, 0.0), default_quadrature_spec(), 2 * a)
 
 
 def chebyshev_nodes(n: int, lo: float, hi: float) -> list[float]:
@@ -271,10 +265,6 @@ class ConstraintSystem:
     rows: tuple[tuple[BivariatePoly, ...], ...]
     nullspace: tuple[tuple[BivariatePoly, ...], ...]
     rank: int
-
-    @property
-    def n_basis(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
 
 
 def _primitive(row: list[int]) -> list[int]:

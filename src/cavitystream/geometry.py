@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -106,9 +105,6 @@ class TriangleDomain:
     @property
     def area(self):
         return self.a * self.a
-
-    def exact_a(self) -> Fraction:
-        return Fraction(self.a)
 
 
 def to_characteristic(p: PhysicalPoint) -> CharPoint:

@@ -206,9 +206,10 @@ def stagnation_points(
     return out
 
 
-def interior_centers(points: Sequence[StagnationPoint], d: TriangleDomain, tol: float | None = None) -> list[StagnationPoint]:
-    """Stagnation points that are strictly interior and center-classified."""
-    tol = 1e-9 * float(d.a) if tol is None else tol
+def interior_centers(points: Sequence[StagnationPoint], d: TriangleDomain) -> list[StagnationPoint]:
+    """Stagnation points that are center-classified and interior by more
+    than 1e-9*a."""
+    tol = 1e-9 * float(d.a)
     return [
         sp for sp in points
         if sp.classification == CENTER and classify(d, sp.location, tol).is_interior

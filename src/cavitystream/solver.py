@@ -56,7 +56,6 @@ from .compatibility import (
     stress_char_evaluator,
 )
 from .quadrature import (
-    QuadratureSpec,
     cell_table,
     default_quadrature_spec,
     integrate_rect,
@@ -144,9 +143,6 @@ class StreamFunction:
         values = self.evaluate_many([p[0] for p in points], [p[1] for p in points])
         return float(np.max(np.abs(values), initial=0.0))
 
-    def __call__(self, x, y) -> float:
-        return self.evaluate(x, y)
-
     def velocity_functions(self) -> tuple[Callable, Callable]:
         """(vel, jac) on Python floats: vel(x, y) = (u, v) with
         u = d psi/dy and v = -d psi/dx, jac(x, y) = (du/dx, du/dy,
@@ -170,9 +166,9 @@ class StreamFunction:
             self._scale = float(np.max(np.abs(values[interior]), initial=0.0))
         return self._scale
 
-    def check_boundary(self, n: int = 100, tol: float = 1e-9) -> float:
-        """max |psi| over a boundary sample; raises when above tol."""
-        worst = self.max_abs(boundary_sample(self.domain, n))
+    def check_boundary(self, tol: float = 1e-9) -> float:
+        """max |psi| over 100 boundary samples; raises when above tol."""
+        worst = self.max_abs(boundary_sample(self.domain, 100))
         if worst > tol:
             raise ValueError(f"stream function fails to vanish on the boundary: {worst:g} > {tol:g}")
         return worst
@@ -274,10 +270,10 @@ class QuadratureStreamFunction(StreamFunction):
 
     kind = "quadrature"
 
-    def __init__(self, stress: StressField, domain: TriangleDomain, spec: QuadratureSpec | None = None):
+    def __init__(self, stress: StressField, domain: TriangleDomain):
         super().__init__(domain)
         self.stress = stress
-        self.spec = spec or default_quadrature_spec(cosine_harmonic(stress, float(domain.a)))
+        self.spec = default_quadrature_spec(cosine_harmonic(stress, float(domain.a)))
         self._g = stress_char_evaluator(stress, float(domain.a))
 
     def _raw_eval(self, x, y):
@@ -380,25 +376,22 @@ def solve_exact_poly(
         raise ArithmeticError("internal error: exact solution does not vanish on the boundary")
     out = PolyStreamFunction(psi, d, PolynomialStress(fp))
     if d is not None:
-        out.check_boundary(100, 1e-9 * max(out.scale(), 1.0))
+        out.check_boundary(1e-9 * max(out.scale(), 1.0))
     return out
 
 
-def solve_quadrature(
-    f: StressField,
-    d: TriangleDomain,
-    spec: QuadratureSpec | None = None,
-) -> QuadratureStreamFunction:
+def solve_quadrature(f: StressField, d: TriangleDomain) -> QuadratureStreamFunction:
     """Quadrature-backed stream function for a general admissible stress,
-    behind ``compat_check`` with its default sweep and tolerance."""
+    behind ``compat_check`` with its default sweep and tolerance, under
+    the rule ``default_quadrature_spec`` derives from the stress."""
     report = compat_check(f, d)
     if not report.is_compatible:
         raise IncompatibleStress(
             f"stress fails the admissibility sweep: max residual {report.max_abs_residual:g} "
             f"(normalization {report.normalization:g})"
         )
-    out = QuadratureStreamFunction(f, d, spec)
-    out.check_boundary(100, 1e-6 * max(out.scale(), 1e-12))
+    out = QuadratureStreamFunction(f, d)
+    out.check_boundary(1e-6 * max(out.scale(), 1e-12))
     return out
 
 
@@ -407,7 +400,7 @@ def sinusoidal_closed_form(amplitude: float, d: TriangleDomain) -> SinusoidalStr
     out = SinusoidalStreamFunction(amplitude, d)
     c = abs(out._c)
     if c > 0:
-        out.check_boundary(100, 1e-13 * c)
+        out.check_boundary(1e-13 * c)
     return out
 
 
@@ -420,7 +413,7 @@ def realistic_example(d: TriangleDomain | None) -> PolyStreamFunction:
         psi = psi.subs_a(Fraction(d.a))
     out = PolyStreamFunction(psi, d)
     if d is not None:
-        out.check_boundary(100, 1e-9 * max(out.scale(), 1.0))
+        out.check_boundary(1e-9 * max(out.scale(), 1.0))
     return out
 
 

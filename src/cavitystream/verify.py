@@ -31,9 +31,15 @@ from .geometry import (
 )
 from .polyalg import BivariatePoly, wave_operator
 from .quadrature import riemann_rect
-from .compatibility import StressField, cosine_harmonic, stress_char_evaluator
+from .compatibility import StressField, cosine_harmonic, stress_char_evaluator, stress_scale
 from . import solver as _solver
-from .solver import QuadratureStreamFunction, StreamFunction, solve_exact_poly
+from .solver import (
+    PolyStreamFunction,
+    QuadratureStreamFunction,
+    SinusoidalStreamFunction,
+    StreamFunction,
+    solve_exact_poly,
+)
 
 
 @dataclass(frozen=True)
@@ -88,32 +94,60 @@ def riemann_psi(stress: StressField, d: TriangleDomain, p: PhysicalPoint, cells_
     return -0.25 * (riemann_rect(g, rects.rect1, cells_per_axis) + riemann_rect(g, rects.rect2, cells_per_axis))
 
 
-def verify_solution(
-    psi: StreamFunction,
-    f: StressField,
-    d: TriangleDomain,
-    lattice_n: int = 32,
-    tol_pde: float = 5e-3,
-    tol_bc: float = 1e-9,
-    fd_h: float | None = None,
-) -> VerificationReport:
-    """Strong-form + boundary + (for quadrature backings) Riemann checks.
+# Second-difference step as a fraction of a, and the side of the
+# interior lattice the strong form is checked on.
+FD_STEP = 1e-4
+LATTICE_N = 32
 
-    ``tol_bc`` is absolute; pick it relative to the field's scale at the
-    call site.  The interior lattice is the grid-export lattice minus a
-    one-stencil margin.  A quadrature backing meets ``riemann_psi`` at 20
-    seeded points within 5e-3 of its scale, with max(256, 16 m) cells per
-    axis for a cosine stress of harmonic m (256 otherwise).
-    """
-    if lattice_n < 4:
-        raise ValueError("lattice_n must be >= 4")
+
+def _poly_roundoff_bound(psi: PolyStreamFunction, d: TriangleDomain) -> float:
     a = float(d.a)
-    h = fd_h if fd_h is not None else 1e-4 * a
-    needs_margin = isinstance(psi, QuadratureStreamFunction)
-    margin = h * 1.5 if needs_margin else 1e-12 * a
-    pts = interior_lattice(d, lattice_n, margin=margin)
+    total = 0.0
+    for (i, j, _), c in psi.poly.terms():
+        total += abs(float(c)) * (2 * a) ** i * a**j
+    return 4 * 2.3e-16 * max(total, 1.0)
+
+
+def _tolerances(psi: StreamFunction, f: StressField, h: float) -> tuple[float, float]:
+    """(tol_pde, tol_bc) sized to each backing's honest error budget."""
+    d = psi.domain
+    if isinstance(psi, PolyStreamFunction):
+        # second differences: truncation h^2/12 * 4th derivatives + cancellation
+        pts = interior_lattice(d, 15)
+        d4x = psi.poly.diff(1, 4).float_evaluator()
+        d4y = psi.poly.diff(2, 4).float_evaluator()
+        b4 = max((abs(d4x(p.x, p.y)) + abs(d4y(p.x, p.y)) for p in pts), default=0.0)
+        trunc = h * h / 12.0 * b4
+        cancel = 16 * 2.3e-16 * max(psi.scale(), 1.0) / (h * h)
+        tol_pde = 10 * (trunc + cancel) + 1e-12
+        tol_bc = max(_poly_roundoff_bound(psi, d), 1e-12)
+        return tol_pde, tol_bc
+    if isinstance(psi, SinusoidalStreamFunction):
+        c = 2 * abs(psi.amplitude) * float(d.a) ** 2 / (9 * math.pi**2)
+        return 5e-3 * max(1.0, abs(psi.amplitude) / 5.0), max(1e-13 * c, 1e-300)
+    scale = max(psi.scale(), 1e-12)
+    return 5e-3 * max(1.0, stress_scale(f, d)), 1e-6 * scale
+
+
+def verify_solution(psi: StreamFunction, f: StressField) -> VerificationReport:
+    """Strong-form + boundary + (for quadrature backings) Riemann checks
+    of ``psi`` against the stress ``f`` on ``psi.domain``.
+
+    The strong form is checked by second differences of step FD_STEP*a
+    on the LATTICE_N interior lattice, less a margin of 1.5 steps from
+    every edge (which, at that lattice, drops only the points on the
+    edges); the boundary at 10*LATTICE_N samples.  ``_tolerances`` sizes
+    both from the backing.  A quadrature backing meets ``riemann_psi``
+    at 20 seeded points within 5e-3 of its scale, with max(256, 16 m)
+    cells per axis for a cosine stress of harmonic m (256 otherwise).
+    """
+    d = psi.domain
+    a = float(d.a)
+    h = FD_STEP * a
+    tol_pde, tol_bc = _tolerances(psi, f, h)
+    pts = interior_lattice(d, LATTICE_N, margin=h * 1.5)
     max_resid = float(np.max(_solver.residual(psi, f, pts, h), initial=0.0))
-    max_bc = psi.max_abs(boundary_sample(d, 10 * lattice_n))
+    max_bc = psi.max_abs(boundary_sample(d, 10 * LATTICE_N))
 
     quad_vs_riemann = None
     checks = {

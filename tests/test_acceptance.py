@@ -14,7 +14,6 @@ import pytest
 
 from cavitystream.geometry import TriangleDomain, PhysicalPoint, boundary_sample, distance_to_boundary
 from cavitystream.polyalg import BivariatePoly, poly_vars, wave_operator
-from cavitystream.quadrature import QuadratureSpec
 from cavitystream.compatibility import (
     CosineStress,
     PolynomialStress,
@@ -172,7 +171,6 @@ def test_08_two_path_uniqueness():
         assert summary.all_passed, f"failed trials: {summary.failures}"
 
         rng = random.Random(991)
-        spec = QuadratureSpec(order=10, subdivision=1)
         checked = 0
         while checked < 200:
             psi0 = boundary_vanishing_poly(random_poly(rng, max_degree=2)).subs_a(1)
@@ -180,7 +178,7 @@ def test_08_two_path_uniqueness():
                 continue
             f = PolynomialStress(wave_operator(psi0))
             exact = solve_exact_poly(f, D1)
-            quad = solve_quadrature(f, D1, spec)
+            quad = solve_quadrature(f, D1)
             scale = max(exact.scale(), 1e-12)
             for _ in range(50):
                 x, y = rng.uniform(0, 2), rng.uniform(0, 1)

@@ -137,6 +137,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config({"streamlines": {"seeds": [[1.0]]}})
 
+    @pytest.mark.parametrize("seeds, flags, message", [
+        ([[1.0, 0.3], [5, 5]], [], "streamlines.seeds[1] (5, 5) is not inside the cavity (a = 1)"),
+        ([[1.0, 0.3], [1.0, 0.0]], [], "streamlines.seeds[1] (1, 0) is not inside the cavity (a = 1)"),
+        ([[0.5, 0.2], [1.0, 0.3]], ["--a", "0.5"], "streamlines.seeds[1] (1, 0.3) is not inside the cavity (a = 0.5)"),
+    ])
+    def test_seed_outside_the_cavity(self, tmp_path, capsys, seeds, flags, message):
+        # checked against the final a, before any output directory is made
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, {"streamlines": {"seeds": seeds}, "out": str(out)})
+        assert run(["flow", "--config", cfg, "--quiet", *flags]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
 
 class TestCheckCommand:
     def test_admissible_linear_family(self, tmp_path):

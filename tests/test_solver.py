@@ -10,7 +10,6 @@ import pytest
 
 from cavitystream.geometry import TriangleDomain, PhysicalPoint, boundary_sample, classify, interior_lattice
 from cavitystream.polyalg import BivariatePoly, poly_vars, wave_operator
-from cavitystream.quadrature import QuadratureSpec
 from cavitystream import compatibility, solver
 from cavitystream.compatibility import (
     CosineStress,
@@ -213,12 +212,11 @@ class TestQuadratureSolve:
 
     def test_two_path_agreement_random_stresses(self):
         rng = random.Random(23)
-        spec = QuadratureSpec(order=10, subdivision=1)
         for trial in range(3):
             psi0 = boundary_vanishing_poly(random_poly(rng, max_degree=2)).subs_a(1)
             f = PolynomialStress(wave_operator(psi0))
             exact = solve_exact_poly(f, D1)
-            quad = solve_quadrature(f, D1, spec)
+            quad = solve_quadrature(f, D1)
             scale = max(exact.scale(), 1e-12)
             for _ in range(40):
                 x = rng.uniform(0, 2)
@@ -244,7 +242,7 @@ class TestOpaqueStress:
             return 16.0 * y - 8.0 + 5.0 * np.cos(3 * math.pi * y)
 
         stress = OpaqueStress(f)
-        psi = solve_quadrature(stress, D1, QuadratureSpec(order=12, subdivision=8))
+        psi = solve_quadrature(stress, D1)
         reference = linear_example(D1)
         closed = sinusoidal_closed_form(2.5, D1)
         for x, y in [(1.0, 0.5), (0.8, 0.3), (1.4, 0.4)]:
@@ -342,7 +340,7 @@ class TestResidualOperator:
 
     def test_quadrature_backing_needs_stencil_margin(self):
         f = PolynomialStress((16 * Y - 8 * A).subs_a(1))
-        psi = solve_quadrature(f, D1, QuadratureSpec(order=8, subdivision=1))
+        psi = solve_quadrature(f, D1)
         with pytest.raises(ValueError):
             residual(psi, f, PhysicalPoint(1.0, 1e-5), 1e-3)
         assert residual(psi, f, PhysicalPoint(1.0, 0.5), 1e-3) <= 1e-6
@@ -380,7 +378,7 @@ class TestBoundaryGuard:
 
         bad = PolyStreamFunction((X * Y).subs_a(1), D1)
         with pytest.raises(ValueError):
-            bad.check_boundary(100, 1e-9)
+            bad.check_boundary(1e-9)
 
 
 def _odd_cosine_psi(A, m, a, x, y):
@@ -397,11 +395,11 @@ class TestBatchedQuadratureEvaluation:
             seen.append(np.size(x))
             return np.cos(3 * math.pi * y)
 
-        spec = QuadratureSpec(order=4, subdivision=3)
-        psi = QuadratureStreamFunction(OpaqueStress(f), D1, spec)
+        psi = QuadratureStreamFunction(OpaqueStress(f), D1)
         psi.evaluate(1.0, 0.5)
-        # [-0.5, 1.5] x [-0.5, 0]: sides 1 and 0.5 of span 2 take 2 x 1 cells
-        assert sum(seen) == 2 * 1 * 4**2
+        # [0.5, 1.5] x [-0.5, 0]: sides 1 and 0.5 of span 2 take 4 x 2 of
+        # the default 8 cells across, each of order 12
+        assert sum(seen) == 4 * 2 * 12**2
 
     def test_evaluate_many_matches_evaluate(self):
         psi = solve_quadrature(CosineStress(5.0, 3 * math.pi), D1)
@@ -441,7 +439,7 @@ class TestBatchedQuadratureEvaluation:
 
     def test_batched_residual_matches_scalar_form(self):
         f = OpaqueStress(lambda x, y: 16.0 * y - 8.0 + 5.0 * np.cos(3 * math.pi * y))
-        psi = solve_quadrature(f, D1, QuadratureSpec(order=12, subdivision=8))
+        psi = solve_quadrature(f, D1)
         pts = interior_lattice(D1, 12, margin=0.01)
         h = 1e-3
         batch = residual(psi, f, pts, h)
@@ -455,7 +453,7 @@ class TestBatchedQuadratureEvaluation:
 
     def test_batched_residual_guards_every_point(self):
         f = PolynomialStress((16 * Y - 8 * A).subs_a(1))
-        psi = solve_quadrature(f, D1, QuadratureSpec(order=8, subdivision=1))
+        psi = solve_quadrature(f, D1)
         inside = PhysicalPoint(1.0, 0.5)
         with pytest.raises(ValueError, match="leaves the closed triangle"):
             residual(psi, f, [inside, PhysicalPoint(1.0, 1e-5)], 1e-3)

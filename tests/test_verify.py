@@ -4,13 +4,13 @@ import math
 
 import pytest
 
-from cavitystream.geometry import TriangleDomain, PhysicalPoint
+from cavitystream.geometry import TriangleDomain, PhysicalPoint, interior_lattice
 from cavitystream.polyalg import BivariatePoly, poly_vars, wave_operator
-from cavitystream.quadrature import QuadratureSpec
-from cavitystream.compatibility import CosineStress, PolynomialStress
+from cavitystream.compatibility import CosineStress, cosine_from_harmonic, stress_scale
 from cavitystream.solver import (
     PolyStreamFunction,
     linear_example,
+    residual,
     sinusoidal_closed_form,
     solve_exact_poly,
     solve_quadrature,
@@ -49,16 +49,14 @@ def _exact_stencil_residual(psi_poly, f_poly, p, h):
 
 class TestVerifySolution:
     def test_linear_exact_case_passes(self):
-        # cubic stream function: the stencil truncation is identically zero,
-        # so h = 1e-3 leaves only ~1e-10 of float cancellation
         psi = linear_example(D1)
-        report = verify_solution(
-            psi, psi.source_stress, D1, lattice_n=32, tol_pde=1e-9, tol_bc=1e-13, fd_h=1e-3
-        )
+        report = verify_solution(psi, psi.source_stress)
         assert report.overall_pass
-        assert report.max_interior_residual <= 1e-9
         assert report.max_boundary_value <= 1e-14
         assert report.quadrature_vs_riemann is None
+        # cubic stream function: the stencil truncation is identically zero,
+        # so h = 1e-3 leaves only ~1e-10 of float cancellation
+        assert max(residual(psi, psi.source_stress, interior_lattice(D1, 32), 1e-3)) <= 1e-9
 
     def test_linear_case_exact_zero_residual_in_rational_arithmetic(self):
         # the polynomial-identity oracle: second differences of a cubic
@@ -73,19 +71,19 @@ class TestVerifySolution:
 
     def test_sinusoidal_passes_at_documented_tolerance(self):
         psi = sinusoidal_closed_form(5.0, D1)
-        report = verify_solution(psi, psi.source_stress, D1, lattice_n=32, tol_pde=5e-3, tol_bc=1e-13)
+        report = verify_solution(psi, psi.source_stress)
         assert report.overall_pass
 
     def test_perturbed_field_fails_boundary_check(self):
         psi = linear_example(D1)
         bad = PolyStreamFunction(psi.poly + X * BivariatePoly.const(1e-3).subs_a(1), D1)
-        report = verify_solution(bad, psi.source_stress, D1, lattice_n=16, tol_pde=1e-9, tol_bc=1e-13)
+        report = verify_solution(bad, psi.source_stress)
         assert not report.checks["boundary_value"]["pass"]
 
     def test_quadrature_backing_gets_riemann_check(self):
         stress = CosineStress(5.0, math.pi)
         psi = solve_quadrature(stress, D1)
-        report = verify_solution(psi, stress, D1, lattice_n=8, tol_pde=5e-3, tol_bc=1e-6)
+        report = verify_solution(psi, stress)
         assert report.quadrature_vs_riemann is not None
         assert report.checks["quadrature_vs_riemann"]["pass"]
 
@@ -103,7 +101,7 @@ class TestVerifySolution:
         monkeypatch.setattr(verify_mod, "riemann_rect", spy)
         stress = CosineStress(1.0, m * math.pi)
         psi = solve_quadrature(stress, D1)
-        report = verify_solution(psi, stress, D1, lattice_n=8, tol_pde=5e-3, tol_bc=1e-6)
+        report = verify_solution(psi, stress)
         assert seen == {cells}
         assert report.checks["quadrature_vs_riemann"]["pass"]
 
@@ -121,10 +119,9 @@ class TestVerifySolution:
 
     def test_monotone_refinement_float_sanity(self):
         psi = linear_example(D1)
-        r1 = verify_solution(psi, psi.source_stress, D1, lattice_n=16, tol_pde=1e-8, tol_bc=1e-12, fd_h=1e-3)
-        r2 = verify_solution(psi, psi.source_stress, D1, lattice_n=32, tol_pde=1e-8, tol_bc=1e-12, fd_h=1e-3)
+        r16, r32 = (max(residual(psi, psi.source_stress, interior_lattice(D1, n), 1e-3)) for n in (16, 32))
         noise = 32 * 2.3e-16 * psi.scale() / 1e-3**2
-        assert r2.max_interior_residual <= r1.max_interior_residual + noise
+        assert r32 <= r16 + noise
 
     def test_perturbation_sensitivity_scales_linearly(self):
         psi = linear_example(D1)
@@ -132,7 +129,7 @@ class TestVerifySolution:
         for eps in (1e-4, 1e-3):
             bump = (X * Y * (X + Y) * BivariatePoly.const(eps)).subs_a(1)
             bad = PolyStreamFunction(psi.poly + bump, D1)
-            rep = verify_solution(bad, psi.source_stress, D1, lattice_n=16, tol_pde=1e-9, tol_bc=1e-12)
+            rep = verify_solution(bad, psi.source_stress)
             worsts.append(max(rep.max_interior_residual, rep.max_boundary_value))
         assert worsts[1] == pytest.approx(10 * worsts[0], rel=0.2)
 
@@ -140,15 +137,38 @@ class TestVerifySolution:
         import json
 
         psi = linear_example(D1)
-        rep = verify_solution(psi, psi.source_stress, D1, lattice_n=8, tol_pde=1e-9, tol_bc=1e-12, fd_h=1e-3)
+        rep = verify_solution(psi, psi.source_stress)
         doc = json.loads(rep.to_json())
         assert doc["overall_pass"] is True
         assert set(doc["checks"]) == {"interior_residual", "boundary_value"}
 
-    def test_lattice_floor(self):
-        psi = linear_example(D1)
-        with pytest.raises(ValueError):
-            verify_solution(psi, psi.source_stress, D1, lattice_n=3, tol_pde=1e-9, tol_bc=1e-12)
+
+class TestTolerances:
+    """The tolerance of every check for the backings that no pinned
+    digest covers, equal to the expressions spelled out here."""
+
+    # at a = 1e-3, 1e-13 * abs(psi._c) differs from this c in the last bit
+    @pytest.mark.parametrize("a", [1e-3, 0.37, 1.0, 2.5])
+    def test_sinusoidal_builtin(self, a):
+        amplitude = 5.0
+        psi = sinusoidal_closed_form(amplitude, TriangleDomain(a))
+        c = 2 * abs(amplitude) * float(a) ** 2 / (9 * math.pi**2)
+        checks = verify_solution(psi, psi.source_stress).checks
+        assert {name: check["tol"] for name, check in checks.items()} == {
+            "interior_residual": 5e-3 * max(1.0, abs(amplitude) / 5.0),
+            "boundary_value": max(1e-13 * c, 1e-300),
+        }
+
+    def test_cosine_quadrature(self):
+        stress = cosine_from_harmonic(10.0, 3, D1)
+        psi = solve_quadrature(stress, D1)
+        scale = max(psi.scale(), 1e-12)
+        checks = verify_solution(psi, stress).checks
+        assert {name: check["tol"] for name, check in checks.items()} == {
+            "interior_residual": 5e-3 * max(1.0, stress_scale(stress, D1)),
+            "boundary_value": 1e-6 * scale,
+            "quadrature_vs_riemann": 5e-3 * scale,
+        }
 
 
 class TestRiemannOracle:
@@ -160,7 +180,7 @@ class TestRiemannOracle:
 
     def test_independent_of_gauss_machinery(self):
         stress = CosineStress(5.0, math.pi)
-        quad = solve_quadrature(stress, D1, QuadratureSpec(order=12, subdivision=8))
+        quad = solve_quadrature(stress, D1)
         p = PhysicalPoint(0.9, 0.4)
         assert riemann_psi(stress, D1, p, 512) == pytest.approx(quad.evaluate(*p), abs=5e-5)
 
