@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
 """Run every benchmark workload once, traced, and fail unless each run
-is correct with no failed operation and its traced psi.csv error
-against the closed form (`solver.psi_rel_err`) is at most 1e-12.
+is correct with no failed operation, its traced psi.csv error against
+the closed form (`solver.psi_rel_err`) is at most 1e-12 and its traced
+`verify.min_headroom` (tolerance over value of the tightest verify
+check) is at least 2.  Every verify tolerance is `verify.SAFETY` = 4
+times its error model, so a check under half its safety factor is
+drifting toward its bound.
 
 A traced run fails loudly when a must-fire counter reads 0, so this
 also catches a renamed wrapped function (such as `integrate_rect`) and
@@ -28,6 +32,7 @@ import sys
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 PSI_REL_ERR_MAX = 1e-12
+HEADROOM_MIN = 2.0
 COUNTER_CEILINGS = {
     "quad-cosine": {"quadrature.nodes": 6_901_632, "quadrature.riemann_nodes": 5_242_880,
                     "verify.riemann_psi_calls": 40},
@@ -58,14 +63,16 @@ def main() -> int:
             result = json.loads(lines[-1])
             metrics = result["metrics"]
             psi_err = metrics["solver.psi_rel_err"]["value"]
+            headroom = metrics["verify.min_headroom"]["value"]
             over = [f"{key} {metrics[key]['value']} > {ceiling}"
                     for key, ceiling in COUNTER_CEILINGS.get(name, {}).items()
                     if metrics[key]["value"] > ceiling]
             ok = (proc.returncode == 0 and result["correct"] is True and result["failed"] == 0
-                  and psi_err <= PSI_REL_ERR_MAX and not over)
+                  and psi_err <= PSI_REL_ERR_MAX and headroom >= HEADROOM_MIN and not over)
         except (IndexError, ValueError, KeyError, TypeError):
-            ok, psi_err = False, None
-        print(f"{name}: {'ok' if ok else 'FAILED'} (exit {proc.returncode}, psi_rel_err {psi_err})"
+            ok, psi_err, headroom = False, None, None
+        print(f"{name}: {'ok' if ok else 'FAILED'} (exit {proc.returncode}, psi_rel_err {psi_err}, "
+              f"verify.min_headroom {headroom})"
               + "".join(f"; {o}" for o in over))
         if not ok:
             bad.append(name)

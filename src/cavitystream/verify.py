@@ -31,15 +31,9 @@ from .geometry import (
 )
 from .polyalg import BivariatePoly, wave_operator
 from .quadrature import riemann_rect
-from .compatibility import StressField, cosine_harmonic, stress_char_evaluator, stress_scale
+from .compatibility import StressField, cosine_harmonic, stress_char_evaluator
 from . import solver as _solver
-from .solver import (
-    PolyStreamFunction,
-    QuadratureStreamFunction,
-    SinusoidalStreamFunction,
-    StreamFunction,
-    solve_exact_poly,
-)
+from .solver import QuadratureStreamFunction, StreamFunction, solve_exact_poly
 
 
 @dataclass(frozen=True)
@@ -94,39 +88,33 @@ def riemann_psi(stress: StressField, d: TriangleDomain, p: PhysicalPoint, cells_
     return -0.25 * (riemann_rect(g, rects.rect1, cells_per_axis) + riemann_rect(g, rects.rect2, cells_per_axis))
 
 
-# Second-difference step as a fraction of a, and the side of the
-# interior lattice the strong form is checked on.
+# Second-difference step as a fraction of a, the side of the interior
+# lattice the strong form is checked on, and the factor every tolerance
+# puts over the error model.
 FD_STEP = 1e-4
 LATTICE_N = 32
+SAFETY = 4
 
 
-def _poly_roundoff_bound(psi: PolyStreamFunction, d: TriangleDomain) -> float:
-    a = float(d.a)
-    total = 0.0
-    for (i, j, _), c in psi.poly.terms():
-        total += abs(float(c)) * (2 * a) ** i * a**j
-    return 4 * 2.3e-16 * max(total, 1.0)
+def _tolerances(psi: StreamFunction, f: StressField, h, pts, edge) -> tuple[float, float]:
+    """(tol_pde, tol_bc) from one error model, at the checked points.
 
-
-def _tolerances(psi: StreamFunction, f: StressField, h: float) -> tuple[float, float]:
-    """(tol_pde, tol_bc) sized to each backing's honest error budget."""
-    d = psi.domain
-    if isinstance(psi, PolyStreamFunction):
-        # second differences: truncation h^2/12 * 4th derivatives + cancellation
-        pts = interior_lattice(d, 15)
-        d4x = psi.poly.diff(1, 4).float_evaluator()
-        d4y = psi.poly.diff(2, 4).float_evaluator()
-        b4 = max((abs(d4x(p.x, p.y)) + abs(d4y(p.x, p.y)) for p in pts), default=0.0)
-        trunc = h * h / 12.0 * b4
-        cancel = 16 * 2.3e-16 * max(psi.scale(), 1.0) / (h * h)
-        tol_pde = 10 * (trunc + cancel) + 1e-12
-        tol_bc = max(_poly_roundoff_bound(psi, d), 1e-12)
-        return tol_pde, tol_bc
-    if isinstance(psi, SinusoidalStreamFunction):
-        c = 2 * abs(psi.amplitude) * float(d.a) ** 2 / (9 * math.pi**2)
-        return 5e-3 * max(1.0, abs(psi.amplitude) / 5.0), max(1e-13 * c, 1e-300)
-    scale = max(psi.scale(), 1e-12)
-    return 5e-3 * max(1.0, stress_scale(f, d)), 1e-6 * scale
+    L = -d_xx + d_yy commutes with the Laplacian, so the five-point
+    stencil misses L psi by h^2/12 (f_xx + f_yy) + O(h^4): the truncation
+    is the stress's own, read from the same stencil applied to f at the
+    interior points ``pts``.  The backing enters only through
+    ``psi.rounding_bound``, delta; the stencil's four outer values put
+    4 delta / h^2 on the residual, and exact psi vanishes on the boundary
+    samples ``edge``, so the boundary check reads delta alone.  ``h`` is
+    a numpy float: an h*h that underflows gives nan, a failed check.
+    """
+    fv = f.evaluator(float(psi.domain.a))
+    x, y = np.asarray(pts, dtype=float).reshape(-1, 2).T
+    lap_f = (fv(x - h, y) + fv(x + h, y) + fv(x, y - h) + fv(x, y + h) - 4 * fv(x, y)) / (h * h)
+    trunc = h * h / 12 * np.max(np.abs(lap_f), initial=0.0)
+    tol_pde = SAFETY * (trunc + 4 * np.max(psi.rounding_bound(x, y), initial=0.0) / (h * h))
+    bx, by = np.asarray(edge, dtype=float).T
+    return float(tol_pde), float(SAFETY * np.max(psi.rounding_bound(bx, by), initial=0.0))
 
 
 def verify_solution(psi: StreamFunction, f: StressField) -> VerificationReport:
@@ -137,17 +125,19 @@ def verify_solution(psi: StreamFunction, f: StressField) -> VerificationReport:
     on the LATTICE_N interior lattice, less a margin of 1.5 steps from
     every edge (which, at that lattice, drops only the points on the
     edges); the boundary at 10*LATTICE_N samples.  ``_tolerances`` sizes
-    both from the backing.  A quadrature backing meets ``riemann_psi``
-    at 20 seeded points within 5e-3 of its scale, with max(256, 16 m)
-    cells per axis for a cosine stress of harmonic m (256 otherwise).
+    both from the stress's truncation and the backing's rounding.  A
+    quadrature backing meets ``riemann_psi`` at 20 seeded points within
+    5e-3 of its scale, with max(256, 16 m) cells per axis for a cosine
+    stress of harmonic m (256 otherwise).
     """
     d = psi.domain
     a = float(d.a)
-    h = FD_STEP * a
-    tol_pde, tol_bc = _tolerances(psi, f, h)
+    h = np.float64(FD_STEP * a)
     pts = interior_lattice(d, LATTICE_N, margin=h * 1.5)
+    edge = boundary_sample(d, 10 * LATTICE_N)
+    tol_pde, tol_bc = _tolerances(psi, f, h, pts, edge)
     max_resid = float(np.max(_solver.residual(psi, f, pts, h), initial=0.0))
-    max_bc = psi.max_abs(boundary_sample(d, 10 * LATTICE_N))
+    max_bc = psi.max_abs(edge)
 
     quad_vs_riemann = None
     checks = {

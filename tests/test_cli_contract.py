@@ -1,5 +1,7 @@
 """The CLI contract, swept with hypothesis: `check` and `solve` on every
-stress kind at the extremes of the unit of length.
+stress kind at the extremes of the unit of length, from a = 1e-300,
+where the verify step h = 1e-4 a squares to zero, to a = 1e100, where
+a polynomial psi overflows.
 
 Each config is run twice in-process through ``cli.run`` with
 ``--grid 11``.  The exit code must be 0, 1 or 2, nothing may escape as
@@ -30,7 +32,7 @@ STRESSES = [
     {"kind": "cosine", "A": 1, "m": 2},
     {"kind": "polynomial", "terms": [{"i": 0, "j": 1, "coefficient": 16}, {"i": 0, "j": 0, "coefficient": -8}]},
 ]
-A_VALUES = [1e-3, 1.0, 1e3]
+A_VALUES = [1e-300, 1e-3, 1.0, 1e3, 1e100]
 COMMANDS = ["check", "solve"]
 CASES = list(itertools.product(COMMANDS, range(len(STRESSES)), A_VALUES))
 

@@ -455,7 +455,7 @@ class TestBatchedQuadratureEvaluation:
         f = PolynomialStress((16 * Y - 8 * A).subs_a(1))
         psi = solve_quadrature(f, D1)
         inside = PhysicalPoint(1.0, 0.5)
-        with pytest.raises(ValueError, match="leaves the closed triangle"):
+        with pytest.raises(ValueError, match="outside the closed triangle"):
             residual(psi, f, [inside, PhysicalPoint(1.0, 1e-5)], 1e-3)
         with pytest.raises(ValueError, match="is not interior"):
             residual(psi, f, [inside, PhysicalPoint(1.0, 0.0)], 1e-3)

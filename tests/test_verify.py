@@ -1,14 +1,18 @@
 """Independent verification oracles."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from cavitystream.geometry import TriangleDomain, PhysicalPoint, interior_lattice
 from cavitystream.polyalg import BivariatePoly, poly_vars, wave_operator
-from cavitystream.compatibility import CosineStress, cosine_from_harmonic, stress_scale
+from cavitystream.compatibility import CosineStress, cosine_from_harmonic
 from cavitystream.solver import (
+    UNIT_ROUNDOFF,
     PolyStreamFunction,
+    QuadratureStreamFunction,
     linear_example,
     residual,
     sinusoidal_closed_form,
@@ -16,7 +20,10 @@ from cavitystream.solver import (
     solve_quadrature,
 )
 from cavitystream.verify import (
+    FD_STEP,
+    SAFETY,
     boundary_vanishing_poly,
+    random_poly,
     riemann_psi,
     uniqueness_suite,
     verify_solution,
@@ -144,31 +151,114 @@ class TestVerifySolution:
 
 
 class TestTolerances:
-    """The tolerance of every check for the backings that no pinned
-    digest covers, equal to the expressions spelled out here."""
+    """Every tolerance is SAFETY times one error model: the stencil's
+    truncation h^2/12 |Laplacian f| from the stress, and the backing's
+    ``rounding_bound`` delta, 4 delta / h^2 on the residual and delta
+    on the boundary."""
 
-    # at a = 1e-3, 1e-13 * abs(psi._c) differs from this c in the last bit
+    @staticmethod
+    def _assert_cosine_model(checks, a):
+        # f = 10 cos(3 pi y / a): delta = u (1 + 2 pi m) max|f| a^2 / 4,
+        # and |Laplacian f| <= 10 k^2
+        h, k = FD_STEP * a, 3 * math.pi / a
+        bc = SAFETY * UNIT_ROUNDOFF * (1 + 6 * math.pi) * 10 * a**2 / 4
+        assert checks["boundary_value"]["tol"] == pytest.approx(bc, rel=1e-15)
+        rounding = 4 * bc / h**2
+        assert rounding <= checks["interior_residual"]["tol"] <= rounding + SAFETY * h**2 * k**2 * 10 / 12
+
     @pytest.mark.parametrize("a", [1e-3, 0.37, 1.0, 2.5])
     def test_sinusoidal_builtin(self, a):
-        amplitude = 5.0
-        psi = sinusoidal_closed_form(amplitude, TriangleDomain(a))
-        c = 2 * abs(amplitude) * float(a) ** 2 / (9 * math.pi**2)
-        checks = verify_solution(psi, psi.source_stress).checks
-        assert {name: check["tol"] for name, check in checks.items()} == {
-            "interior_residual": 5e-3 * max(1.0, abs(amplitude) / 5.0),
-            "boundary_value": max(1e-13 * c, 1e-300),
-        }
+        psi = sinusoidal_closed_form(5.0, TriangleDomain(a))
+        self._assert_cosine_model(verify_solution(psi, psi.source_stress).checks, a)
 
     def test_cosine_quadrature(self):
         stress = cosine_from_harmonic(10.0, 3, D1)
         psi = solve_quadrature(stress, D1)
-        scale = max(psi.scale(), 1e-12)
         checks = verify_solution(psi, stress).checks
-        assert {name: check["tol"] for name, check in checks.items()} == {
-            "interior_residual": 5e-3 * max(1.0, stress_scale(stress, D1)),
-            "boundary_value": 1e-6 * scale,
-            "quadrature_vs_riemann": 5e-3 * scale,
-        }
+        self._assert_cosine_model(checks, 1.0)
+        assert checks["quadrature_vs_riemann"]["tol"] == 5e-3 * max(psi.scale(), 1e-12)
+
+    def test_stencil_truncation_is_the_stress_laplacian(self):
+        # L commutes with the Laplacian: -psi_xxxx + psi_yyyy = f_xx + f_yy
+        rng = random.Random(20261018)
+        for _ in range(5):
+            psi = boundary_vanishing_poly(random_poly(rng))
+            f = wave_operator(psi)
+            assert -psi.diff(1, 4) + psi.diff(2, 4) == f.diff(1, 2) + f.diff(2, 2)
+
+    @staticmethod
+    def _headroom(kind, s, a):
+        d = TriangleDomain(a)
+        if kind == "linear":
+            psi = PolyStreamFunction(linear_example(d).poly * s, d)
+        elif kind == "sinusoidal":
+            psi = sinusoidal_closed_form(5 * s, d)
+        else:
+            psi = solve_quadrature(cosine_from_harmonic(s, 3, d), d)
+        checks = verify_solution(psi, psi.source_stress).checks
+        names = ("interior_residual", "boundary_value")
+        assert all(checks[name]["pass"] for name in names)
+        return [checks[name]["tol"] / checks[name]["value"] for name in names]
+
+    @pytest.mark.parametrize("kind", ["linear", "sinusoidal", "cosine"])
+    def test_headroom_is_invariant_under_scaling(self, kind):
+        # f -> s f and a -> a' leave both verdicts and, within a factor
+        # of 2, both headrooms; the Riemann check is sized apart
+        reference = self._headroom(kind, 1, 1.0)
+        for s in (1e-6, 1, 1e6):
+            for a in (1e-3, 1.0, 1e3):
+                for got, ref in zip(self._headroom(kind, s, a), reference):
+                    assert 0.5 <= got / ref <= 2, (s, a)
+
+
+def _bubble(d):
+    """A boundary-vanishing quartic of max 1 on the 101-lattice."""
+    b = (2 * Y * (Y - X) * (X + Y - 2 * A) * (X + 2 * Y)).subs_a(d.a)
+    return b / max(abs(b.float_evaluator()(p.x, p.y)) for p in interior_lattice(d, 101))
+
+
+class _Bumped(QuadratureStreamFunction):
+    """A quadrature field plus a polynomial error."""
+
+    def __init__(self, psi, bump):
+        super().__init__(psi.stress, psi.domain)
+        self._bump = bump.float_evaluator()
+
+    def evaluate_many(self, x, y):
+        return super().evaluate_many(x, y) + self._bump(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+
+class TestMutationsFailTheStrongForm:
+    """Wrong fields fail ``interior_residual`` at every amplitude and size."""
+
+    @pytest.mark.parametrize("amplitude", [1e-6, 1.0, 1e6])
+    def test_quadrature_off_by_a_bubble(self, amplitude):
+        psi = solve_quadrature(cosine_from_harmonic(amplitude, 3, D1), D1)
+        bad = _Bumped(psi, _bubble(D1) * (1e-6 * psi.scale()))
+        assert not verify_solution(bad, psi.stress).checks["interior_residual"]["pass"]
+
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    def test_linear_off_by_a_bubble(self, a):
+        d = TriangleDomain(a)
+        psi = linear_example(d)
+        bad = PolyStreamFunction(psi.poly + _bubble(d) * (1e-6 * psi.scale()), d)
+        assert not verify_solution(bad, psi.source_stress).checks["interior_residual"]["pass"]
+
+    @pytest.mark.parametrize("amplitude", [1e-6, 1.0, 1e6])
+    def test_wrong_harmonic(self, amplitude):
+        psi = solve_quadrature(cosine_from_harmonic(amplitude, 5, D1), D1)
+        stress = cosine_from_harmonic(amplitude, 3, D1)
+        assert not verify_solution(psi, stress).checks["interior_residual"]["pass"]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dense_degree_64_solves_verify(seed):
+    # admissible stresses of joint degree 64 whose residual is nearly all
+    # truncation; a tolerance sized from too few points failed half
+    rng = random.Random(seed)
+    q = BivariatePoly.from_terms({(i, j): rng.choice([-3, -2, -1, 1, 2, 3]) for i in range(64) for j in range(64 - i)})
+    psi = solve_exact_poly(wave_operator(boundary_vanishing_poly(q).subs_a(1)), D1)
+    assert verify_solution(psi, psi.source_stress).overall_pass
 
 
 class TestRiemannOracle:
