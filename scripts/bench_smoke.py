@@ -17,9 +17,13 @@ The traced work counters are deterministic, so each run also fails when
 a counter exceeds its ceiling in COUNTER_CEILINGS (the counts at seed 1):
 a regression there shows even when timings are too noisy to.  A change
 to the streamline step rule (ROADMAP item 1) re-sets the kinematics
-ceilings, and a change to the verify lattice or to the size of the
-Riemann oracle (ROADMAP item 6) re-sets the quad-cosine ones; a change
-that lowers a count should lower its ceiling.
+ceilings, and a change to the verify lattice or to the Riemann oracle
+re-sets the quad-cosine ones; a change that lowers a count should lower
+its ceiling.  The oracle sums one midpoint table per level at N, N/2
+and N/4 cells per axis for its 20 points (ROADMAP item 6), so
+quad-cosine makes one `riemann_psi` call per solve and 616,770 Riemann
+nodes in all, where 20 points with two rectangles each took 40 calls
+and 5,242,880 nodes.
 
 Usage: python scripts/bench_smoke.py [--seconds S]
 """
@@ -34,8 +38,8 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 PSI_REL_ERR_MAX = 1e-12
 HEADROOM_MIN = 2.0
 COUNTER_CEILINGS = {
-    "quad-cosine": {"quadrature.nodes": 6_901_632, "quadrature.riemann_nodes": 5_242_880,
-                    "verify.riemann_psi_calls": 40},
+    "quad-cosine": {"quadrature.nodes": 6_904_656, "quadrature.riemann_nodes": 616_770,
+                    "verify.riemann_psi_calls": 2},
     "symbolic-exact": {"polyalg.compose_calls": 381, "polyalg.mul_calls": 364,
                        "compatibility.exact_residual_calls": 93},
     "builtin-flow": {"polyalg.compose_calls": 18, "compatibility.exact_residual_calls": 2,

@@ -17,6 +17,8 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from .geometry import TriangleDomain, PhysicalPoint, classify, distance_to_boundary
 from .polyalg import BivariatePoly
 from .compatibility import (
@@ -62,7 +64,7 @@ MAX_GRID_N = 1001
 # seeds_per_axis loops over n^2 points.
 MAX_SEEDS_PER_AXIS = 101
 # Cosine harmonics: the quadrature subdivision max(8, ceil(m/2)) and the
-# Riemann oracle's max(256, 16m) cells per axis grow with m.
+# Riemann oracle's max(256, 64m) cells per axis grow with m.
 MAX_HARMONIC = 200
 MAX_STREAM_STEPS = 1_000_000
 # Joint degree i + j of a polynomial stress term: the exact path grows
@@ -512,7 +514,10 @@ def run(argv: list[str] | None = None) -> int:
         "examples": cmd_examples,
     }[args.command]
     try:
-        return handler(cfg, quiet=args.quiet)
+        # inf and nan fail the checks they reach; numpy's warnings about
+        # them would only break the one-line contract of stderr
+        with np.errstate(all="ignore"):
+            return handler(cfg, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import TriangleDomain, interior_lattice, boundary_sample
-from .polyalg import BivariatePoly
+from .polyalg import BivariatePoly, float_or_inf
 from .quadrature import default_quadrature_spec, integrate_rect
 from .geometry import Rect
 
@@ -136,7 +136,7 @@ def _cosine_residual(A: float, k: float, a: float, X) -> float:
     """Closed-form residual for A*cos(k y); exact antiderivatives, no quadrature."""
     if k == 0:
         return A * X * (2 * a - X)
-    c = 4.0 * A / (k * k)
+    c = 4.0 * A / np.float64(k * k)  # inf, not a ZeroDivisionError, where k * k underflows
     return c * (np.cos(k * X / 2.0) - np.cos(k * a) + np.cos(k * (2 * a - X) / 2.0) - 1.0)
 
 
@@ -202,7 +202,8 @@ def compat_check(f: StressField, d: TriangleDomain) -> CompatibilityReport:
     """Residual sweep over N_SWEEP Chebyshev nodes plus, for polynomial
     stresses, the exact vanishing criterion (which then decides the
     verdict); other stresses pass when the largest residual is at most
-    TOLERANCE times (2a)^2 max|f|."""
+    TOLERANCE times (2a)^2 max|f|.  Either verdict needs that
+    normalization to be finite."""
     a = float(d.a)
     nodes = chebyshev_nodes(N_SWEEP, 0.0, 2 * a)
     exact = None
@@ -210,17 +211,19 @@ def compat_check(f: StressField, d: TriangleDomain) -> CompatibilityReport:
         # one residual polynomial, symbolic in a iff the stress is, serves
         # the verdict and every sweep node
         exact = exact_residual_poly(f.poly, None if f.poly.has_symbol_a else d)
-        sweep = tuple((X, float(exact.eval(Fraction(X), 0, Fraction(d.a)))) for X in nodes)
+        sweep = tuple((X, float_or_inf(exact.eval(Fraction(X), 0, Fraction(d.a)))) for X in nodes)
     else:
         sweep = tuple((X, compat_residual(f, d, X)) for X in nodes)
     max_abs = max(abs(r) for _, r in sweep)
-    norm = (2 * a) ** 2 * stress_scale(f, d)
+    norm = 4 * a * a * stress_scale(f, d)  # inf, not an OverflowError, past the float range
     exact_text = None
     if exact is not None:
         exact_text = exact.to_text(names=("X", "_"))
-        verdict = COMPATIBLE if exact.is_zero else INCOMPATIBLE
+        ok = exact.is_zero
     else:
-        verdict = COMPATIBLE if max_abs <= TOLERANCE * max(norm, 1e-300) else INCOMPATIBLE
+        ok = max_abs <= TOLERANCE * max(norm, 1e-300)
+    # a normalization that overflows leaves the sweep unjudged
+    verdict = COMPATIBLE if ok and math.isfinite(norm) else INCOMPATIBLE
     return CompatibilityReport(
         sweep=sweep,
         max_abs_residual=max_abs,

@@ -51,6 +51,16 @@ def _grlex(key: Key) -> tuple[int, int, int]:
     return (i + j, -i, k)
 
 
+def float_or_inf(c: Fraction) -> float:
+    """float(c), or +-inf where c is beyond the float range, so that an
+    overflowing coefficient gives inf or nan values and a failed check,
+    not an exception."""
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
+
+
 class BivariatePoly:
     """Immutable polynomial in (v1, v2, a) with Fraction coefficients.
 
@@ -334,7 +344,7 @@ class BivariatePoly:
                 nj = self.degree_in(2) + 1
                 rows = [[0.0] * nj for _ in range(ni)]
                 for (i, j, _), c in self._coef.items():
-                    rows[i][j] = float(c)
+                    rows[i][j] = float_or_inf(c)
 
                 def evaluate(x, y, _rows=rows):
                     acc = 0.0

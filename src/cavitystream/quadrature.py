@@ -203,22 +203,40 @@ def cell_table(fn: Callable, size: int, h: float, spec: QuadratureSpec, span: fl
     return table
 
 
-def riemann_rect(fn: Callable, rect: Rect, cells_per_axis: int) -> float:
+def riemann_rect(fn: Callable, rect: Rect, cells_per_axis: int, parts=None):
     """Midpoint Riemann sum, the deliberately low-tech cross-check.
 
-    fn sees blocks of whole rows of at most MAX_BLOCK nodes, so memory
-    stays flat however many cells are asked for.
+    The rectangle is cut into n x n equal cells, n = cells_per_axis,
+    cell (p, q) being [t0 + p ht, t0 + (p+1) ht] x [s1 - (q+1) hs, s1 - q hs].
+    Without ``parts`` the result is the sum over every cell (a float).
+    ``parts`` holds integer rows (p0, p1, q1); the result then holds,
+    for each, the sum over the cells p0 <= p < p1, q < q1, and only the
+    cells some part covers are evaluated.  fn sees blocks of whole rows
+    of at most MAX_BLOCK nodes (one row when a row is longer), and the
+    blocks are cut where a part starts or ends, so each block's column
+    sums go whole into the parts that cover its rows: memory stays flat
+    however many cells or parts are asked for.
     """
     t0, t1, s0, s1 = (float(v) for v in rect)
-    if t1 <= t0 or s1 <= s0:
-        return 0.0
-    ht = (t1 - t0) / cells_per_axis
-    hs = (s1 - s0) / cells_per_axis
-    tn = t0 + ht * (np.arange(cells_per_axis) + 0.5)
-    sn = s0 + hs * (np.arange(cells_per_axis) + 0.5)
-    rows = max(1, MAX_BLOCK // cells_per_axis)
-    total = 0.0
-    for r in range(0, cells_per_axis, rows):
-        T, S = np.meshgrid(tn[r:r + rows], sn, indexing="ij")
-        total += np.asarray(fn(T, S), dtype=float).sum()
-    return float(total * ht * hs)
+    n = cells_per_axis
+    p0, p1, q1 = np.asarray([(0, n, n)] if parts is None else parts, dtype=np.int64).reshape(-1, 3).T
+    out = np.zeros(p0.size)
+    if t1 > t0 and s1 > s0:
+        ht, hs = (t1 - t0) / n, (s1 - s0) / n
+        tn, sn = t0 + (np.arange(n) + 0.5) * ht, s1 - (np.arange(n) + 0.5) * hs
+        width = np.zeros(n, dtype=np.int64)  # the cells each row needs
+        for lo, hi, w in zip(p0, p1, q1):
+            np.maximum(width[lo:hi], w, out=width[lo:hi])
+        rows = max(1, MAX_BLOCK // max(int(width.max()), 1))
+        cuts = np.union1d(np.arange(0, n, rows), np.concatenate([p0, p1, [n]]))
+        for r0, r1 in zip(cuts[:-1], cuts[1:]):
+            w = width[r0:r1]
+            if not w.any():
+                continue
+            q = np.arange(w.sum()) - np.repeat(np.cumsum(w) - w, w)
+            vals = np.broadcast_to(np.asarray(fn(np.repeat(tn[r0:r1], w), sn[q]), dtype=float), q.shape)
+            inside = (p0 <= r0) & (r0 < p1)
+            prefix = np.concatenate(([0.0], np.cumsum(np.bincount(q, weights=vals))))
+            out[inside] += prefix[q1[inside]]
+        out *= ht * hs
+    return float(out[0]) if parts is None else out

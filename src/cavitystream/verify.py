@@ -24,7 +24,6 @@ from .geometry import (
     PhysicalPoint,
     Rect,
     boundary_sample,
-    classify,
     interior_lattice,
     require_in_char_image,
     to_characteristic,
@@ -75,17 +74,62 @@ def _sigma_rectangles(d: TriangleDomain, q: CharPoint) -> _SigmaDecomposition:
     return _SigmaDecomposition(Rect(-Y, X, Y, 0 * Y), Rect(X, 2 * float(d.a), -X, 0 * X))
 
 
-def riemann_psi(stress: StressField, d: TriangleDomain, p: PhysicalPoint, cells_per_axis: int = 256) -> float:
-    """Stream-function value by midpoint Riemann sums over the two
-    sigma rectangles; deliberately independent of the Gauss machinery,
-    and of the solver's use of admissibility to drop the second one.
+def _midpoint_psi(g, d: TriangleDomain, X, Y, on, n: int) -> np.ndarray:
+    """-1/4 times the midpoint sums of g over both sigma rectangles of
+    each point (X, Y), n cells per axis.  The points ``on`` the lattice
+    X, Y in multiples of h = 2a/n share one n x n table over the
+    characteristic square [0, 2a] x [-2a, 0]: with X = jX h and
+    Y = -jY h their rectangles are the rows jY <= p < jX, q < jY and
+    jX <= p < n, q < jX of its cells, all below the diagonal q < p.
+    Each rectangle of any other point is cut into n x n cells."""
+    a = float(d.a)
+    sums = np.empty((2, X.size))
+    if on.any():
+        jX, jY = (np.rint(v[on] * (n / (2 * a))).astype(np.int64) for v in (X, -Y))
+        parts = np.concatenate([np.stack([jY, jX, jY], 1), np.stack([jX, np.full_like(jX, n), jX], 1)])
+        sums[:, on] = riemann_rect(g, Rect(0.0, 2 * a, -2 * a, 0.0), n, parts).reshape(2, -1)
+    for i in np.flatnonzero(~on):
+        sums[:, i] = [riemann_rect(g, r, n) for r in _sigma_rectangles(d, CharPoint(X[i], Y[i]))]
+    return -0.25 * (sums[0] + sums[1])
 
-    Uses the same -1/4 prefactor as the solver (the value forced by the
-    Green-theorem bookkeeping and by the exact operator identity).
+
+def riemann_psi(stress: StressField, d: TriangleDomain, points, cells_per_axis: int = 256, *,
+                with_error: bool = False):
+    """Stream-function values by extrapolated midpoint Riemann sums over
+    the two sigma rectangles; deliberately independent of the Gauss
+    machinery, and of the solver's use of admissibility to drop the
+    second one.
+
+    ``points`` is one physical point (the results are floats) or a
+    sequence of them (arrays).  With M_n the midpoint sums at
+    n = cells_per_axis cells per axis (``_midpoint_psi``), the value is
+    R_n = (4 M_n - M_{n/2}) / 3: the midpoint error expands in even
+    powers of the cell width (Euler-Maclaurin), so R_n is O(n^-4).
+    ``with_error`` also returns |R_n - R_{n/2}| / 15, the estimate of
+    R_n's error, at the cost of a third level M_{n/4}.  n must be a
+    multiple of 2 (4 with the error); the points whose X and Y are
+    multiples of 2h (4h with the error), h = 2a/n, share one table per
+    level.  Uses the same -1/4 prefactor as the solver (the value forced
+    by the Green-theorem bookkeeping and by the exact operator identity).
     """
-    g = stress_char_evaluator(stress, float(d.a))
-    rects = _sigma_rectangles(d, to_characteristic(PhysicalPoint(float(p[0]), float(p[1]))))
-    return -0.25 * (riemann_rect(g, rects.rect1, cells_per_axis) + riemann_rect(g, rects.rect2, cells_per_axis))
+    levels = (1, 2, 4) if with_error else (1, 2)
+    coarse = levels[-1]
+    if cells_per_axis % coarse:
+        raise ValueError(f"cells_per_axis must be a multiple of {coarse}")
+    a = float(d.a)
+    xy = np.asarray(points, dtype=float)
+    x, y = xy.reshape(-1, 2).T
+    X, Y = to_characteristic(PhysicalPoint(x, y))
+    require_in_char_image(d, X, Y)
+    jX, jY = (v * (cells_per_axis / (2 * a * coarse)) for v in (X, Y))
+    on = (np.abs(jX - np.rint(jX)) <= 1e-9) & (np.abs(jY - np.rint(jY)) <= 1e-9)
+    g = stress_char_evaluator(stress, a)
+    m = [_midpoint_psi(g, d, X, Y, on, cells_per_axis // k) for k in levels]
+    r = (4 * m[0] - m[1]) / 3
+    out = [r, np.abs(r - (4 * m[1] - m[2]) / 3) / 15] if with_error else [r]
+    if xy.ndim == 1:
+        out = [float(v[0]) for v in out]
+    return tuple(out) if with_error else out[0]
 
 
 # Second-difference step as a fraction of a, the side of the interior
@@ -94,6 +138,8 @@ def riemann_psi(stress: StressField, d: TriangleDomain, p: PhysicalPoint, cells_
 FD_STEP = 1e-4
 LATTICE_N = 32
 SAFETY = 4
+# Seeded points at which a quadrature backing meets the Riemann oracle.
+RIEMANN_POINTS = 20
 
 
 def _tolerances(psi: StreamFunction, f: StressField, h, pts, edge) -> tuple[float, float]:
@@ -117,6 +163,39 @@ def _tolerances(psi: StreamFunction, f: StressField, h, pts, edge) -> tuple[floa
     return float(tol_pde), float(SAFETY * np.max(psi.rounding_bound(bx, by), initial=0.0))
 
 
+def _riemann_check(psi: QuadratureStreamFunction, f: StressField) -> tuple[float, float]:
+    """(value, tol) of the Riemann check: psi against the extrapolated
+    midpoint oracle at RIEMANN_POINTS seeded lattice points.
+
+    With N = 4 ceil(max(256, 64 m) / 4) (m the cosine harmonic, 0 for
+    any other stress) and h = 2a/N, the points are drawn from the
+    interior points whose X and Y are multiples of 4h, so ``riemann_psi``
+    sums one table at each of N, N/2 and N/4 cells per axis.  The
+    midpoint error expands in even powers of the cell width
+    (Euler-Maclaurin), so R_n = (4 M_n - M_{n/2}) / 3 is O(h^4), and
+    |R_N - R_{N/2}| / 15 estimates the error of R_N.  The check reads
+    max |psi - R_N| against SAFETY times the largest estimate plus a
+    roundoff floor of 2 delta, delta = ``psi.rounding_bound``: once for
+    psi and once for the oracle, which sums the same integrand over the
+    same rectangles.
+    """
+    d = psi.domain
+    a = float(d.a)
+    n = 4 * math.ceil(max(256, 64 * cosine_harmonic(f, a)) / 4 - 1e-9)
+    rng = random.Random(20260808)
+    lattice = []
+    while len(lattice) < RIEMANN_POINTS:
+        jx, jy = rng.randrange(1, n // 4), rng.randrange(1, n // 4)
+        if jy < jx:  # X = 4h jx and Y = -4h jy strictly inside the triangle's image
+            lattice.append((jx, jy))
+    jx, jy = np.array(lattice).T
+    x, y = (jx + jy) * (4 * a / n), (jx - jy) * (4 * a / n)
+    r_n, error = riemann_psi(f, d, np.stack([x, y], 1), n, with_error=True)
+    value = float(np.max(np.abs(psi.evaluate_many(x, y) - r_n)))
+    delta = float(np.max(psi.rounding_bound(x, y)))
+    return value, SAFETY * (float(np.max(error)) + 2 * delta)
+
+
 def verify_solution(psi: StreamFunction, f: StressField) -> VerificationReport:
     """Strong-form + boundary + (for quadrature backings) Riemann checks
     of ``psi`` against the stress ``f`` on ``psi.domain``.
@@ -126,9 +205,8 @@ def verify_solution(psi: StreamFunction, f: StressField) -> VerificationReport:
     every edge (which, at that lattice, drops only the points on the
     edges); the boundary at 10*LATTICE_N samples.  ``_tolerances`` sizes
     both from the stress's truncation and the backing's rounding.  A
-    quadrature backing meets ``riemann_psi`` at 20 seeded points within
-    5e-3 of its scale, with max(256, 16 m) cells per axis for a cosine
-    stress of harmonic m (256 otherwise).
+    quadrature backing also meets the extrapolated Riemann oracle within
+    the oracle's own error estimate (``_riemann_check``).
     """
     d = psi.domain
     a = float(d.a)
@@ -145,21 +223,8 @@ def verify_solution(psi: StreamFunction, f: StressField) -> VerificationReport:
         "boundary_value": {"value": max_bc, "tol": tol_bc, "pass": max_bc <= tol_bc},
     }
     if isinstance(psi, QuadratureStreamFunction):
-        cells = max(256, math.ceil(16 * cosine_harmonic(f, a) - 1e-9))
-        rng = random.Random(20260808)
-        worst = 0.0
-        count = 0
-        while count < 20:
-            x = rng.uniform(0.0, 2 * a)
-            y = rng.uniform(0.0, a)
-            p = PhysicalPoint(x, y)
-            if not classify(d, p, 1e-12 * a).is_interior:
-                continue
-            count += 1
-            worst = max(worst, abs(psi.evaluate(x, y) - riemann_psi(f, d, p, cells)))
-        quad_vs_riemann = worst
-        tq = 5e-3 * max(psi.scale(), 1e-12)
-        checks["quadrature_vs_riemann"] = {"value": worst, "tol": tq, "pass": worst <= tq}
+        quad_vs_riemann, tq = _riemann_check(psi, f)
+        checks["quadrature_vs_riemann"] = {"value": quad_vs_riemann, "tol": tq, "pass": quad_vs_riemann <= tq}
 
     return VerificationReport(
         max_interior_residual=max_resid,

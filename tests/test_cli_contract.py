@@ -1,11 +1,13 @@
 """The CLI contract, swept with hypothesis: `check` and `solve` on every
 stress kind at the extremes of the unit of length, from a = 1e-300,
-where the verify step h = 1e-4 a squares to zero, to a = 1e100, where
-a polynomial psi overflows.
+where the verify step h = 1e-4 a squares to zero, through a = 1e100,
+where a polynomial psi overflows, to a = 1e300, where (2a)^2 and the
+coefficients of a polynomial psi leave the float range.
 
 Each config is run twice in-process through ``cli.run`` with
 ``--grid 11``.  The exit code must be 0, 1 or 2, nothing may escape as
-a traceback, and the two runs must write byte-identical files.
+a traceback, no numpy RuntimeWarning may reach stderr, and the two runs
+must write byte-identical files.
 
 `flow` stays out of the sweep: its default streamline step is a time
 step, so at a = 1e-3 a streamline can run to the step limit without
@@ -18,6 +20,7 @@ import itertools
 import json
 import os
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings, strategies as st
@@ -32,20 +35,25 @@ STRESSES = [
     {"kind": "cosine", "A": 1, "m": 2},
     {"kind": "polynomial", "terms": [{"i": 0, "j": 1, "coefficient": 16}, {"i": 0, "j": 0, "coefficient": -8}]},
 ]
-A_VALUES = [1e-300, 1e-3, 1.0, 1e3, 1e100]
+A_VALUES = [1e-300, 1e-3, 1.0, 1e3, 1e100, 1e300]
 COMMANDS = ["check", "solve"]
 CASES = list(itertools.product(COMMANDS, range(len(STRESSES)), A_VALUES))
 
 
 def _run(command: str, doc: dict, work: str, tag: str) -> tuple[int, str, dict]:
-    """Exit code, stderr and the written files of one in-process run."""
+    """Exit code, stderr and the written files of one in-process run;
+    the warnings it raises count as stderr, where a run outside the
+    test runner would print them."""
     config = os.path.join(work, f"{tag}.json")
     with open(config, "w") as fh:
         json.dump(doc, fh)
     out = os.path.join(work, tag)
     err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+    with redirect_stdout(io.StringIO()), redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = run([command, "--config", config, "--out", out, "--grid", "11", "--quiet"])
+    for w in caught:
+        err.write(f"{w.category.__name__}: {w.message}\n")
     files = {}
     if os.path.isdir(out):
         for name in sorted(os.listdir(out)):
@@ -65,5 +73,6 @@ def test_check_and_solve_keep_the_contract(case):
     rc, err, files = first
     assert rc in (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE)
     assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
     assert rc != EXIT_OK or files, "a successful run wrote nothing"
     assert second == first

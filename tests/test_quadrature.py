@@ -281,6 +281,24 @@ class TestRiemannRect:
         want = float(fn(T, S).sum() * ht * hs)
         assert riemann_rect(fn, Rect(*rect), cells) == pytest.approx(want, rel=1e-13)
 
+    def test_parts_sum_their_own_cells(self):
+        fn = lambda t, s: np.cos(7 * t) * (1 + s)  # noqa: E731
+        n, h = 40, 2.0 / 40
+        parts = [(5, 30, 5), (30, 40, 30), (0, 40, 0)]
+        sizes = []
+
+        def counted(t, s):
+            sizes.append(t.size)
+            return fn(t, s)
+
+        got = riemann_rect(counted, Rect(0.0, 2.0, -2.0, 0.0), n, parts)
+        mid = (np.arange(n) + 0.5) * h
+        T, S = np.meshgrid(mid, -mid, indexing="ij")  # cell (p, q) is centred at (mid[p], -mid[q])
+        cells = fn(T, S) * h * h
+        np.testing.assert_allclose(got, [cells[p0:p1, :q1].sum() for p0, p1, q1 in parts], rtol=1e-13, atol=1e-16)
+        # only the cells some part covers are evaluated
+        assert sum(sizes) == 25 * 5 + 10 * 30
+
     def test_memory_stays_flat(self):
         sizes = []
 

@@ -94,22 +94,24 @@ class TestVerifySolution:
         assert report.quadrature_vs_riemann is not None
         assert report.checks["quadrature_vs_riemann"]["pass"]
 
-    @pytest.mark.parametrize("m, cells", [(3, 256), (15, 256), (61, 976)])
+    @pytest.mark.parametrize("m, cells", [(3, 256), (15, 960), (61, 3904)])
     def test_riemann_cells_grow_with_the_harmonic(self, monkeypatch, m, cells):
+        # N = 4 ceil(max(256, 64 m) / 4) cells per axis, and the
+        # extrapolation and its error estimate take N/2 and N/4
         import cavitystream.verify as verify_mod
 
-        seen = set()
+        seen = []
         inner = verify_mod.riemann_rect
 
-        def spy(fn, rect, n):
-            seen.add(n)
-            return inner(fn, rect, n)
+        def spy(fn, rect, n, parts=None):
+            seen.append(n)
+            return inner(fn, rect, n, parts)
 
         monkeypatch.setattr(verify_mod, "riemann_rect", spy)
         stress = CosineStress(1.0, m * math.pi)
         psi = solve_quadrature(stress, D1)
         report = verify_solution(psi, stress)
-        assert seen == {cells}
+        assert seen == [cells, cells // 2, cells // 4]
         assert report.checks["quadrature_vs_riemann"]["pass"]
 
     def test_monotone_refinement(self):
@@ -176,7 +178,13 @@ class TestTolerances:
         psi = solve_quadrature(stress, D1)
         checks = verify_solution(psi, stress).checks
         self._assert_cosine_model(checks, 1.0)
-        assert checks["quadrature_vs_riemann"]["tol"] == 5e-3 * max(psi.scale(), 1e-12)
+        # tol = SAFETY (|R_N - R_{N/2}| / 15 + 2 delta): the estimate
+        # tracks the extrapolated oracle's own error, O(h^4) at N = 256
+        riemann = checks["quadrature_vs_riemann"]
+        delta = checks["boundary_value"]["tol"] / SAFETY
+        estimate = riemann["tol"] / SAFETY - 2 * delta
+        assert estimate == pytest.approx(riemann["value"], rel=0.05)
+        assert estimate <= 1e-7 * psi.scale()
 
     def test_stencil_truncation_is_the_stress_laplacian(self):
         # L commutes with the Laplacian: -psi_xxxx + psi_yyyy = f_xx + f_yy
@@ -196,14 +204,14 @@ class TestTolerances:
         else:
             psi = solve_quadrature(cosine_from_harmonic(s, 3, d), d)
         checks = verify_solution(psi, psi.source_stress).checks
-        names = ("interior_residual", "boundary_value")
+        names = ("interior_residual", "boundary_value") + (("quadrature_vs_riemann",) if kind == "cosine" else ())
         assert all(checks[name]["pass"] for name in names)
         return [checks[name]["tol"] / checks[name]["value"] for name in names]
 
     @pytest.mark.parametrize("kind", ["linear", "sinusoidal", "cosine"])
     def test_headroom_is_invariant_under_scaling(self, kind):
-        # f -> s f and a -> a' leave both verdicts and, within a factor
-        # of 2, both headrooms; the Riemann check is sized apart
+        # f -> s f and a -> a' leave every verdict and, within a factor
+        # of 2, every headroom, the Riemann check's included
         reference = self._headroom(kind, 1, 1.0)
         for s in (1e-6, 1, 1e6):
             for a in (1e-3, 1.0, 1e3):
@@ -273,6 +281,22 @@ class TestRiemannOracle:
         quad = solve_quadrature(stress, D1)
         p = PhysicalPoint(0.9, 0.4)
         assert riemann_psi(stress, D1, p, 512) == pytest.approx(quad.evaluate(*p), abs=5e-5)
+
+    def test_extrapolation_and_its_error_estimate(self):
+        # the linear stress is integrated exactly by the midpoint rule
+        psi = linear_example(D1)
+        p = PhysicalPoint(1.0, 0.5)
+        value, error = riemann_psi(psi.source_stress, D1, p, 400, with_error=True)
+        assert value == pytest.approx(0.25, abs=1e-14) and error <= 1e-15
+        with pytest.raises(ValueError):
+            riemann_psi(psi.source_stress, D1, p, 402, with_error=True)
+
+    @pytest.mark.parametrize("m", [3, 15, 61])
+    def test_quadrature_off_by_a_bubble_fails(self, m):
+        # the check is tight enough to catch an error of 1e-6 of scale
+        psi = solve_quadrature(cosine_from_harmonic(1.0, m, D1), D1)
+        bad = _Bumped(psi, _bubble(D1) * (1e-6 * psi.scale()))
+        assert not verify_solution(bad, psi.stress).checks["quadrature_vs_riemann"]["pass"]
 
 
 class TestUniquenessSuite:
