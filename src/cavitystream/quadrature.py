@@ -211,11 +211,12 @@ def riemann_rect(fn: Callable, rect: Rect, cells_per_axis: int, parts=None):
     Without ``parts`` the result is the sum over every cell (a float).
     ``parts`` holds integer rows (p0, p1, q1); the result then holds,
     for each, the sum over the cells p0 <= p < p1, q < q1, and only the
-    cells some part covers are evaluated.  fn sees blocks of whole rows
-    of at most MAX_BLOCK nodes (one row when a row is longer), and the
-    blocks are cut where a part starts or ends, so each block's column
-    sums go whole into the parts that cover its rows: memory stays flat
-    however many cells or parts are asked for.
+    cells some part covers are evaluated.  Between two consecutive part
+    ends the same parts cover every row, so those rows need the same
+    cells; fn sees them in blocks of whole rows of at most MAX_BLOCK
+    nodes (one row when a row is longer), and their column sums go whole
+    into the parts that cover them: memory stays flat however many cells
+    or parts are asked for.
     """
     t0, t1, s0, s1 = (float(v) for v in rect)
     n = cells_per_axis
@@ -224,19 +225,17 @@ def riemann_rect(fn: Callable, rect: Rect, cells_per_axis: int, parts=None):
     if t1 > t0 and s1 > s0:
         ht, hs = (t1 - t0) / n, (s1 - s0) / n
         tn, sn = t0 + (np.arange(n) + 0.5) * ht, s1 - (np.arange(n) + 0.5) * hs
-        width = np.zeros(n, dtype=np.int64)  # the cells each row needs
-        for lo, hi, w in zip(p0, p1, q1):
-            np.maximum(width[lo:hi], w, out=width[lo:hi])
-        rows = max(1, MAX_BLOCK // max(int(width.max()), 1))
-        cuts = np.union1d(np.arange(0, n, rows), np.concatenate([p0, p1, [n]]))
-        for r0, r1 in zip(cuts[:-1], cuts[1:]):
-            w = width[r0:r1]
-            if not w.any():
+        ends = np.union1d(np.concatenate([p0, p1]), [0, n])
+        for b0, b1 in zip(ends[:-1], ends[1:]):
+            inside = (p0 <= b0) & (b0 < p1)
+            w = int(q1[inside].max(initial=0))
+            if not w:
                 continue
-            q = np.arange(w.sum()) - np.repeat(np.cumsum(w) - w, w)
-            vals = np.broadcast_to(np.asarray(fn(np.repeat(tn[r0:r1], w), sn[q]), dtype=float), q.shape)
-            inside = (p0 <= r0) & (r0 < p1)
-            prefix = np.concatenate(([0.0], np.cumsum(np.bincount(q, weights=vals))))
-            out[inside] += prefix[q1[inside]]
+            col = np.zeros(w)
+            rows = max(1, MAX_BLOCK // w)
+            for r in range(b0, b1, rows):
+                T, S = np.meshgrid(tn[r:min(r + rows, b1)], sn[:w], indexing="ij")
+                col += np.broadcast_to(np.asarray(fn(T, S), dtype=float), T.shape).sum(axis=0)
+            out[inside] += np.concatenate(([0.0], np.cumsum(col)))[q1[inside]]
         out *= ht * hs
     return float(out[0]) if parts is None else out

@@ -299,6 +299,29 @@ class TestRiemannRect:
         # only the cells some part covers are evaluated
         assert sum(sizes) == 25 * 5 + 10 * 30
 
+    def test_table_parts_keep_memory_flat(self):
+        # 40 parts of a 2048 x 2048 table below its diagonal, as the
+        # verify oracle asks for them: no (n+1)^2 table is ever held
+        n = 2048
+        rng = np.random.default_rng(5)
+        jx = rng.integers(2, n, 20)
+        jy = rng.integers(1, jx)
+        parts = np.concatenate([np.stack([jy, jx, jy], 1), np.stack([jx, np.full_like(jx, n), jx], 1)])
+        sizes = []
+
+        def fn(t, s):
+            sizes.append(t.size)
+            return np.cos(t) * s
+
+        tracemalloc.start()
+        try:
+            riemann_rect(fn, Rect(0.0, 2.0, -2.0, 0.0), n, parts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(sizes) <= MAX_BLOCK and sum(sizes) < n * n / 2
+        assert peak < 8 * 2**20
+
     def test_memory_stays_flat(self):
         sizes = []
 
