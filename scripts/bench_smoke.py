@@ -18,12 +18,10 @@ a counter exceeds its ceiling in COUNTER_CEILINGS (the counts at seed 1):
 a regression there shows even when timings are too noisy to.  A change
 to the streamline step rule (ROADMAP item 1) re-sets the kinematics
 ceilings, and a change to the verify lattice or to the Riemann oracle
+(one `riemann_psi` call per quadrature solve, summing one midpoint
+table at each of N, N/2 and N/4 cells per axis; ROADMAP item 6)
 re-sets the quad-cosine ones; a change that lowers a count should lower
-its ceiling.  The oracle sums one midpoint table per level at N, N/2
-and N/4 cells per axis for its 20 points (ROADMAP item 6), so
-quad-cosine makes one `riemann_psi` call per solve and 616,770 Riemann
-nodes in all, where 20 points with two rectangles each took 40 calls
-and 5,242,880 nodes.
+its ceiling.
 
 Usage: python scripts/bench_smoke.py [--seconds S]
 """
