@@ -202,8 +202,7 @@ def compat_check(f: StressField, d: TriangleDomain) -> CompatibilityReport:
     """Residual sweep over N_SWEEP Chebyshev nodes plus, for polynomial
     stresses, the exact vanishing criterion (which then decides the
     verdict); other stresses pass when the largest residual is at most
-    TOLERANCE times (2a)^2 max|f|.  Either verdict needs that
-    normalization to be finite."""
+    TOLERANCE times (2a)^2 max|f|, which must then be finite."""
     a = float(d.a)
     nodes = chebyshev_nodes(N_SWEEP, 0.0, 2 * a)
     exact = None
@@ -221,9 +220,9 @@ def compat_check(f: StressField, d: TriangleDomain) -> CompatibilityReport:
         exact_text = exact.to_text(names=("X", "_"))
         ok = exact.is_zero
     else:
-        ok = max_abs <= TOLERANCE * max(norm, 1e-300)
-    # a normalization that overflows leaves the sweep unjudged
-    verdict = COMPATIBLE if ok and math.isfinite(norm) else INCOMPATIBLE
+        # a normalization that overflows leaves the sweep unjudged
+        ok = max_abs <= TOLERANCE * max(norm, 1e-300) and math.isfinite(norm)
+    verdict = COMPATIBLE if ok else INCOMPATIBLE
     return CompatibilityReport(
         sweep=sweep,
         max_abs_residual=max_abs,

@@ -74,62 +74,53 @@ def _sigma_rectangles(d: TriangleDomain, q: CharPoint) -> _SigmaDecomposition:
     return _SigmaDecomposition(Rect(-Y, X, Y, 0 * Y), Rect(X, 2 * float(d.a), -X, 0 * X))
 
 
-def _midpoint_psi(g, d: TriangleDomain, X, Y, on, n: int) -> np.ndarray:
+def _midpoint_psi(g, d: TriangleDomain, q: CharPoint, n: int) -> np.ndarray:
     """-1/4 times the midpoint sums of g over both sigma rectangles of
-    each point (X, Y), n cells per axis.  The points ``on`` the lattice
-    X, Y in multiples of h = 2a/n share one n x n table over the
-    characteristic square [0, 2a] x [-2a, 0]: with X = jX h and
-    Y = -jY h their rectangles are the rows jY <= p < jX, q < jY and
-    jX <= p < n, q < jX of its cells, all below the diagonal q < p.
-    Each rectangle of any other point is cut into n x n cells."""
+    each lattice point q, from one n x n table over the characteristic
+    square [0, 2a] x [-2a, 0].  With X and Y multiples of h = 2a/n the
+    rectangles [-Y, X] x [Y, 0] and [X, 2a] x [-X, 0] are the rows
+    -Y/h <= p < X/h, q < -Y/h and X/h <= p < n, q < X/h of its cells,
+    all below the diagonal q < p."""
     a = float(d.a)
-    sums = np.empty((2, X.size))
-    if on.any():
-        jX, jY = (np.rint(v[on] * (n / (2 * a))).astype(np.int64) for v in (X, -Y))
-        parts = np.concatenate([np.stack([jY, jX, jY], 1), np.stack([jX, np.full_like(jX, n), jX], 1)])
-        sums[:, on] = riemann_rect(g, Rect(0.0, 2 * a, -2 * a, 0.0), n, parts).reshape(2, -1)
-    for i in np.flatnonzero(~on):
-        sums[:, i] = [riemann_rect(g, r, n) for r in _sigma_rectangles(d, CharPoint(X[i], Y[i]))]
-    return -0.25 * (sums[0] + sums[1])
+    parts = [np.stack(np.broadcast_arrays(r.t0, r.t1, -r.s0), 1) for r in _sigma_rectangles(d, q)]
+    cells = np.rint(np.concatenate(parts) * (n / (2 * a))).astype(np.int64)
+    sums = riemann_rect(g, Rect(0.0, 2 * a, -2 * a, 0.0), n, cells)
+    return -0.25 * sums.reshape(2, -1).sum(axis=0)
 
 
-def riemann_psi(stress: StressField, d: TriangleDomain, points, cells_per_axis: int = 256, *,
-                with_error: bool = False):
-    """Stream-function values by extrapolated midpoint Riemann sums over
-    the two sigma rectangles; deliberately independent of the Gauss
-    machinery, and of the solver's use of admissibility to drop the
-    second one.
+def riemann_psi(stress: StressField, d: TriangleDomain, points, cells_per_axis: int = 256):
+    """(value, error): stream-function values by extrapolated midpoint
+    Riemann sums over the two sigma rectangles, and their error
+    estimate; deliberately independent of the Gauss machinery, and of
+    the solver's use of admissibility to drop the second one.
 
-    ``points`` is one physical point (the results are floats) or a
-    sequence of them (arrays).  With M_n the midpoint sums at
-    n = cells_per_axis cells per axis (``_midpoint_psi``), the value is
-    R_n = (4 M_n - M_{n/2}) / 3: the midpoint error expands in even
-    powers of the cell width (Euler-Maclaurin), so R_n is O(n^-4).
-    ``with_error`` also returns |R_n - R_{n/2}| / 15, the estimate of
-    R_n's error, at the cost of a third level M_{n/4}.  n must be a
-    multiple of 2 (4 with the error); the points whose X and Y are
-    multiples of 2h (4h with the error), h = 2a/n, share one table per
-    level.  Uses the same -1/4 prefactor as the solver (the value forced
-    by the Green-theorem bookkeeping and by the exact operator identity).
+    ``points`` is one physical point (floats) or a sequence of them
+    (arrays).  With n = cells_per_axis, a multiple of 4, and h = 2a/n,
+    every point's X and Y must be multiples of 4h, so that at each of
+    n, n/2 and n/4 cells per axis all rectangles are unions of the cells
+    of one table (``_midpoint_psi``), giving the midpoint sums M_n,
+    M_{n/2} and M_{n/4}.  The midpoint error expands in even powers of
+    the cell width (Euler-Maclaurin), so the value
+    R_n = (4 M_n - M_{n/2}) / 3 is O(n^-4), and the error estimate is
+    |R_n - R_{n/2}| / 15.  Uses the same -1/4 prefactor as the solver
+    (the value forced by the Green-theorem bookkeeping and by the exact
+    operator identity).
     """
-    levels = (1, 2, 4) if with_error else (1, 2)
-    coarse = levels[-1]
-    if cells_per_axis % coarse:
-        raise ValueError(f"cells_per_axis must be a multiple of {coarse}")
+    if cells_per_axis % 4:
+        raise ValueError("cells_per_axis must be a multiple of 4")
     a = float(d.a)
     xy = np.asarray(points, dtype=float)
     x, y = xy.reshape(-1, 2).T
-    X, Y = to_characteristic(PhysicalPoint(x, y))
-    require_in_char_image(d, X, Y)
-    jX, jY = (v * (cells_per_axis / (2 * a * coarse)) for v in (X, Y))
-    on = (np.abs(jX - np.rint(jX)) <= 1e-9) & (np.abs(jY - np.rint(jY)) <= 1e-9)
+    q = to_characteristic(PhysicalPoint(x, y))
+    require_in_char_image(d, *q)
+    j = np.asarray(q) * (cells_per_axis / (8 * a))
+    if np.any(np.abs(j - np.rint(j)) > 1e-9):
+        raise ValueError(f"riemann_psi needs X and Y in multiples of 8a/cells_per_axis = {8 * a / cells_per_axis}")
     g = stress_char_evaluator(stress, a)
-    m = [_midpoint_psi(g, d, X, Y, on, cells_per_axis // k) for k in levels]
+    m = [_midpoint_psi(g, d, q, cells_per_axis // k) for k in (1, 2, 4)]
     r = (4 * m[0] - m[1]) / 3
-    out = [r, np.abs(r - (4 * m[1] - m[2]) / 3) / 15] if with_error else [r]
-    if xy.ndim == 1:
-        out = [float(v[0]) for v in out]
-    return tuple(out) if with_error else out[0]
+    error = np.abs(r - (4 * m[1] - m[2]) / 3) / 15
+    return (float(r[0]), float(error[0])) if xy.ndim == 1 else (r, error)
 
 
 # Second-difference step as a fraction of a, the side of the interior
@@ -190,7 +181,7 @@ def _riemann_check(psi: QuadratureStreamFunction, f: StressField) -> tuple[float
             lattice.append((jx, jy))
     jx, jy = np.array(lattice).T
     x, y = (jx + jy) * (4 * a / n), (jx - jy) * (4 * a / n)
-    r_n, error = riemann_psi(f, d, np.stack([x, y], 1), n, with_error=True)
+    r_n, error = riemann_psi(f, d, np.stack([x, y], 1), n)
     value = float(np.max(np.abs(psi.evaluate_many(x, y) - r_n)))
     delta = float(np.max(psi.rounding_bound(x, y)))
     return value, SAFETY * (float(np.max(error)) + 2 * delta)

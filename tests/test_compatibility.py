@@ -106,6 +106,16 @@ class TestCompatCheck:
         assert report.is_compatible
         assert report.exact_constraints == "0"
 
+    @pytest.mark.parametrize("bound", [False, True], ids=["symbolic", "bound"])
+    def test_exact_verdict_past_the_float_range(self, bound):
+        # (2a)^2 overflows at a = 1e300, but the exact criterion never
+        # reads the normalization, so the admissible stress stays admissible
+        d = TriangleDomain(1e300)
+        f = LINEAR_STRESS.subs_a(Fraction(d.a)) if bound else LINEAR_STRESS
+        report = compat_check(PolynomialStress(f), d)
+        assert report.is_compatible and report.max_abs_residual == 0.0
+        assert math.isinf(report.normalization)
+
     def test_broken_linear_family_is_incompatible(self):
         # c1 = 16 with c2 = -7 violates the admissible ray
         f = PolynomialStress(16 * Y - BivariatePoly.const(7))

@@ -201,7 +201,7 @@ class TestQuadratureSolve:
         stress = CosineStress(5.0, math.pi)
         psi = solve_quadrature(stress, D1)
         got = psi.evaluate(1.0, 0.5)
-        ref = riemann_psi(stress, D1, PhysicalPoint(1.0, 0.5), cells_per_axis=2000)
+        ref, _ = riemann_psi(stress, D1, PhysicalPoint(1.0, 0.5), cells_per_axis=2000)
         assert got == pytest.approx(ref, abs=1e-8)
 
     def test_incompatible_stress_raises(self):

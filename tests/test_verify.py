@@ -8,7 +8,7 @@ import pytest
 
 from cavitystream.geometry import TriangleDomain, PhysicalPoint, interior_lattice
 from cavitystream.polyalg import BivariatePoly, poly_vars, wave_operator
-from cavitystream.compatibility import CosineStress, cosine_from_harmonic
+from cavitystream.compatibility import CosineStress, OpaqueStress, cosine_from_harmonic
 from cavitystream.solver import (
     UNIT_ROUNDOFF,
     PolyStreamFunction,
@@ -273,23 +273,29 @@ class TestRiemannOracle:
     def test_matches_exact_solution_for_linear_stress(self):
         psi = linear_example(D1)
         p = PhysicalPoint(1.0, 0.5)
-        ref = riemann_psi(psi.source_stress, D1, p, cells_per_axis=400)
+        ref, _ = riemann_psi(psi.source_stress, D1, p, cells_per_axis=400)
         assert ref == pytest.approx(0.25, abs=5e-7)
 
     def test_independent_of_gauss_machinery(self):
         stress = CosineStress(5.0, math.pi)
         quad = solve_quadrature(stress, D1)
-        p = PhysicalPoint(0.9, 0.4)
-        assert riemann_psi(stress, D1, p, 512) == pytest.approx(quad.evaluate(*p), abs=5e-5)
+        p = PhysicalPoint(0.875, 0.375)  # X = 1.25, Y = -0.5: multiples of 8a/512
+        ref, _ = riemann_psi(stress, D1, p, 512)
+        assert ref == pytest.approx(quad.evaluate(*p), abs=5e-5)
 
     def test_extrapolation_and_its_error_estimate(self):
         # the linear stress is integrated exactly by the midpoint rule
         psi = linear_example(D1)
         p = PhysicalPoint(1.0, 0.5)
-        value, error = riemann_psi(psi.source_stress, D1, p, 400, with_error=True)
+        value, error = riemann_psi(psi.source_stress, D1, p, 400)
         assert value == pytest.approx(0.25, abs=1e-14) and error <= 1e-15
-        with pytest.raises(ValueError):
-            riemann_psi(psi.source_stress, D1, p, 402, with_error=True)
+        with pytest.raises(ValueError, match="multiple of 4"):
+            riemann_psi(psi.source_stress, D1, p, 402)
+
+    def test_points_off_the_coarsest_lattice_are_refused(self):
+        # X = 1.3 is not a multiple of 8a/512 = 1/64
+        with pytest.raises(ValueError, match="multiples of"):
+            riemann_psi(CosineStress(5.0, math.pi), D1, PhysicalPoint(0.9, 0.4), 512)
 
     @pytest.mark.parametrize("m", [3, 15, 61])
     def test_quadrature_off_by_a_bubble_fails(self, m):
@@ -297,6 +303,19 @@ class TestRiemannOracle:
         psi = solve_quadrature(cosine_from_harmonic(1.0, m, D1), D1)
         bad = _Bumped(psi, _bubble(D1) * (1e-6 * psi.scale()))
         assert not verify_solution(bad, psi.stress).checks["quadrature_vs_riemann"]["pass"]
+
+    @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    def test_roundoff_floor_holds_where_the_midpoint_rule_is_exact(self, s, a):
+        # the linear stress leaves the oracle's error estimate at rounding
+        # level, so the tolerance is all roundoff floor: psi and the
+        # oracle must still agree within half of it
+        d = TriangleDomain(a)
+        f = OpaqueStress(lambda x, y: s * (16 * y - 8 * a))
+        checks = verify_solution(solve_quadrature(f, d), f).checks
+        assert all(c["pass"] for c in checks.values())
+        riemann = checks["quadrature_vs_riemann"]
+        assert riemann["value"] <= riemann["tol"] / 2
 
 
 class TestUniquenessSuite:
