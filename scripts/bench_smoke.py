@@ -41,7 +41,8 @@ COUNTER_CEILINGS = {
     "symbolic-exact": {"polyalg.compose_calls": 381, "polyalg.mul_calls": 364,
                        "compatibility.exact_residual_calls": 93},
     "builtin-flow": {"polyalg.compose_calls": 18, "compatibility.exact_residual_calls": 2,
-                     "kinematics.velocity_evals": 123_329, "kinematics.rk4_steps": 26_704},
+                     "kinematics.velocity_evals": 123_329, "kinematics.rk4_steps": 26_704,
+                     "kinematics.jacobian_calls": 6_435, "solver.psi_evals": 26_728},
 }
 
 

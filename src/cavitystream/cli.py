@@ -10,12 +10,14 @@ stress or failed verification), 2 usage/config failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -294,11 +296,14 @@ def _svg_marker(kind: str, x: float, y: float, r: float) -> str:
     )
 
 
-def render_flow_svg(d: TriangleDomain, traces, stagnation, width: float = 800.0) -> str:
-    """Triangle outline + streamline polylines + stagnation markers.
+def render_flow_svg(d: TriangleDomain, traces, stagnation, width: float = 800.0) -> Iterator[str]:
+    """Triangle outline + streamline polylines + stagnation markers, as
+    pieces of SVG text to write in order.
 
     Pure shapes, no text, no external assets: byte-stable for a fixed
     input.  World coordinates are y-flipped into screen coordinates.
+    Polylines come one vertex per piece, so no whole-file string is
+    built.
     """
     a = float(d.a)
     margin = 0.05 * 2 * a
@@ -314,23 +319,24 @@ def render_flow_svg(d: TriangleDomain, traces, stagnation, width: float = 800.0)
     def sy(y: float) -> float:
         return (y1 - y) * scale
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.6f}" '
-        f'viewBox="0 0 {width:.0f} {height:.6f}">',
-        f'<rect x="0" y="0" width="{width:.0f}" height="{height:.6f}" fill="#ffffff"/>',
-    ]
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.6f}" '
+           f'viewBox="0 0 {width:.0f} {height:.6f}">\n')
+    yield f'<rect x="0" y="0" width="{width:.0f}" height="{height:.6f}" fill="#ffffff"/>\n'
     o, va, vb = d.vertices()
     tri = " ".join(f"{sx(float(p.x)):.6f},{sy(float(p.y)):.6f}" for p in (o, va, vb))
-    lines.append(f'<polygon points="{tri}" fill="none" stroke="#000000" stroke-width="1.5"/>')
+    yield f'<polygon points="{tri}" fill="none" stroke="#000000" stroke-width="1.5"/>\n'
     for tr in traces:
-        pts = " ".join(f"{sx(p.x):.6f},{sy(p.y):.6f}" for p in tr.vertices)
-        lines.append(f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="0.8"/>')
+        yield '<polyline points="'
+        # sx and sy inline, a space before every vertex but the first
+        seps = itertools.chain(("",), itertools.repeat(" "))
+        yield from ("%s%.6f,%.6f" % (sep, (p.x - x0) * scale, (y1 - p.y) * scale)
+                    for sep, p in zip(seps, tr.vertices))
+        yield '" fill="none" stroke="#1f77b4" stroke-width="0.8"/>\n'
     r = 0.012 * width
     for sp in stagnation:
-        lines.append(_svg_marker(sp.classification, sx(sp.location.x), sy(sp.location.y), r))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        yield _svg_marker(sp.classification, sx(sp.location.x), sy(sp.location.y), r) + "\n"
+    yield "</svg>\n"
 
 
 # ----------------------------------------------------------------------
@@ -422,6 +428,11 @@ def cmd_flow(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = N
     if psi is None:
         return EXIT_DOMAIN
     V = velocity_field(psi)
+    vscale = V.speed_scale()
+    if not math.isfinite(vscale):
+        print(f"error: the velocity is not finite (speed scale {vscale}): the field overflows "
+              f"float arithmetic at a={cfg.a:g}", file=sys.stderr)
+        return EXIT_DOMAIN
     points = stagnation_points(V, d, seeds_per_axis=cfg.seeds_per_axis)
     if cfg.seeds is not None:
         seeds = [PhysicalPoint(x, y) for x, y in cfg.seeds]
@@ -433,7 +444,7 @@ def cmd_flow(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = N
     write_streamlines_csv(traces, os.path.join(cfg.out, "streamlines.csv"))
     write_stagnation_csv(points, os.path.join(cfg.out, "stagnation.csv"))
     with open(os.path.join(cfg.out, "flow.svg"), "w", newline="\n") as fh:
-        fh.write(render_flow_svg(d, traces, points))
+        fh.writelines(render_flow_svg(d, traces, points))
     closed = sum(1 for t in traces if t.termination == "closed")
     _info(quiet, f"flow: {len(traces)} streamlines ({closed} closed), {len(points)} stagnation points")
     return EXIT_OK

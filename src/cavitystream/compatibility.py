@@ -89,6 +89,9 @@ def cosine_harmonic(f: StressField, a: float) -> float:
 def stress_char_evaluator(f: StressField, a: float | None = None) -> Callable:
     """Evaluator of g(t, s) = f((t-s)/2, (t+s)/2) on numpy arrays."""
     ev = f.evaluator(a)
+    if isinstance(f, CosineStress):
+        # a cosine stress reads only y = (t+s)/2: x is never formed
+        return lambda t, s: ev(None, (t + s) / 2.0)
     return lambda t, s: ev((t - s) / 2.0, (t + s) / 2.0)
 
 

@@ -69,13 +69,11 @@ class VelocityField:
 
     def speed_scale(self) -> float:
         """max speed over the interior of the 15 x 15 lattice (hypot
-        norm), computed once."""
+        norm), computed once; nan when a speed there is nan, as it is
+        where the field overflows float arithmetic."""
         if self._speed_scale is None:
-            best = 0.0
-            for p in interior_lattice(self.domain, 15):
-                u, v = self._eval_raw(p.x, p.y)
-                best = max(best, math.hypot(u, v))
-            self._speed_scale = best
+            speeds = [math.hypot(*self._eval_raw(p.x, p.y)) for p in interior_lattice(self.domain, 15)]
+            self._speed_scale = math.nan if any(map(math.isnan, speeds)) else max(speeds, default=0.0)
         return self._speed_scale
 
 
@@ -273,71 +271,87 @@ def trace_streamline(
 
     tol = 1e-12 * a
     r2 = math.sqrt(2.0)
+    two_a = 2 * a
 
     def inside(x: float, y: float) -> bool:
         # the signed edge distances of ``classify``; it decides only
-        # within tol of an edge line
-        m = min(y, (x - y) / r2, (2 * a - x - y) / r2)
+        # within tol of an edge line; their min, compared as min() does
+        m = y
+        e = (x - y) / r2
+        if e < m:
+            m = e
+        e = (two_a - x - y) / r2
+        if e < m:
+            m = e
         if m > tol:
             return True
         if m < -tol:
             return False
         return not classify(d, PhysicalPoint(x, y), tol).is_exterior
 
-    def rk4(x: float, y: float, k1: tuple[float, float]) -> tuple[float, float] | None:
-        p2 = (x + 0.5 * step * k1[0], y + 0.5 * step * k1[1])
-        if not inside(*p2):
-            return None
-        k2 = V._eval_raw(*p2)
-        p3 = (x + 0.5 * step * k2[0], y + 0.5 * step * k2[1])
-        if not inside(*p3):
-            return None
-        k3 = V._eval_raw(*p3)
-        p4 = (x + step * k3[0], y + step * k3[1])
-        if not inside(*p4):
-            return None
-        k4 = V._eval_raw(*p4)
-        return (
-            x + step / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-            y + step / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-        )
-
+    # the step loop runs RK4 inline on locals; its arithmetic is that of
+    # x + 0.5*step*k1, ..., x + step/6*(k1 + 2*k2 + 2*k3 + k4)
+    vel_at = V._eval_raw
+    psi_at = psi.evaluate
+    half = 0.5 * step
+    sixth = step / 6.0
+    close_tol = step / 2
+    atan2, pi, two_pi = math.atan2, math.pi, 2 * math.pi
     verts = [PhysicalPoint(xs, ys)]
     values = [psi0]
     drift = 0.0
-    vel = (u0, v0)
-    heading = math.atan2(v0, u0)
+    ku, kv = u0, v0
+    heading = atan2(v0, u0)
     winding = 0.0
     x, y = xs, ys
     termination = STEP_LIMIT
+    exit_from = None  # where the path left the triangle, if it did
     for n in range(1, max_steps + 1):
-        nxt = rk4(x, y, vel)
-        if nxt is None or not inside(*nxt):
-            target = nxt if nxt is not None else (x, y)
-            end = _project_to_boundary(d, PhysicalPoint(*target))
-            verts.append(end)
-            values.append(psi.evaluate(end.x, end.y))
-            termination = HIT_BOUNDARY
+        px, py = x + half * ku, y + half * kv
+        if not inside(px, py):
+            exit_from = (x, y)
             break
-        xn, yn = nxt
+        k2u, k2v = vel_at(px, py)
+        px, py = x + half * k2u, y + half * k2v
+        if not inside(px, py):
+            exit_from = (x, y)
+            break
+        k3u, k3v = vel_at(px, py)
+        px, py = x + step * k3u, y + step * k3v
+        if not inside(px, py):
+            exit_from = (x, y)
+            break
+        k4u, k4v = vel_at(px, py)
+        xn = x + sixth * (ku + 2 * k2u + 2 * k3u + k4u)
+        yn = y + sixth * (kv + 2 * k2v + 2 * k3v + k4v)
+        if not inside(xn, yn):
+            exit_from = (xn, yn)
+            break
         verts.append(PhysicalPoint(xn, yn))
-        val = psi.evaluate(xn, yn)
+        val = psi_at(xn, yn)
         values.append(val)
-        drift = max(drift, abs(val - psi0))
-        vel = V._eval_raw(xn, yn)
-        hn = math.atan2(vel[1], vel[0])
+        dv = abs(val - psi0)
+        if dv > drift:
+            drift = dv
+        ku, kv = vel_at(xn, yn)
+        hn = atan2(kv, ku)
         delta = hn - heading
-        while delta > math.pi:
-            delta -= 2 * math.pi
-        while delta <= -math.pi:
-            delta += 2 * math.pi
+        while delta > pi:
+            delta -= two_pi
+        while delta <= -pi:
+            delta += two_pi
         winding += delta
         heading = hn
-        if n >= 10 and abs(winding) >= 1.5 * math.pi:
-            if _dist_point_segment(xs, ys, x, y, xn, yn) <= step / 2:
+        if n >= 10 and abs(winding) >= 1.5 * pi:
+            if _dist_point_segment(xs, ys, x, y, xn, yn) <= close_tol:
                 termination = CLOSED
                 break
         x, y = xn, yn
+    if exit_from is not None:
+        end = _project_to_boundary(d, PhysicalPoint(*exit_from))
+        verts.append(end)
+        values.append(psi_at(end.x, end.y))
+        termination = HIT_BOUNDARY
     return Streamline(tuple(verts), termination, drift, tuple(values))
 
 
@@ -377,12 +391,15 @@ def u_profile(
 # CSV export
 
 def write_streamlines_csv(traces: Sequence[Streamline], path) -> None:
-    """One row per vertex with the psi value recorded while tracing."""
+    """One row per vertex with the psi value recorded while tracing;
+    each float as ``format_float`` writes it, in one format per row."""
     with open(path, "w", newline="\n") as fh:
         fh.write("trace_id,step,x,y,psi\n")
-        for tid, tr in enumerate(traces):
-            for k, (p, val) in enumerate(zip(tr.vertices, tr.psi)):
-                fh.write(f"{tid},{k},{format_float(p.x)},{format_float(p.y)},{format_float(val)}\n")
+        fh.writelines(
+            "%d,%d,%.17g,%.17g,%.17g\n" % (tid, k, p.x + 0.0, p.y + 0.0, val + 0.0)
+            for tid, tr in enumerate(traces)
+            for k, (p, val) in enumerate(zip(tr.vertices, tr.psi))
+        )
 
 
 def write_stagnation_csv(points: Sequence[StagnationPoint], path) -> None:

@@ -11,7 +11,9 @@ soon as a float argument appears.
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
@@ -59,6 +61,45 @@ def float_or_inf(c: Fraction) -> float:
         return float(c)
     except OverflowError:
         return math.inf if c > 0 else -math.inf
+
+
+# most Horner steps nested in one generated statement: far below the
+# parser's nesting limit at any degree
+_HORNER_RUN = 32
+
+
+@functools.lru_cache(maxsize=128)
+def _horner_code(ni: int, nj: int) -> types.CodeType:
+    """Code of ``evaluate(x, y, _c)`` for an ni x nj coefficient table
+    whose entries ``_c`` lists top row first, each row from its top
+    power down.  Unrolled, it performs every operation of
+
+        acc = 0.0
+        for row in reversed(table):
+            inner = 0.0
+            for c in reversed(row):
+                inner = inner * y + c
+            acc = acc * x + inner
+
+    in the same order, zero coefficients and the leading ``0.0 * y``
+    included, so signed zeros, infinities and nans come out the same.
+    """
+    names = [f"c{k}" for k in range(ni * nj)]
+    lines = ["def evaluate(x, y, _c):", f"    {', '.join(names)}, = _c", "    acc = 0.0"]
+    for i in range(ni):
+        row = names[i * nj:(i + 1) * nj]
+        inner = "0.0"
+        for start in range(0, nj, _HORNER_RUN):
+            for c in row[start:start + _HORNER_RUN]:
+                inner = f"({inner} * y + {c})"
+            if start + _HORNER_RUN < nj:
+                lines.append(f"    inner = {inner}")
+                inner = "inner"
+        lines.append(f"    acc = acc * x + {inner}")
+    lines.append("    return acc")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<horner>", "exec"), namespace)
+    return namespace["evaluate"].__code__
 
 
 class BivariatePoly:
@@ -329,10 +370,13 @@ class BivariatePoly:
         return Fraction(sum(c * px[i] * py[j] * pa[k] for (i, j, k), c in num.items()), den)
 
     def float_evaluator(self) -> Callable:
-        """Compiled Horner evaluator; requires a to be bound.
+        """Horner evaluator over the dense coefficient table; requires a
+        to be bound.
 
-        Accepts scalars or numpy arrays. Cached on the instance
-        (idempotent, so benign under concurrent use).
+        The Horner code is unrolled and compiled once per table shape
+        (``_horner_code``); this polynomial's coefficients are bound to
+        it as one tuple.  Accepts scalars or numpy arrays. Cached on the
+        instance (idempotent, so benign under concurrent use).
         """
         if self._compiled is None:
             if self.has_symbol_a:
@@ -342,20 +386,13 @@ class BivariatePoly:
             else:
                 ni = self.degree_in(1) + 1
                 nj = self.degree_in(2) + 1
-                rows = [[0.0] * nj for _ in range(ni)]
+                table = [[0.0] * nj for _ in range(ni)]
                 for (i, j, _), c in self._coef.items():
-                    rows[i][j] = float_or_inf(c)
-
-                def evaluate(x, y, _rows=rows):
-                    acc = 0.0
-                    for row in reversed(_rows):
-                        inner = 0.0
-                        for c in reversed(row):
-                            inner = inner * y + c
-                        acc = acc * x + inner
-                    return acc
-
-                self._compiled = evaluate
+                    table[i][j] = float_or_inf(c)
+                # in the order the code reads them: top row first, each
+                # row from its top power down
+                coefs = tuple(c for row in reversed(table) for c in reversed(row))
+                self._compiled = types.FunctionType(_horner_code(ni, nj), {}, "evaluate", (coefs,))
         return self._compiled
 
     # ------------------------------------------------------------------

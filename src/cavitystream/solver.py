@@ -227,9 +227,9 @@ class PolyStreamFunction(StreamFunction):
         if self._velocity_fns is None:
             u_poly, v_poly = self.u_poly, self.v_poly
             u, v = u_poly.float_evaluator(), v_poly.float_evaluator()
-            jac = tuple(q.diff(i).float_evaluator() for q in (u_poly, v_poly) for i in (1, 2))
+            ux, uy, vx, vy = (q.diff(i).float_evaluator() for q in (u_poly, v_poly) for i in (1, 2))
             self._velocity_fns = (lambda x, y: (u(x, y), v(x, y)),
-                                  lambda x, y: tuple(e(x, y) for e in jac))
+                                  lambda x, y: (ux(x, y), uy(x, y), vx(x, y), vy(x, y)))
         return self._velocity_fns
 
     @property
@@ -506,7 +506,8 @@ def format_float(v: float) -> str:
 
 
 def write_grid_csv(psi: StreamFunction, d: TriangleDomain, n: int, path) -> None:
+    """One row per lattice point of ``grid_rows``; each float as
+    ``format_float`` writes it, in one format per row."""
     with open(path, "w", newline="\n") as fh:
         fh.write("x,y,psi\n")
-        for x, y, v in grid_rows(psi, d, n):
-            fh.write(f"{format_float(x)},{format_float(y)},{format_float(v)}\n")
+        fh.writelines("%.17g,%.17g,%.17g\n" % (x + 0.0, y + 0.0, v + 0.0) for x, y, v in grid_rows(psi, d, n))

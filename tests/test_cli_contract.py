@@ -76,3 +76,14 @@ def test_check_and_solve_keep_the_contract(case):
     assert "RuntimeWarning" not in err
     assert rc != EXIT_OK or files, "a successful run wrote nothing"
     assert second == first
+
+
+def test_flow_on_an_overflowing_field_fails_in_one_line():
+    # past a = 1e100 the realistic builtin's velocity is nan: no
+    # stagnation search or streamline can mean anything there
+    for a in (1e100, 1e300):
+        with tempfile.TemporaryDirectory() as work:
+            rc, err, _ = _run("flow", {"a": a, "stress": STRESSES[2]}, work, "flow")
+        assert rc == EXIT_DOMAIN
+        assert len(err.splitlines()) == 1 and err.startswith("error: the velocity is not finite")
+        assert "Traceback" not in err

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -351,3 +352,14 @@ class TestCosineFamily:
         assert f.wavenumber == pytest.approx(3 * math.pi)
         with pytest.raises(ValueError):
             cosine_from_harmonic(1.0, 0, D1)
+
+
+@pytest.mark.parametrize("m", [1, 3, 61])
+def test_cosine_char_evaluator_reads_only_y(m):
+    # the cosine path skips x = (t-s)/2 but must give the rotated
+    # stress's floats exactly
+    f = cosine_from_harmonic(10.0, m, D1)
+    rng = np.random.default_rng(m)
+    t, s = rng.uniform(0, 2, 500), rng.uniform(-2, 0, 500)
+    direct = f.evaluator(1.0)((t - s) / 2.0, (t + s) / 2.0)
+    assert np.array_equal(compatibility.stress_char_evaluator(f, 1.0)(t, s), direct)

@@ -5,7 +5,16 @@ import random
 
 import pytest
 
-from cavitystream.geometry import TriangleDomain, PhysicalPoint, boundary_sample, interior_lattice
+from cavitystream.cli import BUILTIN_NAMES, SINUSOIDAL_AMPLITUDE, RunConfig, StressSpec, \
+    build_stream_function, default_flow_seeds
+from cavitystream.geometry import (
+    TriangleDomain,
+    PhysicalPoint,
+    _dist_point_segment,
+    boundary_sample,
+    classify,
+    interior_lattice,
+)
 from cavitystream.polyalg import BivariatePoly, poly_vars, wave_operator
 from cavitystream.compatibility import cosine_from_harmonic
 from cavitystream.solver import (
@@ -22,6 +31,9 @@ from cavitystream.kinematics import (
     DEGENERATE,
     HIT_BOUNDARY,
     SADDLE,
+    STEP_LIMIT,
+    Streamline,
+    _project_to_boundary,
     interior_centers,
     stagnation_points,
     trace_streamline,
@@ -356,3 +368,118 @@ def _sign_change_locations(rows, endpoint_pad=1e-6):
             if lo + endpoint_pad < z < hi - endpoint_pad:
                 zeros.append(z)
     return zeros
+
+
+def _reference_trace(V, seed, step=1e-3, max_steps=100_000):
+    """The tracer as it was before its RK4 stages were inlined into the
+    step loop: the reference for every float it writes."""
+    d = V.domain
+    a = float(d.a)
+    psi = V.source
+    psi0 = psi.evaluate(seed.x, seed.y)
+    vscale = V.speed_scale()
+    xs, ys = float(seed.x), float(seed.y)
+    u0, v0 = V._eval_raw(xs, ys)
+    if math.hypot(u0, v0) <= 1e-12 * max(vscale, 1e-300):
+        return Streamline((PhysicalPoint(xs, ys),), STEP_LIMIT, 0.0, (psi0,))
+
+    tol = 1e-12 * a
+    r2 = math.sqrt(2.0)
+
+    def inside(x, y):
+        m = min(y, (x - y) / r2, (2 * a - x - y) / r2)
+        if m > tol:
+            return True
+        if m < -tol:
+            return False
+        return not classify(d, PhysicalPoint(x, y), tol).is_exterior
+
+    def rk4(x, y, k1):
+        p2 = (x + 0.5 * step * k1[0], y + 0.5 * step * k1[1])
+        if not inside(*p2):
+            return None
+        k2 = V._eval_raw(*p2)
+        p3 = (x + 0.5 * step * k2[0], y + 0.5 * step * k2[1])
+        if not inside(*p3):
+            return None
+        k3 = V._eval_raw(*p3)
+        p4 = (x + step * k3[0], y + step * k3[1])
+        if not inside(*p4):
+            return None
+        k4 = V._eval_raw(*p4)
+        return (
+            x + step / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+            y + step / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
+        )
+
+    verts = [PhysicalPoint(xs, ys)]
+    values = [psi0]
+    drift = 0.0
+    vel = (u0, v0)
+    heading = math.atan2(v0, u0)
+    winding = 0.0
+    x, y = xs, ys
+    termination = STEP_LIMIT
+    for n in range(1, max_steps + 1):
+        nxt = rk4(x, y, vel)
+        if nxt is None or not inside(*nxt):
+            target = nxt if nxt is not None else (x, y)
+            end = _project_to_boundary(d, PhysicalPoint(*target))
+            verts.append(end)
+            values.append(psi.evaluate(end.x, end.y))
+            termination = HIT_BOUNDARY
+            break
+        xn, yn = nxt
+        verts.append(PhysicalPoint(xn, yn))
+        val = psi.evaluate(xn, yn)
+        values.append(val)
+        drift = max(drift, abs(val - psi0))
+        vel = V._eval_raw(xn, yn)
+        hn = math.atan2(vel[1], vel[0])
+        delta = hn - heading
+        while delta > math.pi:
+            delta -= 2 * math.pi
+        while delta <= -math.pi:
+            delta += 2 * math.pi
+        winding += delta
+        heading = hn
+        if n >= 10 and abs(winding) >= 1.5 * math.pi:
+            if _dist_point_segment(xs, ys, x, y, xn, yn) <= step / 2:
+                termination = CLOSED
+                break
+        x, y = xn, yn
+    return Streamline(tuple(verts), termination, drift, tuple(values))
+
+
+def _assert_same_trace(V, seed, **kwargs):
+    got, want = trace_streamline(V, seed, **kwargs), _reference_trace(V, seed, **kwargs)
+    assert got.vertices == want.vertices
+    assert got.psi == want.psi
+    assert got.termination == want.termination
+    assert got.psi_drift == want.psi_drift
+    return got.termination
+
+
+class TestTracerMatchesReference:
+    """The inlined RK4 loop writes the floats of the reference tracer."""
+
+    @pytest.mark.parametrize("a", [0.37, 1.0, 2.5])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins_with_default_seeds(self, name, a):
+        cfg = RunConfig(a=a, stress=StressSpec(kind="builtin", name=name))
+        V = velocity_field(build_stream_function(cfg))
+        seeds = default_flow_seeds(cfg.domain, stagnation_points(V, cfg.domain))
+        assert seeds
+        for seed in seeds:
+            _assert_same_trace(V, seed, step=cfg.stream_step(), max_steps=cfg.max_steps)
+
+    def test_boundary_hit(self):
+        V = velocity_field(sinusoidal_closed_form(SINUSOIDAL_AMPLITUDE, D1))
+        assert _assert_same_trace(V, PhysicalPoint(1.3, 0.65), step=0.5, max_steps=400) == HIT_BOUNDARY
+
+    def test_stagnation_seed(self, lin_field):
+        assert _assert_same_trace(lin_field, PhysicalPoint(1.0, 1.0 / 3.0)) == STEP_LIMIT
+
+    def test_quadrature_cosine_step_limit(self):
+        V = velocity_field(solve_quadrature(cosine_from_harmonic(10.0, 3, D1), D1))
+        assert _assert_same_trace(V, PhysicalPoint(1.0, 0.2), step=1e-3, max_steps=40) == STEP_LIMIT

@@ -1,12 +1,14 @@
 """Exact polynomial engine: ring behavior, calculus, substitution."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavitystream.polyalg import BivariatePoly, poly_vars, wave_operator
+from cavitystream.polyalg import BivariatePoly, float_or_inf, poly_vars, wave_operator
 
 X, Y, A = poly_vars()
 
@@ -273,3 +275,91 @@ class TestEvaluation:
         ev = p.float_evaluator()
         for x, y in [(0.3, 0.1), (1.5, 0.2), (1.0, 1.0)]:
             assert ev(x, y) == pytest.approx(float(p.eval(Fraction(x), Fraction(y))), abs=1e-14)
+
+
+def _loop_horner(p):
+    """The nested-loop Horner evaluator over the dense coefficient table
+    that the unrolled code replaced: the reference for its bits."""
+    ni, nj = p.degree_in(1) + 1, p.degree_in(2) + 1
+    rows = [[0.0] * nj for _ in range(ni)]
+    for (i, j, _), c in p.coefficients.items():
+        rows[i][j] = float_or_inf(c)
+
+    def evaluate(x, y):
+        acc = 0.0
+        for row in reversed(rows):
+            inner = 0.0
+            for c in reversed(row):
+                inner = inner * y + c
+            acc = acc * x + inner
+        return acc
+
+    return evaluate
+
+
+def _bits(v) -> bytes:
+    """The float64 bits of a scalar or array, with every nan made one nan:
+    CPython leaves the sign of nan + nan to whichever operand its C code
+    takes first, which differs between its generic and specialised float
+    paths, so even the loop does not fix it from one call to the next."""
+    v = np.asarray(v, dtype=np.float64)
+    return np.where(np.isnan(v), np.nan, v).tobytes()
+
+
+# +-0.0 and +-1e300 (whose squares overflow) next to ordinary points
+SPECIAL_INPUTS = [0.0, -0.0, math.nan, 1e300, -1e300, 0.37, -1.25, 1.0]
+HUGE = Fraction(10) ** 400  # beyond the float range: an inf coefficient
+
+
+def _table_poly(rng, ni, nj):
+    """Random ni x nj table with its corners set (so the shape is exact),
+    about a third of the entries zero, and +-inf and float entries."""
+    choices = [
+        lambda: Fraction(rng.randint(-99, 99), rng.choice((1, 3, 7))),
+        lambda: Fraction(rng.uniform(-1e3, 1e3)),
+        lambda: rng.choice((HUGE, -HUGE)),
+        lambda: 0,
+        lambda: 0,
+    ]
+    terms = {(i, j): rng.choice(choices)() for i in range(ni) for j in range(nj)}
+    terms[(ni - 1, 0)] = terms[(0, nj - 1)] = 1
+    return BivariatePoly.from_terms(terms)
+
+
+class TestUnrolledHorner:
+    """``float_evaluator`` gives the loop's bits: scalars and arrays,
+    zero and infinite coefficients, signed zeros, nan and overflow."""
+
+    SHAPES = [(1, 1), (1, 2), (2, 1), (3, 4), (33, 2), (2, 33), (65, 65), (65, 1), (1, 65)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bits_match_the_nested_loop(self, seed):
+        rng = random.Random(seed)
+        shapes = self.SHAPES + [(rng.randint(1, 65), rng.randint(1, 65)) for _ in range(4)]
+        xs = SPECIAL_INPUTS + [rng.uniform(-2, 2) for _ in range(4)]
+        gx, gy = np.meshgrid(xs, xs)
+        with np.errstate(all="ignore"):
+            for ni, nj in shapes:
+                p = _table_poly(rng, ni, nj)
+                new, old = p.float_evaluator(), _loop_horner(p)
+                for x in xs:
+                    for y in xs:
+                        got = new(x, y)
+                        assert type(got) is float
+                        assert _bits(got) == _bits(old(x, y)), (ni, nj, x, y)
+                assert _bits(new(gx, gy)) == _bits(old(gx, gy)), (ni, nj)
+
+    def test_zero_coefficients_are_added(self):
+        # -x at (0, y) with y < 0: its constant row is 0.0 * y + 0.0 = +0.0
+        # and -1 * 0.0 + 0.0 is +0.0; without the zero coefficient's
+        # addition both would be -0.0
+        p = -X
+        for y in (-0.0, -1.25, -1e300):
+            assert _bits(p.float_evaluator()(0.0, y)) == _bits(0.0) == _bits(_loop_horner(p)(0.0, y))
+
+    def test_code_is_compiled_once_per_shape(self):
+        rng = random.Random(3)
+        p, q = _table_poly(rng, 4, 6), _table_poly(rng, 4, 6)
+        assert p != q
+        assert p.float_evaluator().__code__ is q.float_evaluator().__code__
+        assert _table_poly(rng, 6, 4).float_evaluator().__code__ is not p.float_evaluator().__code__
