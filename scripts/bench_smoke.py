@@ -17,11 +17,11 @@ The traced work counters are deterministic, so each run also fails when
 a counter exceeds its ceiling in COUNTER_CEILINGS (the counts at seed 1):
 a regression there shows even when timings are too noisy to.  A change
 to the streamline step rule (ROADMAP item 1) re-sets the kinematics
-ceilings, and a change to the verify lattice or to the Riemann oracle
+ceilings, and a change to the verify lattice, to the Riemann oracle
 (one `riemann_psi` call per quadrature solve, summing one midpoint
-table at each of N, N/2 and N/4 cells per axis; ROADMAP item 6)
-re-sets the quad-cosine ones; a change that lowers a count should lower
-its ceiling.
+table at each of N, N/2 and N/4 cells per axis; ROADMAP item 6) or to
+the Gauss order of `default_quadrature_spec` re-sets the quad-cosine
+ones; a change that lowers a count should lower its ceiling.
 
 Usage: python scripts/bench_smoke.py [--seconds S]
 """
@@ -36,8 +36,8 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 PSI_REL_ERR_MAX = 1e-12
 HEADROOM_MIN = 2.0
 COUNTER_CEILINGS = {
-    "quad-cosine": {"quadrature.nodes": 6_904_656, "quadrature.riemann_nodes": 616_770,
-                    "verify.riemann_psi_calls": 2},
+    "quad-cosine": {"quadrature.nodes": 3_899_229, "quadrature.stress_evals": 5_479_924,
+                    "quadrature.riemann_nodes": 616_770, "verify.riemann_psi_calls": 2},
     "symbolic-exact": {"polyalg.compose_calls": 381, "polyalg.mul_calls": 364,
                        "compatibility.exact_residual_calls": 93},
     "builtin-flow": {"polyalg.compose_calls": 18, "compatibility.exact_residual_calls": 2,

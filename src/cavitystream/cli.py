@@ -28,6 +28,7 @@ from .compatibility import (
     StressField,
     compat_check,
     cosine_from_harmonic,
+    stress_scale,
 )
 from .solver import (
     IncompatibleStress,
@@ -59,6 +60,8 @@ SINUSOIDAL_AMPLITUDE = 5.0  # amplitude of the bundled sinusoidal case
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
+# Most characters of an error message printed before the rest is counted.
+MAX_MESSAGE = 200
 
 # Upper bounds on the size settings, so that a config that parses
 # cannot ask for unbounded time or memory.
@@ -364,6 +367,15 @@ def _info(quiet: bool, msg: str) -> None:
         print(msg)
 
 
+def _error(msg: str) -> None:
+    """One stderr line; past MAX_MESSAGE characters the message is cut
+    with a count of what was left out (an exact constraint polynomial at
+    a large ``a`` runs to about a thousand)."""
+    if len(msg) > MAX_MESSAGE:
+        msg = f"{msg[:MAX_MESSAGE]}... ({len(msg) - MAX_MESSAGE} more characters)"
+    print(f"error: {msg}", file=sys.stderr)
+
+
 def cmd_check(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = None) -> int:
     """``psi``, when given, is the stream function built from ``cfg``;
     its source stress is the one ``build_stress(cfg)`` would build."""
@@ -393,7 +405,7 @@ def _stream_function(cfg: RunConfig, psi: StreamFunction | None) -> StreamFuncti
     try:
         return build_stream_function(cfg)
     except IncompatibleStress as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return None
 
 
@@ -408,6 +420,14 @@ def cmd_solve(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = 
     _write_json(os.path.join(cfg.out, "verify.json"), report.to_json_dict())
     _info(quiet, _report_table(report))
     return EXIT_OK if report.overall_pass else EXIT_DOMAIN
+
+
+def _stress_vanishes(f: StressField, d: TriangleDomain) -> bool:
+    """Exactly for a polynomial stress, whose float values can underflow
+    where its coefficients do not; on ``stress_scale``'s samples else."""
+    if isinstance(f, PolynomialStress):
+        return f.poly.is_zero
+    return stress_scale(f, d) == 0
 
 
 def default_flow_seeds(d: TriangleDomain, points: list[StagnationPoint]) -> list[PhysicalPoint]:
@@ -430,8 +450,12 @@ def cmd_flow(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = N
     V = velocity_field(psi)
     vscale = V.speed_scale()
     if not math.isfinite(vscale):
-        print(f"error: the velocity is not finite (speed scale {vscale}): the field overflows "
-              f"float arithmetic at a={cfg.a:g}", file=sys.stderr)
+        _error(f"the velocity is not finite (speed scale {vscale}): the field overflows "
+               f"float arithmetic at a={cfg.a:g}")
+        return EXIT_DOMAIN
+    if vscale == 0 and not _stress_vanishes(psi.source_stress, d):
+        _error(f"the velocity underflows to zero everywhere although the stress does not vanish: "
+               f"the field is below float range at a={cfg.a:g}")
         return EXIT_DOMAIN
     points = stagnation_points(V, d, seeds_per_axis=cfg.seeds_per_axis)
     if cfg.seeds is not None:
@@ -533,7 +557,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IncompatibleStress as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return EXIT_DOMAIN
 
 

@@ -30,7 +30,9 @@ class QuadratureSpec:
     axis.  ``integrate_rect`` cuts each rectangle side into cells no
     wider than span / subdivision, so subdivision counts the cells
     across the widest side (the cavity rules pass span = 2a) and
-    controls oscillatory integrands.
+    controls oscillatory integrands.  The cavity rules take both from
+    ``default_quadrature_spec``, which sizes the order to the phase of
+    the widest cell.
     """
 
     order: int = 12
@@ -41,19 +43,6 @@ class QuadratureSpec:
             raise ValueError("order must be >= 1")
         if self.subdivision < 1:
             raise ValueError("subdivision must be >= 1")
-
-
-def default_quadrature_spec(harmonic: float = 0.0) -> QuadratureSpec:
-    """Order 12 (exact through degree 23 per cell) and
-    S = max(8, ceil(harmonic / 2)) cells across 2a.
-
-    ``harmonic`` is m for a cosine stress cos(m pi y / a) (0 for any
-    other stress).  Its phase across one cell is then at most
-    m pi / S <= about 2 pi.  The rule is the same for every a: cell
-    widths are fractions of 2a, so accuracy and cost do not depend on
-    the unit of length.
-    """
-    return QuadratureSpec(order=12, subdivision=max(8, math.ceil(harmonic / 2 - 1e-9)))
 
 
 def gauss_order(phase: float, max_order: int) -> int:
@@ -73,6 +62,23 @@ def gauss_order(phase: float, max_order: int) -> int:
         if log_bound < math.log(ROUNDOFF):
             return n
     return max_order
+
+
+def default_quadrature_spec(harmonic: float = 0.0) -> QuadratureSpec:
+    """S = max(8, ceil(harmonic / 2)) cells across 2a, and the order
+    that keeps the widest cell's remainder below roundoff.
+
+    ``harmonic`` is m for a cosine stress cos(m pi y / a) (0 for any
+    other stress).  Its integrand g(t, s) has wavenumber m pi / (2a)
+    along each axis, so its phase across a cell of width 2a/S is at most
+    m pi / S <= about 2 pi, and the order is gauss_order(m pi / S, 12):
+    6 at m = 1, 7 at m = 3, 11 at m = 15 and 12 from m = 21 on.  Any
+    other stress takes order 12 (exact through degree 23 per cell).
+    The rule is the same for every a: cell widths are fractions of 2a,
+    so accuracy and cost do not depend on the unit of length.
+    """
+    S = max(8, math.ceil(harmonic / 2 - 1e-9))
+    return QuadratureSpec(order=gauss_order(harmonic * math.pi / S, 12) if harmonic > 0 else 12, subdivision=S)
 
 
 @lru_cache(maxsize=32)
@@ -170,7 +176,7 @@ def cell_table(fn: Callable, size: int, h: float, spec: QuadratureSpec, span: fl
     sub = clip(ceil(S * h / span), 1, S), each carrying one Gauss
     tensor.  The order is spec.order, or, given the integrand's
     per-axis ``wavenumber``, the ``gauss_order`` of its phase across a
-    sub-cell.  Returns T of shape (size+1, size+1) with T[P, Q] the
+    sub-cell, at most spec.order.  Returns T of shape (size+1, size+1) with T[P, Q] the
     integral over the cells p < P, q < Q; cells with q >= p count zero
     and are not evaluated.  The cells are taken in row-major order, fn
     receives blocks of whole cells of at most MAX_BLOCK nodes, and each

@@ -323,6 +323,8 @@ class QuadratureStreamFunction(StreamFunction):
         cut into sub-cells no wider than 2a/S; a cosine stress takes the
         smallest Gauss order whose remainder bound on a sub-cell is
         below roundoff (``gauss_order``), any other stress spec.order.
+        A sub-cell is no wider than the cells spec.order is sized for,
+        so that cap never binds, and the values are those of order 12.
         The quadrature ``evaluate_many`` stays the per-point path.
         """
         ix, iy = clipped_lattice(n)

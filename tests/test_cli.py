@@ -13,13 +13,14 @@ from cavitystream.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_MESSAGE,
     ConfigError,
     RunConfig,
     build_stream_function,
     parse_config,
     run,
 )
-from cavitystream.solver import format_float
+from cavitystream.solver import IncompatibleStress, format_float
 from cavitystream.polyalg import poly_vars
 
 X, Y, A = poly_vars()
@@ -210,6 +211,28 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, doc)
         assert run(["solve", "--config", cfg, "--quiet"]) == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("doc, long", [
+        ({**LINEAR_STRESS_DOC, "a": 1e300}, True),
+        ({"stress": {"kind": "polynomial", "terms": [{"i": 0, "j": 0, "coefficient": 1}]}}, False),
+    ])
+    def test_error_line_counts_what_it_leaves_out(self, tmp_path, capsys, doc, long):
+        # 16y - 8 at a = 1e300: the constraint polynomial runs to about a thousand characters
+        doc = {**doc, "out": str(tmp_path / "o"), "grid_n": 11}
+        with pytest.raises(IncompatibleStress) as exc:
+            build_stream_function(parse_config(doc))
+        full = str(exc.value)
+        assert (len(full) > MAX_MESSAGE) == long
+        assert run(["solve", "--config", write_config(tmp_path, doc), "--quiet"]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        if long:
+            assert err == f"error: {full[:MAX_MESSAGE]}... ({len(full) - MAX_MESSAGE} more characters)\n"
+        else:
+            assert err == f"error: {full}\n"
+        # compat.json keeps every digit of the constraints
+        assert run(["check", "--config", write_config(tmp_path, doc), "--quiet"]) == EXIT_DOMAIN
+        constraints = json.loads((tmp_path / "o" / "compat.json").read_text())["exact_constraints"]
+        assert constraints in full
+
     def test_cosine_solve_verifies(self, tmp_path):
         out = tmp_path / "o"
         doc = {
@@ -222,6 +245,15 @@ class TestSolveCommand:
         verdict = json.loads((out / "verify.json").read_text())
         assert verdict["overall_pass"] is True
         assert verdict["quadrature_vs_riemann"] is not None
+
+    def test_cosine_psi_is_pinned(self, tmp_path):
+        # recorded while every quadrature rule took order 12: the lattice
+        # takes its own per-sub-cell order, so the spec's order moves no byte
+        out = tmp_path / "o"
+        doc = {"a": 1, "stress": {"kind": "cosine", "A": 10, "m": 3}, "grid_n": 101, "out": str(out)}
+        assert run(["solve", "--config", write_config(tmp_path, doc), "--quiet"]) == EXIT_OK
+        assert hashlib.sha256((out / "psi.csv").read_bytes()).hexdigest() == \
+            "d6d7f93a3c578fe5edf3eb1ac3d43084d9cd905f83462a48375905af461a2304"
 
     def test_high_harmonic_solves(self, tmp_path):
         out = tmp_path / "o"

@@ -87,3 +87,14 @@ def test_flow_on_an_overflowing_field_fails_in_one_line():
         assert rc == EXIT_DOMAIN
         assert len(err.splitlines()) == 1 and err.startswith("error: the velocity is not finite")
         assert "Traceback" not in err
+
+
+def test_flow_on_an_underflowed_field_fails_in_one_line():
+    # at a = 1e-300 every velocity of the builtins underflows to 0 while
+    # their stress does not vanish: that is no null field, and `solve`
+    # fails on the same configs
+    for stress in STRESSES[:3]:
+        with tempfile.TemporaryDirectory() as work:
+            rc, err, _ = _run("flow", {"a": 1e-300, "stress": stress}, work, "flow")
+        assert rc == EXIT_DOMAIN
+        assert len(err.splitlines()) == 1 and err.startswith("error: the velocity underflows to zero")

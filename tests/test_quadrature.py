@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cavitystream.compatibility import CosineStress, cosine_harmonic
 from cavitystream.geometry import Rect
 from cavitystream.quadrature import (
     MAX_BLOCK,
     QuadratureSpec,
+    _cell_counts,
     cell_table,
     default_quadrature_spec,
     gauss_nodes,
@@ -266,9 +268,32 @@ class TestGaussOrder:
 
 
 class TestDefaultSpec:
-    @pytest.mark.parametrize("m, S", [(0, 8), (3, 8), (15, 8), (16, 8), (17, 9), (61, 31), (200, 100)])
+    # the order is the widest cell's gauss_order at phase m pi / S; any
+    # other stress (m = 0) keeps order 12
+    ORDER = {0: 12, 1: 6, 3: 7, 15: 11, 16: 12, 17: 11, 61: 12, 200: 12}
+
+    @pytest.mark.parametrize("m, S", [(0, 8), (1, 8), (3, 8), (15, 8), (16, 8), (17, 9), (61, 31), (200, 100)])
     def test_subdivision_grows_with_the_harmonic(self, m, S):
-        assert default_quadrature_spec(m) == QuadratureSpec(order=12, subdivision=S)
+        assert default_quadrature_spec(m) == QuadratureSpec(order=self.ORDER[m], subdivision=S)
+
+    def test_order_is_the_widest_cells(self):
+        for m in range(1, 201):
+            spec = default_quadrature_spec(m)
+            assert spec.order == gauss_order(m * math.pi / spec.subdivision, 12)
+        assert default_quadrature_spec(21).order == 12
+
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    def test_lattice_sub_cells_never_need_more(self, a):
+        # cell_table's per-sub-cell order, capped by spec.order, is the
+        # order it took under order 12 at every grid_n, so psi.csv does
+        # not move; gauss_order grows with the phase, so the widest
+        # sub-cell phase decides
+        h = a / np.arange(1, 1001)
+        for m in range(1, 201):
+            k = m * math.pi / a
+            spec = default_quadrature_spec(cosine_harmonic(CosineStress(1.0, k), a))
+            phase = np.max(0.5 * k * h / _cell_counts(h, spec, 2 * a))
+            assert gauss_order(phase, 12) <= spec.order
 
 
 class TestRiemannRect:

@@ -34,7 +34,8 @@ from cavitystream.solver import (
     solve_quadrature,
     write_grid_csv,
 )
-from cavitystream.verify import boundary_vanishing_poly, random_poly, riemann_psi
+from cavitystream.quadrature import QuadratureSpec
+from cavitystream.verify import FD_STEP, LATTICE_N, boundary_vanishing_poly, random_poly, riemann_psi
 
 X, Y, A = poly_vars()
 D1 = TriangleDomain(1.0)
@@ -462,6 +463,35 @@ class TestBatchedQuadratureEvaluation:
         exact = linear_example(D1)
         with pytest.raises(ValueError, match="is not interior"):
             residual(exact, f, [inside, PhysicalPoint(1.0, 0.0)], 1e-3)
+
+
+def _order_12_twin(psi):
+    """The same backing under the fixed order 12 every rule used before
+    the order followed the phase."""
+    twin = QuadratureStreamFunction(psi.stress, psi.domain)
+    twin.spec = QuadratureSpec(12, psi.spec.subdivision)
+    return twin
+
+
+class TestPhaseSizedOrder:
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("m", range(1, 20, 2))
+    def test_stencil_values_match_order_12(self, m, a):
+        d = TriangleDomain(a)
+        psi = QuadratureStreamFunction(CosineStress(1.0, m * math.pi / a), d)
+        assert psi.spec.order < 12
+        h = FD_STEP * a
+        x, y = np.array(interior_lattice(d, LATTICE_N, margin=1.5 * h)).T
+        x, y = np.concatenate([x, x - h, x + h, x, x]), np.concatenate([y, y, y, y - h, y + h])
+        got, want = psi.evaluate_many(x, y), _order_12_twin(psi).evaluate_many(x, y)
+        assert np.max(np.abs(got - want)) <= np.max(psi.rounding_bound(x, y))
+
+    @pytest.mark.parametrize("m, a, n", [
+        (1, 1.0, 101), (3, 1.0, 101), (15, 0.25, 51), (17, 1e3, 51), (19, 1e-3, 21), (3, 1.0, 3), (13, 1.0, 2)])
+    def test_lattice_values_are_bit_identical(self, m, a, n):
+        psi = QuadratureStreamFunction(CosineStress(10.0, m * math.pi / a), TriangleDomain(a))
+        got, want = psi.lattice_values(n)[2], _order_12_twin(psi).lattice_values(n)[2]
+        assert got.tobytes() == want.tobytes()
 
 
 def _per_point(psi, n):
