@@ -32,6 +32,36 @@ def _frac(c: Scalar) -> Fraction:
     raise TypeError(f"unsupported coefficient type: {type(c).__name__}")
 
 
+# significant digits of a coefficient too long for int -> str
+ROUNDED_DIGITS = 17
+
+
+def _coefficient_text(c: Fraction) -> str:
+    """c > 0 exactly, as n or n/d, unless n or d has more decimal digits
+    than the interpreter converts (``sys.get_int_max_str_digits``, 4300
+    by default): then as ~d.dddde+N, c rounded to ROUNDED_DIGITS
+    significant digits, the ~ marking the rounding."""
+    try:
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    except ValueError:
+        return "~" + _rounded_decimal(c)
+
+
+def _rounded_decimal(c: Fraction) -> str:
+    """c > 0 rounded half-even to ROUNDED_DIGITS significant digits, in
+    scientific notation, without converting c's own integers."""
+    e = math.floor(math.log10(c.numerator) - math.log10(c.denominator))
+    while c < Fraction(10) ** e:
+        e -= 1
+    while c >= Fraction(10) ** (e + 1):
+        e += 1
+    q = round(c * Fraction(10) ** (ROUNDED_DIGITS - 1 - e))
+    if q == 10**ROUNDED_DIGITS:  # rounded up into the next decade
+        q, e = q // 10, e + 1
+    digits = str(q)
+    return f"{digits[0]}.{digits[1:]}e{e:+d}"
+
+
 def _numerators(p: "BivariatePoly") -> tuple[dict[Key, int], int]:
     """(integer numerators, common denominator) of p's coefficients."""
     den = math.lcm(*(c.denominator for c in p._coef.values()))
@@ -409,7 +439,8 @@ class BivariatePoly:
     # formatting
 
     def to_text(self, names: tuple[str, str] = ("x", "y"), a_name: str = "a") -> str:
-        """Serialize as a sum of c * x^i * y^j terms in graded-lex order."""
+        """Serialize as a sum of c * x^i * y^j terms in graded-lex order,
+        each coefficient as ``_coefficient_text`` writes it."""
         if not self._coef:
             return "0"
         parts: list[str] = []
@@ -422,7 +453,7 @@ class BivariatePoly:
             if j:
                 factors.append(names[1] if j == 1 else f"{names[1]}^{j}")
             mag = abs(c)
-            cs = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+            cs = _coefficient_text(mag)
             if factors and mag == 1:
                 body = "*".join(factors)
             elif factors:

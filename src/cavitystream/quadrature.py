@@ -1,4 +1,12 @@
-"""Tensorized Gauss-Legendre quadrature over axis-aligned rectangles."""
+"""Gauss-Legendre quadrature over axis-aligned rectangles and segments.
+
+``integrate_rect`` takes a subdivided tensor rule, or, when the caller
+states that the integrand depends on t + s alone (a ridge, as for a
+stress that reads only y), a 1-D rule on the trapezoidal overlap
+length of each rectangle.  ``cell_table`` integrates the cells of a
+square lattice with the tensor rule, ``integrate_segments`` integrates
+along segments, and ``riemann_rect`` is the midpoint cross-check.
+"""
 
 from __future__ import annotations
 
@@ -96,7 +104,7 @@ def _cell_counts(width: np.ndarray, spec: QuadratureSpec, span: float) -> np.nda
     return np.clip(np.ceil(S * width / span - 1e-9), 1, S).astype(np.int64)
 
 
-def integrate_rect(fn: Callable, rect: Rect, spec: QuadratureSpec, span: float):
+def integrate_rect(fn: Callable, rect: Rect, spec: QuadratureSpec, span: float, *, ridge: bool = False):
     """Integrate fn(t, s) over one rectangle or over a batch of them.
 
     ``rect`` holds floats (the result is a float) or four arrays of one
@@ -109,15 +117,34 @@ def integrate_rect(fn: Callable, rect: Rect, spec: QuadratureSpec, span: float):
     rectangles form one flat sequence; fn receives blocks of at most
     MAX_BLOCK // order**2 whole cells (full-shape node arrays), and the
     cell sums are added up per rectangle.
+
+    ``ridge=True`` states that fn(t, s) depends on t + s alone, as the
+    integrand of a stress that reads only y does.  Each rectangle is
+    then one 1-D integral (``_ridge_chunk``): fn is called as fn(u, 0)
+    on order nodes per cell, in blocks of at most MAX_BLOCK // (2 order)
+    whole cells.  The caller states the fact, so a wrapped fn sees every
+    node.
     """
     t0, t1, s0, s1 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in rect))
     shape = t0.shape
     t0, t1, s0, s1 = (v.ravel() for v in (t0, t1, s0, s1))
+    chunk = _ridge_chunk if ridge else _integrate_chunk
     out = np.zeros(t0.shape)
     for i in range(0, out.size, RECT_CHUNK):
         part = slice(i, i + RECT_CHUNK)
-        out[part] = _integrate_chunk(fn, t0[part], t1[part], s0[part], s1[part], spec, span)
+        out[part] = chunk(fn, t0[part], t1[part], s0[part], s1[part], spec, span)
     return float(out[0]) if not shape else out.reshape(shape)
+
+
+def _cell_blocks(cells: np.ndarray, per: int):
+    """Blocks of at most ``per`` cells of the flat sequence in which
+    rectangle r holds cells[r] cells: (r, k) per block, each cell's
+    rectangle and its index within that rectangle."""
+    end = np.cumsum(cells)
+    for c0 in range(0, int(end[-1]), per):
+        k = np.arange(c0, min(c0 + per, end[-1]))
+        r = np.searchsorted(end, k, side="right")
+        yield r, k - (end[r] - cells[r])
 
 
 def _integrate_chunk(fn, t0, t1, s0, s1, spec, span):
@@ -126,19 +153,51 @@ def _integrate_chunk(fn, t0, t1, s0, s1, spec, span):
     wt, ws = t1 - t0, s1 - s0
     nt, ns = _cell_counts(wt, spec, span), _cell_counts(ws, spec, span)
     cells = np.where((wt > 0) & (ws > 0), nt * ns, 0)
-    end = np.cumsum(cells)
     out = np.zeros(t0.shape)
-    per = max(1, MAX_BLOCK // spec.order**2)
-    for c0 in range(0, int(end[-1]), per):
-        k = np.arange(c0, min(c0 + per, end[-1]))
-        r = np.searchsorted(end, k, side="right")
-        it, js = np.divmod(k - (end[r] - cells[r]), ns[r])
+    for r, k in _cell_blocks(cells, max(1, MAX_BLOCK // spec.order**2)):
+        it, js = np.divmod(k, ns[r])
         ht, hs = wt[r] / nt[r], ws[r] / ns[r]
         T = (t0[r] + (it + 0.5) * ht)[:, None] + (0.5 * ht)[:, None] * x
         S = (s0[r] + (js + 0.5) * hs)[:, None] + (0.5 * hs)[:, None] * x
         T, S = np.broadcast_arrays(T[:, :, None], S[:, None, :])
         vals = np.asarray(fn(T, S), dtype=float).reshape(len(k), -1)
         out[r[0]:r[-1] + 1] += np.bincount(r - r[0], weights=(vals @ ww) * ht * hs)
+    return out
+
+
+# slope of the overlap length K on each of its three pieces
+_RIDGE_SLOPE = np.array([1.0, 0.0, -1.0])
+
+
+def _ridge_chunk(fn, t0, t1, s0, s1, spec, span):
+    """The double integral of F(t + s) over [t0, t1] x [s0, s1] is
+    int F(u) K(u) du, K(u) the length of [t0, t1] ∩ [u - s1, u - s0]:
+    the convolution of two boxes, a trapezoid with kinks at t0 + s1 and
+    t1 + s0.  With short <= wide the two side lengths and u = t0 + s0 + v,
+    K = v on [0, short], short on [short, wide] and short + wide - v on
+    [wide, short + wide].  Each piece is cut like a side of the same
+    length (``_cell_counts``; an empty middle piece gets no cell), and
+    Gauss-Legendre of spec.order per cell integrates F times the linear K."""
+    x, w = gauss_nodes(spec.order)
+    wt, ws = t1 - t0, s1 - s0
+    short, wide = np.minimum(wt, ws), np.maximum(wt, ws)
+    width = np.stack([short, wide - short, short], 1)
+    start = np.stack([np.zeros_like(short), short, wide], 1)
+    n = np.where(width > 0, _cell_counts(width, spec, span), 0)
+    n[(wt <= 0) | (ws <= 0)] = 0
+    first = np.cumsum(n, 1) - n  # each piece's first cell within its rectangle
+    origin = t0 + s0
+    out = np.zeros(t0.shape)
+    # half blocks: fn gets the nodes as one full array and makes its own
+    # temporaries of that size, where the tensor rule hands it broadcast
+    # views, so whole blocks would raise peak memory
+    for r, k in _cell_blocks(n.sum(1), max(1, MAX_BLOCK // (2 * spec.order))):
+        p = (k >= first[r, 1]).astype(np.int64) + (k >= first[r, 2])
+        h = width[r, p] / n[r, p]
+        v = ((k - first[r, p] + 0.5)[:, None] + 0.5 * x) * h[:, None]  # node offsets within the piece
+        K = np.where(p == 0, 0.0, short[r])[:, None] + _RIDGE_SLOPE[p][:, None] * v
+        vals = np.asarray(fn((origin[r] + start[r, p])[:, None] + v, 0.0), dtype=float)
+        out[r[0]:r[-1] + 1] += np.bincount(r - r[0], weights=((vals * K) @ w) * (0.5 * h))
     return out
 
 

@@ -16,13 +16,14 @@ exact double antiderivative H of the rotated stress
 (``char_antiderivative``), yielding the stream function as an exact
 polynomial, and the gate is that polynomial's own trace on AB, which
 is -R/4 (``solve_exact_poly``); otherwise ``solve_quadrature`` runs the
-admissibility sweep first and psi is evaluated by a subdivided tensor
-Gauss rule, batched over points, and on the export lattice from one
-summed-area table of lattice cells, the discrete form of the same
-corner rule.  The closed-form sinusoidal case is provided as a
-builtin.  Every backing differentiates itself: derivative polynomials,
-the closed-form derivatives, or the Leibniz rule on the first
-rectangle (three line integrals of the stress).
+admissibility sweep first and psi is evaluated by a subdivided Gauss
+rule batched over points (1-D on each rectangle for a cosine stress,
+whose integrand depends on t + s alone; a tensor rule otherwise), and
+on the export lattice from one summed-area table of lattice cells, the
+discrete form of the same corner rule.  The closed-form sinusoidal
+case is provided as a builtin.  Every backing differentiates itself:
+derivative polynomials, the closed-form derivatives, or the Leibniz
+rule on the first rectangle (three line integrals of the stress).
 """
 
 from __future__ import annotations
@@ -306,11 +307,15 @@ class QuadratureStreamFunction(StreamFunction):
         return self.evaluate_many([x], [y])[0]
 
     def evaluate_many(self, x, y) -> np.ndarray:
-        """All points in one batched ``integrate_rect`` call."""
+        """All points in one batched ``integrate_rect`` call.  A cosine
+        stress reads only y = (t + s)/2, so its integrand is a ridge and
+        takes the 1-D rule (``ridge=True``); any other stress the tensor
+        rule."""
         X, Y = to_characteristic(PhysicalPoint(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
         require_in_char_image(self.domain, X, Y)
         rect1 = Rect(-Y, X, Y, np.zeros_like(Y))
-        return float(SOLUTION_PREFACTOR) * integrate_rect(self._g, rect1, self.spec, 2 * float(self.domain.a))
+        return float(SOLUTION_PREFACTOR) * integrate_rect(self._g, rect1, self.spec, 2 * float(self.domain.a),
+                                                          ridge=isinstance(self.stress, CosineStress))
 
     def lattice_values(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One summed-area table of lattice cells answers every point.

@@ -7,7 +7,8 @@ coefficients of a polynomial psi leave the float range.
 Each config is run twice in-process through ``cli.run`` with
 ``--grid 11``.  The exit code must be 0, 1 or 2, nothing may escape as
 a traceback, no numpy RuntimeWarning may reach stderr, and the two runs
-must write byte-identical files.
+must write byte-identical files.  Configs found to break the contract
+outside this sweep keep a test of their own below.
 
 `flow` stays out of the sweep: its default streamline step is a time
 step, so at a = 1e-3 a streamline can run to the step limit without
@@ -98,3 +99,22 @@ def test_flow_on_an_underflowed_field_fails_in_one_line():
             rc, err, _ = _run("flow", {"a": 1e-300, "stress": stress}, work, "flow")
         assert rc == EXIT_DOMAIN
         assert len(err.splitlines()) == 1 and err.startswith("error: the velocity underflows to zero")
+
+
+def test_huge_constraint_coefficients_fail_in_one_line():
+    # Fraction(1.19e-174) has a 578-digit denominator, and its powers in
+    # the constraint polynomial pass the interpreter's int -> str limit;
+    # those coefficients are written rounded and marked with ~
+    doc = {"a": 1.19e-174, "stress": {"kind": "polynomial", "terms": [{"i": 38, "j": 6, "coefficient": -15}]}}
+    for command in COMMANDS:
+        with tempfile.TemporaryDirectory() as work:
+            rc, err, files = _run(command, doc, work, command)
+        assert rc == EXIT_DOMAIN
+        assert "Traceback" not in err
+        if command == "check":
+            # the verdict goes to compat.json, not to stderr
+            assert err == ""
+            assert b'"exact_constraints": "-~' in files["compat.json"]
+        else:
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: stress fails the admissibility condition; constraint polynomial: -~")

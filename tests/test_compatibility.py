@@ -124,6 +124,15 @@ class TestCompatCheck:
         assert not report.is_compatible
         assert report.exact_constraints != "0"
 
+    def test_constraints_with_huge_coefficients_are_written(self):
+        # Fraction(1e-200) has a 665-digit denominator; its powers in the
+        # residual pass the interpreter's int -> str limit, which those
+        # coefficients are written around, rounded and marked with ~
+        report = compat_check(PolynomialStress(X**20 + 3 * Y**17), TriangleDomain(1e-200))
+        assert not report.is_compatible
+        assert "~" in report.exact_constraints
+        assert "~" in report.to_json()
+
     def test_cosine_odd_harmonic_compatible(self):
         report = compat_check(CosineStress(5.0, math.pi), D1)
         assert report.is_compatible

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -227,6 +228,24 @@ class TestFormatting:
     def test_fraction_coefficients(self):
         p = X * Fraction(1, 2)
         assert p.to_text() == "1/2*x"
+
+    def test_coefficients_past_the_int_to_str_limit_are_rounded_and_marked(self):
+        # 4300 digits is the interpreter's default limit; the text never
+        # raises and never raises the limit
+        limit = sys.get_int_max_str_digits()
+        big = 10**5000 * Fraction(2, 3)
+        p = X * big - Y * Fraction(1, 7 * 10**6000) + A * Fraction(10**4000 + 1, 3)
+        assert p.to_text() == f"{10**4000 + 1}/3*a + ~6.6666666666666667e+4999*x - ~1.4285714285714286e-6001*y"
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("value, text", [
+        (Fraction(10**17 - 1, 10**5000), "~9.9999999999999999e-4984"),
+        (Fraction(10**18 - 1, 10**5000), "~1.0000000000000000e-4982"),  # rounds up a decade
+        (Fraction(10**5000 + 5 * 10**4983), "~1.0000000000000000e+5000"),  # half to even
+        (Fraction(10**5000 + 15 * 10**4983), "~1.0000000000000002e+5000"),
+    ])
+    def test_rounded_coefficients_take_seventeen_digits(self, value, text):
+        assert (X * value).to_text() == text + "*x"
 
 
 class TestEvaluation:

@@ -168,6 +168,147 @@ class TestBatchedIntegrateRect:
             assert abs(got[k] - ref) <= 1e-14 * abs(ref)
 
 
+def _ridge_rects(a, seed=11):
+    """Rectangles of the cavity's characteristic image, in units of a:
+    the first rectangles [-Y, X] x [Y, 0] of random points of the
+    triangle, then t-wide, s-wide, square, thin, full-span and
+    degenerate ones."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(0, 2, 40), rng.uniform(0, 1, 40)
+    keep = (y <= x) & (x + y <= 2)
+    X, Y = (x + y)[keep], (y - x)[keep]
+    named = np.array([
+        (0.0, 2.0, -0.1, 0.0), (0.2, 0.3, -2.0, 0.0),  # t-wide, s-wide
+        (0.5, 1.5, -1.0, 0.0), (0.0, 2.0, -2.0, 0.0),  # square, full span
+        (0.3, 0.3 + 1e-6, -1.5, -0.2), (0.1, 1.9, -0.7, -0.7 + 1e-7),  # thin in t, thin in s
+        (0.4, 0.4, -1.0, 0.0), (0.0, 1.0, -0.5, -0.6),  # degenerate
+    ])
+    return Rect(*(np.concatenate([v, w]) * a for v, w in zip((-Y, X, Y, 0 * Y), named.T)))
+
+
+def _cosine_ridge(A, m, a):
+    """g(t, s) = A cos(k (t + s) / 2), the integrand of A cos(k y),
+    k = m pi / a."""
+    k = m * math.pi / a
+    return lambda t, s: A * np.cos(k * (t + s) / 2)
+
+
+def _cosine_ridge_exact(A, m, a, rect):
+    """Its integral over each rectangle, from the closed form."""
+    c = m * math.pi / a / 2
+    t0, t1, s0, s1 = rect
+    return A * (np.cos(c * (t0 + s1)) + np.cos(c * (t1 + s0)) - np.cos(c * (t1 + s1)) - np.cos(c * (t0 + s0))) / c**2
+
+
+class TestRidgeRule:
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("m", [1, 3, 15, 61, 199])
+    def test_matches_the_tensor_rule_for_a_cosine(self, m, a):
+        # psi = -1/4 of the integral, and its rounding_bound,
+        # u (1 + 2 pi m) |A| a^2 / 4, covers rectangles of area at most
+        # a^2; a larger rectangle rounds in proportion to its area
+        A = 10.0
+        rect = _ridge_rects(a)
+        spec = default_quadrature_spec(m)
+        tensor = integrate_rect(_cosine_ridge(A, m, a), rect, spec, 2 * a)
+        ridge = integrate_rect(_cosine_ridge(A, m, a), rect, spec, 2 * a, ridge=True)
+        rounding = 2.0**-53 * (1 + 2 * math.pi * m) * A * a * a / 4
+        area = np.maximum(rect.t1 - rect.t0, 0) * np.maximum(rect.s1 - rect.s0, 0)
+        assert np.all(np.abs(ridge - tensor) / 4 <= 4 * rounding * np.maximum(1.0, area / a**2))
+
+    def test_scalar_and_batch_forms_agree_with_the_closed_form(self):
+        A, m, a = 2.0, 3, 1.0
+        rect = _ridge_rects(a)
+        spec = default_quadrature_spec(m)
+        batch = integrate_rect(_cosine_ridge(A, m, a), rect, spec, 2 * a, ridge=True)
+        assert batch.shape == rect.t0.shape
+        want = _cosine_ridge_exact(A, m, a, rect)
+        for k, one in enumerate(zip(*rect)):
+            got = integrate_rect(_cosine_ridge(A, m, a), Rect(*one), spec, 2 * a, ridge=True)
+            assert isinstance(got, float)
+            assert abs(got - batch[k]) <= 1e-15 * A * a * a
+            if one[1] > one[0] and one[3] > one[2]:
+                assert abs(got - want[k]) <= 1e-14 * A * a * a
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 6])
+    def test_exact_for_polynomial_ridges(self, order):
+        # F(u) K(u), K linear on each piece, has degree p + 1: exact when
+        # p + 1 <= 2 order - 1, as the tensor rule is for (t + s)^p
+        p = 2 * order - 2
+        fn = lambda t, s: (t + s + 0.3) ** p  # noqa: E731
+        rect = _ridge_rects(1.0)
+        spec = QuadratureSpec(order, 5)
+        tensor = integrate_rect(fn, rect, spec, 2.0)
+        ridge = integrate_rect(fn, rect, spec, 2.0, ridge=True)
+        np.testing.assert_allclose(ridge, tensor, rtol=1e-13, atol=1e-15)
+
+    def test_degenerate_rectangles_are_exactly_zero_and_not_evaluated(self):
+        seen = []
+
+        def fn(t, s):
+            seen.append(np.size(t))
+            return np.ones_like(t)
+
+        spec = QuadratureSpec(3, 2)
+        rects = Rect(np.array([0.0, 1.0, 0.0, 2.0]), np.array([0.0, 0.5, 1.0, 3.0]),
+                     np.array([-1.0, 0.0, 0.0, -1.0]), np.array([0.0, 1.0, 0.0, 0.0]))
+        out = integrate_rect(fn, rects, spec, 2.0, ridge=True)
+        assert out[:3].tolist() == [0.0, 0.0, 0.0]
+        assert out[3] == pytest.approx(1.0, rel=1e-14)
+        assert sum(seen) == 2 * 3  # the square has two pieces of one cell each
+        seen.clear()
+        assert integrate_rect(fn, Rect(1.0, 1.0, 0.0, 1.0), spec, 2.0, ridge=True) == 0.0
+        assert integrate_rect(fn, Rect(*(v[:3] for v in rects)), spec, 2.0, ridge=True).tolist() == [0.0] * 3
+        assert seen == []
+
+    def test_a_counting_integrand_sees_each_piece_cut_like_a_side(self):
+        seen = []
+
+        def fn(t, s):
+            seen.append((np.size(t), s))
+            return np.ones_like(t)
+
+        spec = QuadratureSpec(order=3, subdivision=10)
+        # cells no wider than 2/10: a 0.9 x 0.2 rectangle has pieces of
+        # 0.2, 0.7 and 0.2 (1 + 4 + 1 cells), a 0.9 square two of 0.9
+        # (5 + 5) and the 2 x 2 span two of 2 (10 + 10)
+        for rect, cells in [(Rect(0.0, 0.9, -0.2, 0.0), 6), (Rect(0.0, 0.2, -0.9, 0.0), 6),
+                            (Rect(0.1, 1.0, -0.9, 0.0), 10), (Rect(0.0, 2.0, -2.0, 0.0), 20)]:
+            seen.clear()
+            area = (rect.t1 - rect.t0) * (rect.s1 - rect.s0)
+            assert integrate_rect(fn, rect, spec, 2.0, ridge=True) == pytest.approx(area, rel=1e-14)
+            assert sum(n for n, _ in seen) == cells * spec.order
+            assert all(s == 0 for _, s in seen)
+
+    def test_many_rectangles_at_the_largest_harmonic_stay_in_bounded_memory(self):
+        sizes = []
+        fn = _cosine_ridge(1.0, 199, 1.0)
+
+        def counted(t, s):
+            sizes.append(t.size)
+            return fn(t, s)
+
+        rng = np.random.default_rng(5)
+        n = 100_000
+        t0 = rng.uniform(0.0, 1.0, n)
+        s0 = rng.uniform(-1.0, 0.0, n)
+        rects = Rect(t0, t0 + rng.uniform(0.0, 0.1, n), s0, s0 + rng.uniform(0.0, 0.1, n))
+        spec = default_quadrature_spec(199)
+        tracemalloc.start()
+        try:
+            got = integrate_rect(counted, rects, spec, 2.0, ridge=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 7.9M nodes: a flat rule would hold 60 MB per node array
+        assert sum(sizes) > 60 * 2**20 / 8
+        assert peak < 8 * 2**20
+        assert max(sizes) <= MAX_BLOCK
+        sample = slice(0, n, 10_000)
+        want = integrate_rect(fn, Rect(*(v[sample] for v in rects)), spec, 2.0)
+        assert np.max(np.abs(got[sample] - want)) <= 1e-13
+
+
 class TestIntegrateSegments:
     def test_axis_segments_match_closed_form(self):
         # int_{-1}^{0} e^{0.3 t} dt along s = 0.5, int_{0.2}^{1.7} cos(s) ds along t = -2
