@@ -86,10 +86,16 @@ def cosine_harmonic(f: StressField, a: float) -> float:
     return abs(f.wavenumber) * a / math.pi if isinstance(f, CosineStress) else 0.0
 
 
+def is_ridge(f: StressField) -> bool:
+    """True when f reads only y, so g(t, s) = f(., (t+s)/2) is a ridge
+    in t + s: a cosine stress."""
+    return isinstance(f, CosineStress)
+
+
 def stress_char_evaluator(f: StressField, a: float | None = None) -> Callable:
     """Evaluator of g(t, s) = f((t-s)/2, (t+s)/2) on numpy arrays."""
     ev = f.evaluator(a)
-    if isinstance(f, CosineStress):
+    if is_ridge(f):
         # a cosine stress reads only y = (t+s)/2: x is never formed
         return lambda t, s: ev(None, (t + s) / 2.0)
     return lambda t, s: ev((t - s) / 2.0, (t + s) / 2.0)

@@ -11,6 +11,7 @@ soon as a float argument appears.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 import types
@@ -49,17 +50,10 @@ def _coefficient_text(c: Fraction) -> str:
 
 def _rounded_decimal(c: Fraction) -> str:
     """c > 0 rounded half-even to ROUNDED_DIGITS significant digits, in
-    scientific notation, without converting c's own integers."""
-    e = math.floor(math.log10(c.numerator) - math.log10(c.denominator))
-    while c < Fraction(10) ** e:
-        e -= 1
-    while c >= Fraction(10) ** (e + 1):
-        e += 1
-    q = round(c * Fraction(10) ** (ROUNDED_DIGITS - 1 - e))
-    if q == 10**ROUNDED_DIGITS:  # rounded up into the next decade
-        q, e = q // 10, e + 1
-    digits = str(q)
-    return f"{digits[0]}.{digits[1:]}e{e:+d}"
+    scientific notation, without converting c's own integers to str."""
+    ctx = decimal.Context(prec=ROUNDED_DIGITS, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    q = ctx.divide(decimal.Decimal(c.numerator), decimal.Decimal(c.denominator))
+    return f"{q:.{ROUNDED_DIGITS - 1}e}"
 
 
 def _numerators(p: "BivariatePoly") -> tuple[dict[Key, int], int]:

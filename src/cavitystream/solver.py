@@ -54,6 +54,7 @@ from .compatibility import (
     char_antiderivative,
     compat_check,
     cosine_harmonic,
+    is_ridge,
     stress_char_evaluator,
     stress_scale,
 )
@@ -302,20 +303,21 @@ class QuadratureStreamFunction(StreamFunction):
         self.stress = stress
         self.spec = default_quadrature_spec(cosine_harmonic(stress, float(domain.a)))
         self._g = stress_char_evaluator(stress, float(domain.a))
+        self._ridge = is_ridge(stress)
 
     def _raw_eval(self, x, y):
         return self.evaluate_many([x], [y])[0]
 
     def evaluate_many(self, x, y) -> np.ndarray:
-        """All points in one batched ``integrate_rect`` call.  A cosine
-        stress reads only y = (t + s)/2, so its integrand is a ridge and
-        takes the 1-D rule (``ridge=True``); any other stress the tensor
+        """All points in one batched ``integrate_rect`` call.  A stress
+        that reads only y = (t + s)/2 (``is_ridge``: a cosine) has a ridge
+        integrand and takes the 1-D rule; any other stress the tensor
         rule."""
         X, Y = to_characteristic(PhysicalPoint(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
         require_in_char_image(self.domain, X, Y)
         rect1 = Rect(-Y, X, Y, np.zeros_like(Y))
         return float(SOLUTION_PREFACTOR) * integrate_rect(self._g, rect1, self.spec, 2 * float(self.domain.a),
-                                                          ridge=isinstance(self.stress, CosineStress))
+                                                          ridge=self._ridge)
 
     def lattice_values(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One summed-area table of lattice cells answers every point.
