@@ -20,10 +20,12 @@ to the streamline step rule (ROADMAP item 1) re-sets the kinematics
 ceilings, and a change to the verify lattice, to the Riemann oracle
 (one `riemann_psi` call per quadrature solve, summing one midpoint
 table at each of N, N/2 and N/4 cells per axis; ROADMAP item 6), to
-the Gauss order of `default_quadrature_spec` or to the 1-D ridge rule
+the Gauss order of `default_quadrature_spec`, to the 1-D ridge rule
 that `integrate_rect` runs for a cosine stress (`ridge=True`; ROADMAP
-item 9) re-sets the quad-cosine ones; a change that lowers a count
-should lower its ceiling.
+item 9) or to the export lattice's `cell_table`, which integrates its
+cells through `integrate_rect` (one cell per diagonal for a ridge),
+re-sets the quad-cosine ones; a change that lowers a count should
+lower its ceiling.
 
 Usage: python scripts/bench_smoke.py [--seconds S]
 """
@@ -38,7 +40,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 PSI_REL_ERR_MAX = 1e-12
 HEADROOM_MIN = 2.0
 COUNTER_CEILINGS = {
-    "quad-cosine": {"quadrature.nodes": 328_286, "quadrature.stress_evals": 1_908_981,
+    "quad-cosine": {"quadrature.nodes": 343_114, "quadrature.stress_evals": 1_090_609,
                     "quadrature.riemann_nodes": 616_770, "verify.riemann_psi_calls": 2},
     "symbolic-exact": {"polyalg.compose_calls": 381, "polyalg.mul_calls": 364,
                        "compatibility.exact_residual_calls": 93},

@@ -386,7 +386,10 @@ def cmd_check(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = 
         print(f"warning: even harmonic m={cfg.stress.harmonic} is outside the admissible family", file=sys.stderr)
     report = compat_check(stress, d)
     _write_json(os.path.join(cfg.out, "compat.json"), report.to_json_dict())
-    _info(quiet, f"check: {report.verdict} (max residual {report.max_abs_residual:.3e})")
+    # a polynomial's verdict is its exact constraint's, whatever the float sweep reads
+    exact = "" if report.exact_constraints is None else \
+        f"exact constraint {'zero' if report.is_compatible else 'nonzero'}; "
+    _info(quiet, f"check: {report.verdict} ({exact}max residual {report.max_abs_residual:.3e})")
     return EXIT_OK if report.is_compatible else EXIT_DOMAIN
 
 

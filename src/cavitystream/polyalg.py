@@ -57,9 +57,12 @@ def _rounded_decimal(c: Fraction) -> str:
 
 
 def _numerators(p: "BivariatePoly") -> tuple[dict[Key, int], int]:
-    """(integer numerators, common denominator) of p's coefficients."""
-    den = math.lcm(*(c.denominator for c in p._coef.values()))
-    return {key: c.numerator * (den // c.denominator) for key, c in p._coef.items()}, den
+    """(integer numerators, common denominator) of p's coefficients,
+    computed once per polynomial; callers must not mutate them."""
+    if p._numerators is None:
+        den = math.lcm(*(c.denominator for c in p._coef.values()))
+        p._numerators = {key: c.numerator * (den // c.denominator) for key, c in p._coef.items()}, den
+    return p._numerators
 
 
 def _int_mul(p: dict[Key, int], q: dict[Key, int]) -> dict[Key, int]:
@@ -133,7 +136,7 @@ class BivariatePoly:
     their coefficient maps are equal.
     """
 
-    __slots__ = ("_coef", "_hash", "_compiled")
+    __slots__ = ("_coef", "_hash", "_compiled", "_numerators")
 
     def __init__(self, coef: Mapping[Key, Scalar]):
         clean: dict[Key, Fraction] = {}
@@ -147,6 +150,7 @@ class BivariatePoly:
         self._coef = clean
         self._hash = None
         self._compiled = None
+        self._numerators = None
 
     # ------------------------------------------------------------------
     # constructors

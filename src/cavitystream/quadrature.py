@@ -3,9 +3,10 @@
 ``integrate_rect`` takes a subdivided tensor rule, or, when the caller
 states that the integrand depends on t + s alone (a ridge, as for a
 stress that reads only y), a 1-D rule on the trapezoidal overlap
-length of each rectangle.  ``cell_table`` integrates the cells of a
-square lattice with the tensor rule, ``integrate_segments`` integrates
-along segments, and ``riemann_rect`` is the midpoint cross-check.
+length of each rectangle.  ``cell_table`` sums the cells of a square
+lattice, each integrated by ``integrate_rect``; ``integrate_segments``
+integrates along segments, and ``riemann_rect`` is the midpoint
+cross-check.
 """
 
 from __future__ import annotations
@@ -224,45 +225,31 @@ def integrate_segments(fn: Callable, t0, t1, s0, s1, spec: QuadratureSpec, span:
     return np.bincount(seg, weights=(vals @ w) * (0.5 * length / n)[seg], minlength=length.size)
 
 
-def cell_table(fn: Callable, size: int, h: float, spec: QuadratureSpec, span: float,
-               wavenumber: float = 0.0) -> np.ndarray:
+def cell_table(fn: Callable, size: int, h: float, spec: QuadratureSpec, span: float, *,
+               ridge: bool = False) -> np.ndarray:
     """Summed-area table of fn(t, s) over the cells of a square lattice
     of step h below its diagonal.
 
-    Cell (p, q), 0 <= q < p < size, is [p h, (p+1) h] x [-(q+1) h, -q h].
-    Like a rectangle side in ``integrate_rect``, it is cut into
-    sub x sub equal sub-cells no wider than span / S,
-    sub = clip(ceil(S * h / span), 1, S), each carrying one Gauss
-    tensor.  The order is spec.order, or, given the integrand's
-    per-axis ``wavenumber``, the ``gauss_order`` of its phase across a
-    sub-cell, at most spec.order.  Returns T of shape (size+1, size+1) with T[P, Q] the
-    integral over the cells p < P, q < Q; cells with q >= p count zero
-    and are not evaluated.  The cells are taken in row-major order, fn
-    receives blocks of whole cells of at most MAX_BLOCK nodes, and each
-    block's cell integrals are written into the table, which two
-    in-place cumsums then sum.
+    Cell (p, q), 0 <= q < p < size, is [p h, (p+1) h] x [-(q+1) h, -q h],
+    integrated by ``integrate_rect``: one call per row p of cells.  With
+    ``ridge=True`` (fn depends on t + s alone) t + s spans
+    [(p - q - 1) h, (p - q + 1) h] over cell (p, q), so its integral
+    depends on p - q alone: the size - 1 cells (d, 0) are integrated in
+    one ridge call and each row is a reversed slice of them.  Returns T
+    of shape (size+1, size+1) with T[P, Q] the integral over the cells
+    p < P, q < Q; cells with q >= p count zero and are not evaluated.
+    Two in-place cumsums sum the cell integrals.
     """
-    sub = int(_cell_counts(np.array([h]), spec, span)[0])
-    order = gauss_order(wavenumber * h / sub, spec.order) if wavenumber else spec.order
-    x, w = gauss_nodes(order)
-    u = ((np.arange(sub)[:, None] + 0.5 + 0.5 * x) / sub).ravel()  # cell nodes in [0, 1]
-    wu = np.tile(w, sub) * (0.5 / sub)
-    ww = np.outer(wu, wu).ravel() * (h * h)
     table = np.zeros((size + 1, size + 1))
-    total = size * (size - 1) // 2
-    per = max(1, MAX_BLOCK // u.size**2)
-    for c0 in range(0, total, per):
-        c = np.arange(c0, min(c0 + per, total))
-        # row p holds the cells p (p - 1) / 2 <= c < p (p + 1) / 2
-        p = ((1 + np.sqrt(1 + 8 * c)) / 2).astype(np.int64)
-        p -= p * (p - 1) // 2 > c
-        p += p * (p + 1) // 2 <= c
-        q = c - p * (p - 1) // 2
-        T = (p[:, None] + u) * h
-        S = (u - (q + 1)[:, None]) * h
-        T, S = np.broadcast_arrays(T[:, :, None], S[:, None, :])
-        vals = np.broadcast_to(np.asarray(fn(T, S), dtype=float), T.shape).reshape(len(c), -1)
-        table[p + 1, q + 1] = vals @ ww
+    if ridge:
+        d = np.arange(1, size)
+        diagonals = integrate_rect(fn, Rect(d * h, (d + 1) * h, -h, 0.0), spec, span, ridge=True)
+        for p in range(1, size):
+            table[p + 1, 1:p + 1] = diagonals[p - 1::-1]  # cell (p, q) is cell (p - q, 0)
+    else:
+        for p in range(1, size):
+            q = np.arange(p)
+            table[p + 1, 1:p + 1] = integrate_rect(fn, Rect(p * h, (p + 1) * h, -(q + 1) * h, -q * h), spec, span)
     np.cumsum(table, axis=0, out=table)
     np.cumsum(table, axis=1, out=table)
     return table

@@ -20,10 +20,11 @@ admissibility sweep first and psi is evaluated by a subdivided Gauss
 rule batched over points (1-D on each rectangle for a cosine stress,
 whose integrand depends on t + s alone; a tensor rule otherwise), and
 on the export lattice from one summed-area table of lattice cells, the
-discrete form of the same corner rule.  The closed-form sinusoidal
-case is provided as a builtin.  Every backing differentiates itself:
-derivative polynomials, the closed-form derivatives, or the Leibniz
-rule on the first rectangle (three line integrals of the stress).
+discrete form of the same corner rule, each cell integrated by the same
+rule.  The closed-form sinusoidal case is provided as a builtin.  Every
+backing differentiates itself: derivative polynomials, the closed-form
+derivatives, or the Leibniz rule on the first rectangle (three line
+integrals of the stress).
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .polyalg import BivariatePoly, wave_operator
 from .compatibility import (
     HALF,
     CosineStress,
-    OpaqueStress,
     PolynomialStress,
     StressField,
     char_antiderivative,
@@ -326,19 +326,13 @@ class QuadratureStreamFunction(StreamFunction):
         Y = (iy - 2 ix) h, so its rectangle [-Y, X] x [Y, 0] is the union
         of the cells [p h, (p+1) h] x [-(q+1) h, -q h] with
         2 ix - iy <= p < 2 ix + iy and q < 2 ix - iy, all below the
-        diagonal q < p.  Each cell is integrated once (``cell_table``),
-        cut into sub-cells no wider than 2a/S; a cosine stress takes the
-        smallest Gauss order whose remainder bound on a sub-cell is
-        below roundoff (``gauss_order``), any other stress spec.order.
-        A sub-cell is no wider than the cells spec.order is sized for,
-        so that cap never binds, and the values are those of order 12.
-        The quadrature ``evaluate_many`` stays the per-point path.
+        diagonal q < p.  Each cell is integrated once (``cell_table``)
+        by ``integrate_rect`` under the rule and the ridge flag of
+        ``evaluate_many``; a ridge integrand needs one cell per diagonal.
         """
         ix, iy = clipped_lattice(n)
         a = float(self.domain.a)
-        # g(t, s) = A cos(k (t + s) / 2) has wavenumber k/2 along each axis
-        kappa = 0.5 * abs(self.stress.wavenumber) if isinstance(self.stress, CosineStress) else 0.0
-        table = cell_table(self._g, 2 * (n - 1), a / (n - 1), self.spec, 2 * a, kappa)
+        table = cell_table(self._g, 2 * (n - 1), a / (n - 1), self.spec, 2 * a, ridge=self._ridge)
         q = 2 * ix - iy
         return ix, iy, float(SOLUTION_PREFACTOR) * (table[2 * ix + iy, q] - table[q, q])
 
@@ -390,7 +384,7 @@ def solve_exact_poly(
     IncompatibleStress when the admissibility polynomial is nonzero; it
     is read from psi on AB, R(X) = -4 psi((2a + X)/2, (2a - X)/2).
     """
-    fp = f.poly if isinstance(f, PolynomialStress) else f
+    fp = f if isinstance(f, BivariatePoly) else f.poly
     if d is None:
         a_poly = BivariatePoly.sym_a()
     else:

@@ -172,6 +172,19 @@ class TestCheckCommand:
     def test_missing_config_file(self, tmp_path):
         assert run(["check", "--config", str(tmp_path / "nope.json"), "--quiet"]) == EXIT_USAGE
 
+    def test_line_names_the_exact_constraint(self, tmp_path, capsys):
+        # at a = 1e-200 every float sweep residual of x^2 underflows to 0
+        doc = {"a": 1e-200, "stress": {"kind": "polynomial", "terms": [{"i": 2, "j": 0, "coefficient": 1}]},
+               "out": str(tmp_path / "o")}
+        assert run(["check", "--config", write_config(tmp_path, doc)]) == EXIT_DOMAIN
+        assert capsys.readouterr().out == "check: incompatible (exact constraint nonzero; max residual 0.000e+00)\n"
+        cfg = write_config(tmp_path, {**LINEAR_STRESS_DOC, "out": str(tmp_path / "p")})
+        assert run(["check", "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("check: compatible (exact constraint zero; max residual ")
+        doc = {"stress": {"kind": "cosine", "A": 5.0, "m": 3}, "out": str(tmp_path / "q")}
+        assert run(["check", "--config", write_config(tmp_path, doc)]) == EXIT_OK
+        assert re.fullmatch(r"check: compatible \(max residual [^;]*\)\n", capsys.readouterr().out)
+
     def test_odd_cosine_harmonic_passes(self, tmp_path):
         cfg = write_config(tmp_path, {"stress": {"kind": "cosine", "A": 5.0, "m": 3}, "out": str(tmp_path / "o")})
         assert run(["check", "--config", cfg, "--quiet"]) == EXIT_OK
@@ -247,13 +260,13 @@ class TestSolveCommand:
         assert verdict["quadrature_vs_riemann"] is not None
 
     def test_cosine_psi_is_pinned(self, tmp_path):
-        # recorded while every quadrature rule took order 12: the lattice
-        # takes its own per-sub-cell order, so the spec's order moves no byte
+        # recorded with the lattice's cells integrated by the ridge rule
+        # of integrate_rect, one cell per diagonal
         out = tmp_path / "o"
         doc = {"a": 1, "stress": {"kind": "cosine", "A": 10, "m": 3}, "grid_n": 101, "out": str(out)}
         assert run(["solve", "--config", write_config(tmp_path, doc), "--quiet"]) == EXIT_OK
         assert hashlib.sha256((out / "psi.csv").read_bytes()).hexdigest() == \
-            "d6d7f93a3c578fe5edf3eb1ac3d43084d9cd905f83462a48375905af461a2304"
+            "9908606d6941b292bbe1ae327d7ffd19c501bfbcde6eb0b67ed5db2f2c15529e"
 
     def test_high_harmonic_solves(self, tmp_path):
         out = tmp_path / "o"

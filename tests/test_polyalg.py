@@ -271,6 +271,16 @@ class TestEvaluation:
                     got = p.eval(x, y, a if with_a else None)
                     assert type(got) is Fraction and got == expected
 
+    def test_numerators_are_computed_once(self, monkeypatch):
+        # compat_check evaluates one residual polynomial at 65 sweep nodes
+        p = X**38 * Y**6 * Fraction(-15, 7) + A * X * Fraction(1, 3)
+        calls = []
+        lcm = math.lcm
+        monkeypatch.setattr(math, "lcm", lambda *d: calls.append(d) or lcm(*d))
+        values = [p.eval(Fraction(i, 64), 0, Fraction(1, 2)) for i in range(65)]
+        assert len(calls) == 1
+        assert values[64] == Fraction(1, 6)
+
     def test_float_arguments_stay_on_the_float_path(self):
         p = X**3 * Fraction(1, 3) - A * Y
         assert type(p.eval(0.5, 2, Fraction(1, 2))) is float

@@ -375,19 +375,19 @@ class TestCellTable:
         assert max(sizes) <= MAX_BLOCK
         assert sum(sizes) == size * (size - 1) // 2 * (sub * order) ** 2
 
-    def test_wavenumber_lowers_the_order(self):
-        sizes = []
+    def test_ridge_table_takes_one_cell_per_diagonal(self):
+        calls = []
 
         def fn(t, s):
-            sizes.append(t.size)
+            calls.append(np.broadcast(t, s).size)
             return np.cos(1.5 * np.pi * (t + s))
 
-        size, h = 20, 0.01
-        table = cell_table(fn, size, h, QuadratureSpec(12, 8), 2.0, 1.5 * np.pi)
-        cells = size * (size - 1) // 2
-        assert sum(sizes) == cells * gauss_order(1.5 * np.pi * h, 12) ** 2 == cells * 4**2
-        full = cell_table(fn, size, h, QuadratureSpec(12, 8), 2.0)
-        assert np.max(np.abs(table - full)) <= 1e-15 * np.max(np.abs(full))
+        size, h, spec = 20, 0.01, QuadratureSpec(7, 8)
+        table = cell_table(fn, size, h, spec, 2.0, ridge=True)
+        # one ridge call: three pieces of one cell each on the size - 1 cells (d, 0)
+        assert len(calls) == 1 and calls[0] <= 3 * (size - 1) * spec.order
+        tensor = cell_table(fn, size, h, spec, 2.0)
+        assert np.max(np.abs(table - tensor)) <= 1e-15 * np.max(np.abs(tensor))
 
 
 class TestGaussOrder:
@@ -425,10 +425,9 @@ class TestDefaultSpec:
 
     @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
     def test_lattice_sub_cells_never_need_more(self, a):
-        # cell_table's per-sub-cell order, capped by spec.order, is the
-        # order it took under order 12 at every grid_n, so psi.csv does
-        # not move; gauss_order grows with the phase, so the widest
-        # sub-cell phase decides
+        # a lattice cell of width h is cut into sub-cells no wider than
+        # the widest cell spec.order is sized for, at every grid_n;
+        # gauss_order grows with the phase, so the widest sub-cell decides
         h = a / np.arange(1, 1001)
         for m in range(1, 201):
             k = m * math.pi / a

@@ -489,9 +489,13 @@ class TestPhaseSizedOrder:
     @pytest.mark.parametrize("m, a, n", [
         (1, 1.0, 101), (3, 1.0, 101), (15, 0.25, 51), (17, 1e3, 51), (19, 1e-3, 21), (3, 1.0, 3), (13, 1.0, 2)])
     def test_lattice_values_are_bit_identical(self, m, a, n):
+        # the table's cells take the phase-sized order of integrate_rect:
+        # equal to order 12's values within rounding
         psi = QuadratureStreamFunction(CosineStress(10.0, m * math.pi / a), TriangleDomain(a))
-        got, want = psi.lattice_values(n)[2], _order_12_twin(psi).lattice_values(n)[2]
-        assert got.tobytes() == want.tobytes()
+        ix, iy, got = psi.lattice_values(n)
+        want = _order_12_twin(psi).lattice_values(n)[2]
+        x, y = 2 * a * ix / (n - 1), a * iy / (n - 1)
+        assert np.max(np.abs(got - want)) <= psi.rounding_bound(x, y)
 
 
 def _stencil_points(d):
@@ -612,8 +616,19 @@ class TestLatticeTable:
         psi._g = counted
         n = 101
         psi.lattice_values(n)
-        cells = 2 * (n - 1) * (2 * (n - 1) - 1) // 2
-        assert 0 < sum(seen) <= cells * 4**2
+        # a ridge table integrates the size - 1 cells (d, 0) alone, each
+        # on three pieces of one cell
+        size = 2 * (n - 1)
+        assert 0 < sum(seen) <= 3 * (size - 1) * psi.spec.order
+
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("m", [1, 3, 15, 61, 199])
+    def test_ridge_table_matches_closed_form(self, m, a):
+        psi = QuadratureStreamFunction(CosineStress(1.0, m * math.pi / a), TriangleDomain(a))
+        for n in (2, 3, 11, 51):
+            ix, iy, got = psi.lattice_values(n)
+            x, y = 2 * a * ix / (n - 1), a * iy / (n - 1)
+            assert np.max(np.abs(got - _odd_cosine_psi(1.0, m, a, x, y))) <= psi.rounding_bound(x, y)
 
     def test_grid_rows_peak_memory(self):
         # the list of rows itself is about 57 MiB at n = 1001; the
