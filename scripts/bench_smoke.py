@@ -15,17 +15,21 @@ the exported grids are right to about 1e-14 of max|psi|.
 
 The traced work counters are deterministic, so each run also fails when
 a counter exceeds its ceiling in COUNTER_CEILINGS (the counts at seed 1):
-a regression there shows even when timings are too noisy to.  A change
-to the streamline step rule (ROADMAP item 1) re-sets the kinematics
-ceilings, and a change to the verify lattice, to the Riemann oracle
-(one `riemann_psi` call per quadrature solve, summing one midpoint
-table at each of N, N/2 and N/4 cells per axis; ROADMAP item 6), to
-the Gauss order of `default_quadrature_spec`, to the 1-D ridge rule
-that `integrate_rect` runs for a cosine stress (`ridge=True`; ROADMAP
-item 9) or to the export lattice's `cell_table`, which integrates its
-cells through `integrate_rect` (one cell per diagonal for a ridge),
-re-sets the quad-cosine ones; a change that lowers a count should
-lower its ceiling.
+a regression there shows even when timings are too noisy to.  The
+streamline counters (`kinematics.rk4_steps`, the accepted
+Dormand-Prince steps, and the velocity and psi evaluations they make)
+were set when the tracer became error-controlled (ROADMAP item 1); a
+change to its tolerances re-sets them, on builtin-flow and on the
+ungated quad-cosine `flow` op, whose streamline now closes.  A change to
+the verify lattice, to the Riemann oracle (one `riemann_psi` call per
+quadrature solve, summing one midpoint table at each of N, N/2 and N/4
+cells per axis; ROADMAP item 6), to the Gauss order of
+`default_quadrature_spec`, to the 1-D ridge rule that `integrate_rect`
+runs for a cosine stress (`ridge=True`; ROADMAP item 9) or to the export
+lattice's `cell_table`, which integrates its cells through
+`integrate_rect` (one cell per diagonal for a ridge), re-sets the
+quad-cosine quadrature and verify ones; a change that lowers a count
+should lower its ceiling.
 
 Usage: python scripts/bench_smoke.py [--seconds S]
 """
@@ -41,12 +45,13 @@ PSI_REL_ERR_MAX = 1e-12
 HEADROOM_MIN = 2.0
 COUNTER_CEILINGS = {
     "quad-cosine": {"quadrature.nodes": 343_114, "quadrature.stress_evals": 1_090_609,
-                    "quadrature.riemann_nodes": 616_770, "verify.riemann_psi_calls": 2},
+                    "quadrature.riemann_nodes": 616_770, "verify.riemann_psi_calls": 2,
+                    "kinematics.rk4_steps": 96},
     "symbolic-exact": {"polyalg.compose_calls": 381, "polyalg.mul_calls": 364,
                        "compatibility.exact_residual_calls": 93},
     "builtin-flow": {"polyalg.compose_calls": 18, "compatibility.exact_residual_calls": 2,
-                     "kinematics.velocity_evals": 123_329, "kinematics.rk4_steps": 26_704,
-                     "kinematics.jacobian_calls": 6_435, "solver.psi_evals": 26_728},
+                     "kinematics.velocity_evals": 32_659, "kinematics.rk4_steps": 2_413,
+                     "kinematics.jacobian_calls": 6_435, "solver.psi_evals": 2_437},
 }
 
 

@@ -108,9 +108,6 @@ class RunConfig:
     def domain(self) -> TriangleDomain:
         return TriangleDomain(self.a)
 
-    def stream_step(self) -> float:
-        return self.step if self.step is not None else 1e-3 * self.a
-
 
 def _require_keys(d: dict, allowed: set[str], where: str) -> None:
     unknown = set(d) - allowed
@@ -467,7 +464,7 @@ def cmd_flow(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = N
         seeds = default_flow_seeds(d, points)
     if all(sp.classification == "degenerate" for sp in points) and points:
         _info(quiet, "flow: null field (velocity vanishes everywhere)")
-    traces = [trace_streamline(V, s, step=cfg.stream_step(), max_steps=cfg.max_steps) for s in seeds]
+    traces = [trace_streamline(V, s, step=cfg.step, max_steps=cfg.max_steps) for s in seeds]
     write_streamlines_csv(traces, os.path.join(cfg.out, "streamlines.csv"))
     write_stagnation_csv(points, os.path.join(cfg.out, "stagnation.csv"))
     with open(os.path.join(cfg.out, "flow.svg"), "w", newline="\n") as fh:

@@ -6,9 +6,12 @@ the sinusoidal builtin, or the Leibniz rule on the quadrature integral
 (three line integrals of the stress).  The one difference quotient left
 is the quadrature Jacobian, taken from the exact velocity.
 Stagnation points come from damped Newton iteration over a seed
-lattice; streamlines from fixed-step classical Runge-Kutta, along which
-the stream function is conserved (that conservation is the main
-correctness witness for the tracer).
+lattice; streamlines from the embedded Runge-Kutta pair of Dormand and
+Prince under a local error tolerance that is a fraction of a, so that a
+closed orbit costs the same number of steps at every unit of length.
+The stream function is conserved along a streamline; that conservation,
+evaluated but never enforced, is the main correctness witness for the
+tracer.
 """
 
 from __future__ import annotations
@@ -34,6 +37,17 @@ DEGENERATE = "degenerate"
 CLOSED = "closed"
 HIT_BOUNDARY = "hit_boundary"
 STEP_LIMIT = "step_limit"
+
+# streamline lengths, as fractions of a: the default longest step, the
+# local error of one step off its streamline, the length of the first
+# step, the shortest step that may leave the cavity before the path
+# counts as on its boundary, and the closest approach to the seed that
+# closes an orbit (1e-9 a and less measured on closing orbits)
+MAX_STEP = 0.05
+STEP_TOL = 1.5e-11
+FIRST_STEP = 1e-2
+EDGE_STEP = 1e-6
+CLOSE_TOL = 1e-6
 
 
 class VelocityField:
@@ -217,6 +231,23 @@ def interior_centers(points: Sequence[StagnationPoint], d: TriangleDomain) -> li
 # ----------------------------------------------------------------------
 # streamlines
 
+# Dormand-Prince 5(4), J. Comput. Appl. Math. 6 (1980) 19-26: the stage
+# rows (the last one holds the fifth-order weights: first same as last),
+# the error weights b5 - b4 and the dense-output weights of Hairer,
+# Norsett & Wanner, Solving ODEs I, II.4-II.6; zeros of stage 2 dropped
+_DP_ROWS = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_ERR = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_DP_DENSE = (-12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072,
+             701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423)
+
+
 @dataclass(frozen=True)
 class Streamline:
     """Traced vertices with the stream function at each of them."""
@@ -240,33 +271,45 @@ def _project_to_boundary(d: TriangleDomain, p: PhysicalPoint) -> PhysicalPoint:
 def trace_streamline(
     V: VelocityField,
     seed: PhysicalPoint,
-    step: float = 1e-3,
+    step: float | None = None,
     max_steps: int = 100_000,
 ) -> Streamline:
-    """Classical fixed-step RK4 on dx/dtau = u, dy/dtau = v.
+    """Dormand-Prince 5(4) on dx/dtau = u, dy/dtau = v, each step's local
+    error normal to the velocity held below ``STEP_TOL * a`` (the
+    standard controller: safety 0.9, factor within [0.2, 5]), so a closed
+    orbit costs the same number of steps at every unit of length.
 
-    Terminates closed when the path returns within step/2 of the seed
-    after at least 10 steps with at least three quarter-turns of
-    accumulated heading (guards against false closure near saddles);
-    hits the boundary when the next point leaves the closed triangle
-    (final point projected back); otherwise runs to the step limit.
-    A seed at a stagnation point yields a single-vertex streamline.
-    The stream function is evaluated once per vertex; those values give
-    the drift and are kept on the streamline.  The velocity at each
-    vertex gives the heading and is the next step's first stage.
+    ``step`` is the largest length of one step (its time step times the
+    speed at its start), ``MAX_STEP * a`` by default.  ``max_steps``
+    bounds the accepted steps, and as many rejected attempts end the
+    trace too (``STEP_LIMIT``).  A step with a stage point outside the
+    triangle is rejected and shrunk; once it is shorter than
+    ``EDGE_STEP * a`` the path has reached the boundary, and its last
+    vertex is projected onto it.  The trace closes after at least 10
+    steps and three quarter-turns of accumulated heading (guards against
+    false closure near saddles), on the step whose dense-output
+    interpolant passes within ``CLOSE_TOL * a`` of the seed.  A seed at
+    a stagnation point yields a single-vertex streamline.  The stream
+    function is evaluated once per vertex, with no projection onto its
+    level set; those values give the drift and are kept on the
+    streamline.  The velocity at each vertex is the last stage of the
+    step that reached it, its heading and the next step's first stage.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     d = V.domain
     a = float(d.a)
+    if step is None:
+        step = MAX_STEP * a
+    if step <= 0:
+        raise ValueError("step must be positive")
     if not classify(d, seed, 1e-9 * a).is_interior:
         raise ValueError(f"seed {tuple(seed)} is not interior")
     psi = V.source
     psi0 = psi.evaluate(seed.x, seed.y)
     vscale = V.speed_scale()
     xs, ys = float(seed.x), float(seed.y)
-    u0, v0 = V._eval_raw(xs, ys)
-    if math.hypot(u0, v0) <= 1e-12 * max(vscale, 1e-300):
+    ku, kv = V._eval_raw(xs, ys)
+    speed = math.hypot(ku, kv)
+    if speed <= 1e-12 * max(vscale, 1e-300):
         return Streamline((PhysicalPoint(xs, ys),), STEP_LIMIT, 0.0, (psi0,))
 
     tol = 1e-12 * a
@@ -289,52 +332,97 @@ def trace_streamline(
             return False
         return not classify(d, PhysicalPoint(x, y), tol).is_exterior
 
-    # the step loop runs RK4 inline on locals; its arithmetic is that of
-    # x + 0.5*step*k1, ..., x + step/6*(k1 + 2*k2 + 2*k3 + k4)
     vel_at = V._eval_raw
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65), \
+        (b1, b3, b4, b5, b6) = _DP_ROWS
+    e1, e3, e4, e5, e6, e7 = _DP_ERR
+    hypot = math.hypot
+
+    def attempt(x, y, k1u, k1v, h):
+        # one step from (x, y) with first stage (k1u, k1v): the new
+        # vertex, the local error estimate and the stages 3 to 7; None
+        # when a stage point lies outside the triangle
+        px, py = x + h * (a21 * k1u), y + h * (a21 * k1v)
+        if not inside(px, py):
+            return None
+        k2u, k2v = vel_at(px, py)
+        px, py = x + h * (a31 * k1u + a32 * k2u), y + h * (a31 * k1v + a32 * k2v)
+        if not inside(px, py):
+            return None
+        k3u, k3v = vel_at(px, py)
+        px = x + h * (a41 * k1u + a42 * k2u + a43 * k3u)
+        py = y + h * (a41 * k1v + a42 * k2v + a43 * k3v)
+        if not inside(px, py):
+            return None
+        k4u, k4v = vel_at(px, py)
+        px = x + h * (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u)
+        py = y + h * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v)
+        if not inside(px, py):
+            return None
+        k5u, k5v = vel_at(px, py)
+        px = x + h * (a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u)
+        py = y + h * (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
+        if not inside(px, py):
+            return None
+        k6u, k6v = vel_at(px, py)
+        xn = x + h * (b1 * k1u + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
+        yn = y + h * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
+        if not inside(xn, yn):
+            return None
+        k7u, k7v = vel_at(xn, yn)
+        # the error estimate's part normal to the velocity at the new
+        # vertex: how far the step may leave the streamline (the part
+        # along it only re-times the path)
+        eu = e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u
+        ev = e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v
+        s7 = hypot(k7u, k7v)
+        err = h * (abs(eu * (k7v / s7) - ev * (k7u / s7)) if s7 > 0 else hypot(eu, ev))
+        return xn, yn, err, (k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v)
+
     psi_at = psi.evaluate
-    half = 0.5 * step
-    sixth = step / 6.0
-    close_tol = step / 2
+    inv_tol = 1.0 / (STEP_TOL * a)
+    edge = EDGE_STEP * a
+    close_tol = CLOSE_TOL * a
+    h = min(FIRST_STEP * a, step) / speed
     atan2, pi, two_pi = math.atan2, math.pi, 2 * math.pi
     verts = [PhysicalPoint(xs, ys)]
     values = [psi0]
     drift = 0.0
-    ku, kv = u0, v0
-    heading = atan2(v0, u0)
+    heading = atan2(kv, ku)
     winding = 0.0
     x, y = xs, ys
     termination = STEP_LIMIT
-    exit_from = None  # where the path left the triangle, if it did
-    for n in range(1, max_steps + 1):
-        px, py = x + half * ku, y + half * kv
-        if not inside(px, py):
-            exit_from = (x, y)
-            break
-        k2u, k2v = vel_at(px, py)
-        px, py = x + half * k2u, y + half * k2v
-        if not inside(px, py):
-            exit_from = (x, y)
-            break
-        k3u, k3v = vel_at(px, py)
-        px, py = x + step * k3u, y + step * k3v
-        if not inside(px, py):
-            exit_from = (x, y)
-            break
-        k4u, k4v = vel_at(px, py)
-        xn = x + sixth * (ku + 2 * k2u + 2 * k3u + k4u)
-        yn = y + sixth * (kv + 2 * k2v + 2 * k3v + k4v)
-        if not inside(xn, yn):
-            exit_from = (xn, yn)
-            break
+    accepted = rejected = 0
+    while accepted < max_steps and rejected < max_steps:
+        if h * speed > step:
+            h = step / speed
+        trial = attempt(x, y, ku, kv, h)
+        if trial is None:
+            if h * speed <= edge:
+                end = _project_to_boundary(d, PhysicalPoint(x, y))
+                verts.append(end)
+                values.append(psi_at(end.x, end.y))
+                termination = HIT_BOUNDARY
+                break
+            rejected += 1
+            h *= 0.2
+            continue
+        xn, yn, err, ks = trial
+        ratio = err * inv_tol
+        if not ratio <= 1.0:
+            # max() keeps 0.2 for a nan ratio
+            rejected += 1
+            h *= max(0.2, 0.9 * ratio ** -0.2)
+            continue
+        accepted += 1
         verts.append(PhysicalPoint(xn, yn))
         val = psi_at(xn, yn)
         values.append(val)
         dv = abs(val - psi0)
         if dv > drift:
             drift = dv
-        ku, kv = vel_at(xn, yn)
-        hn = atan2(kv, ku)
+        k7u, k7v = ks[8], ks[9]
+        hn = atan2(k7v, k7u)
         delta = hn - heading
         while delta > pi:
             delta -= two_pi
@@ -342,17 +430,47 @@ def trace_streamline(
             delta += two_pi
         winding += delta
         heading = hn
-        if n >= 10 and abs(winding) >= 1.5 * pi:
-            if _dist_point_segment(xs, ys, x, y, xn, yn) <= close_tol:
+        if accepted >= 10 and abs(winding) >= 1.5 * pi:
+            if _closest_approach(xs, ys, x, y, xn, yn, h, ku, kv, ks) <= close_tol:
                 termination = CLOSED
                 break
-        x, y = xn, yn
-    if exit_from is not None:
-        end = _project_to_boundary(d, PhysicalPoint(*exit_from))
-        verts.append(end)
-        values.append(psi_at(end.x, end.y))
-        termination = HIT_BOUNDARY
+        x, y, ku, kv = xn, yn, k7u, k7v
+        speed = hypot(ku, kv)
+        h *= min(5.0, 0.9 * ratio ** -0.2) if ratio > 0 else 5.0
     return Streamline(tuple(verts), termination, drift, tuple(values))
+
+
+def _closest_approach(sx, sy, x0, y0, x1, y1, h, k1u, k1v, ks) -> float:
+    """Distance from (sx, sy) to the dense-output interpolant of the step
+    from (x0, y0) to (x1, y1) (Hairer, Norsett & Wanner, II.6): golden
+    section on its parameter, when the seed lies within a chord length
+    of the chord (closer than the interpolant strays from it)."""
+    chord = math.hypot(x1 - x0, y1 - y0)
+    if _dist_point_segment(sx, sy, x0, y0, x1, y1) > chord:
+        return math.inf
+    k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v = ks
+    d1, d3, d4, d5, d6, d7 = _DP_DENSE
+    # y(t) = y0 + t (r2 + (1 - t) (r3 + t (r4 + (1 - t) r5)))
+    r2u, r2v = x1 - x0, y1 - y0
+    r3u, r3v = h * k1u - r2u, h * k1v - r2v
+    r4u, r4v = r2u - h * k7u - r3u, r2v - h * k7v - r3v
+    r5u = h * (d1 * k1u + d3 * k3u + d4 * k4u + d5 * k5u + d6 * k6u + d7 * k7u)
+    r5v = h * (d1 * k1v + d3 * k3v + d4 * k4v + d5 * k5v + d6 * k6v + d7 * k7v)
+
+    def gap(t: float) -> float:
+        s = 1.0 - t
+        return math.hypot(x0 - sx + t * (r2u + s * (r3u + t * (r4u + s * r5u))),
+                          y0 - sy + t * (r2v + s * (r3v + t * (r4v + s * r5v))))
+
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        p, q = hi - g * (hi - lo), lo + g * (hi - lo)
+        if gap(p) <= gap(q):
+            hi = q
+        else:
+            lo = p
+    return gap(0.5 * (lo + hi))
 
 
 # ----------------------------------------------------------------------

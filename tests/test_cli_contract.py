@@ -10,10 +10,11 @@ a traceback, no numpy RuntimeWarning may reach stderr, and the two runs
 must write byte-identical files.  Configs found to break the contract
 outside this sweep keep a test of their own below.
 
-`flow` stays out of the sweep: its default streamline step is a time
-step, so at a = 1e-3 a streamline can run to the step limit without
-closing (see the streamline-step entry in CHANGES.md).  It joins once
-the step is made independent of the unit of length.
+`flow` runs on every stress at a = 1e-3, 1 and 1e3 under the same
+contract: its streamlines are traced under an error tolerance that is a
+fraction of a, so an orbit costs the same steps at each of them.  The
+extremes, where the field over- or underflows, have tests of their own
+below.
 """
 
 import io
@@ -24,6 +25,7 @@ import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cavitystream.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, run
@@ -39,6 +41,7 @@ STRESSES = [
 A_VALUES = [1e-300, 1e-3, 1.0, 1e3, 1e100, 1e300]
 COMMANDS = ["check", "solve"]
 CASES = list(itertools.product(COMMANDS, range(len(STRESSES)), A_VALUES))
+FLOW_A_VALUES = [1e-3, 1.0, 1e3]
 
 
 def _run(command: str, doc: dict, work: str, tag: str) -> tuple[int, str, dict]:
@@ -63,11 +66,7 @@ def _run(command: str, doc: dict, work: str, tag: str) -> tuple[int, str, dict]:
     return rc, err.getvalue(), files
 
 
-@settings(max_examples=2 * len(CASES), deadline=None)
-@given(st.sampled_from(CASES))
-def test_check_and_solve_keep_the_contract(case):
-    command, stress, a = case
-    doc = {"a": a, "stress": STRESSES[stress]}
+def _assert_contract(command: str, doc: dict) -> None:
     with tempfile.TemporaryDirectory() as work:
         first = _run(command, doc, work, "first")
         second = _run(command, doc, work, "second")
@@ -77,6 +76,19 @@ def test_check_and_solve_keep_the_contract(case):
     assert "RuntimeWarning" not in err
     assert rc != EXIT_OK or files, "a successful run wrote nothing"
     assert second == first
+
+
+@settings(max_examples=2 * len(CASES), deadline=None)
+@given(st.sampled_from(CASES))
+def test_check_and_solve_keep_the_contract(case):
+    command, stress, a = case
+    _assert_contract(command, {"a": a, "stress": STRESSES[stress]})
+
+
+@pytest.mark.parametrize("a", FLOW_A_VALUES)
+@pytest.mark.parametrize("stress", range(len(STRESSES)))
+def test_flow_keeps_the_contract(stress, a):
+    _assert_contract("flow", {"a": a, "stress": STRESSES[stress]})
 
 
 def test_flow_on_an_overflowing_field_fails_in_one_line():
