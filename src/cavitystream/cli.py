@@ -453,9 +453,10 @@ def cmd_flow(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = N
         _error(f"the velocity is not finite (speed scale {vscale}): the field overflows "
                f"float arithmetic at a={cfg.a:g}")
         return EXIT_DOMAIN
-    if vscale == 0 and not _stress_vanishes(psi.source_stress, d):
-        _error(f"the velocity underflows to zero everywhere although the stress does not vanish: "
-               f"the field is below float range at a={cfg.a:g}")
+    if vscale < sys.float_info.min and not _stress_vanishes(psi.source_stress, d):
+        # a subnormal speed has too few digits for the stagnation search
+        _error(f"the velocity underflows to zero or to subnormal floats (speed scale {vscale:.3g}) "
+               f"although the stress does not vanish: the field is below float range at a={cfg.a:g}")
         return EXIT_DOMAIN
     points = stagnation_points(V, d, seeds_per_axis=cfg.seeds_per_axis)
     if cfg.seeds is not None:

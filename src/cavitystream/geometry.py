@@ -121,12 +121,15 @@ def to_physical(q: CharPoint) -> PhysicalPoint:
 
 def _nearest_on_segment(px, py, ax, ay, bx, by) -> tuple[float, float]:
     """The point of the segment from (ax, ay) to (bx, by) nearest to
-    (px, py)."""
+    (px, py).  It is projected in units of a power of two near the
+    segment's length: no square underflows however short the segment,
+    and the scaling is exact, so no bit changes where none did."""
     vx, vy = bx - ax, by - ay
-    vv = vx * vx + vy * vy
-    if vv == 0:
+    if vx == 0 and vy == 0:
         return ax, ay
-    t = ((px - ax) * vx + (py - ay) * vy) / vv
+    s = math.ldexp(1.0, -math.frexp(max(abs(vx), abs(vy)))[1])
+    ux, uy = vx * s, vy * s
+    t = ((px - ax) * s * ux + (py - ay) * s * uy) / (ux * ux + uy * uy)
     t = 0.0 if t < 0 else (1.0 if t > 1 else t)
     return ax + t * vx, ay + t * vy
 

@@ -110,6 +110,10 @@ def _classify_jacobian(jac: tuple[float, float, float, float], vscale: float, a:
     norm = max(abs(ux), abs(uy), abs(vx), abs(vy))
     if norm <= 1e-10 * max(vscale / a, 1e-300):
         return DEGENERATE
+    # an exact power of two brings the entries near 1, so that tr * tr
+    # and det neither underflow nor change a bit where they did not
+    s = math.ldexp(1.0, -math.frexp(norm)[1])
+    ux, uy, vx, vy = ux * s, uy * s, vx * s, vy * s
     tr = ux + vy
     det = ux * vy - uy * vx
     disc = tr * tr - 4 * det
@@ -131,10 +135,13 @@ def stagnation_points(
 ) -> list[StagnationPoint]:
     """Damped Newton search for zeros of the velocity over a seed lattice.
 
-    Converged roots inside the closed triangle are deduplicated and
-    classified through the velocity Jacobian.  Seeds that do not reach
-    a speed of 1e-10 times the velocity scale within 60 damped steps
-    are dropped.
+    From each seed, Newton steps, each halved at most 30 times until the
+    speed drops, run until the speed is at most 1e-10 times the velocity
+    scale; a seed that takes more than 60 steps is dropped.  Then at most
+    4 undamped steps polish the root while the speed keeps dropping.
+    Every point is evaluated once: a step carries the velocity of the
+    trial point it accepted.  Converged roots inside the closed triangle
+    are deduplicated and classified through the velocity Jacobian.
     """
     a = float(d.a)
     vscale = V.speed_scale()
@@ -145,53 +152,55 @@ def stagnation_points(
         seeds = interior_lattice(d, seeds_per_axis + 2, margin=1e-9 * a)
         return [StagnationPoint(p, DEGENERATE, 0.0) for p in seeds]
 
-    def direction(x: float, y: float, u: float, v: float) -> tuple[float, float] | None:
-        # the Newton step for velocity (u, v) at (x, y); None where the
-        # Jacobian is singular
+    # the Jacobian scales like vscale / a; an exact power of two brings
+    # it near 1, so that Cramer's products neither underflow nor change
+    # a bit where they did not
+    s = math.ldexp(1.0, -math.frexp(vscale / a)[1])
+    vel, hypot = V._eval_raw, math.hypot
+
+    def descend(x, y, u, v, r, tries):
+        # the Newton step from (x, y), where the velocity is (u, v) and
+        # the speed r, halved until the speed drops below r: the trial
+        # (x, y, u, v, r) it accepts, or None when the Jacobian is
+        # singular, after `tries` trials, or at a trial that rounds to
+        # (x, y), as every shorter one would
         ux, uy, vx, vy = V.jacobian(PhysicalPoint(x, y))
+        ux, uy, vx, vy = ux * s, uy * s, vx * s, vy * s
         det = ux * vy - uy * vx
         if det == 0 or not math.isfinite(det):
             return None
-        return (-u * vy + v * uy) / det, (u * vx - v * ux) / det
+        dx, dy = (-u * vy + v * uy) / det * s, (u * vx - v * ux) / det * s
+        step = 1.0
+        for _ in range(tries):
+            xn, yn = x + step * dx, y + step * dy
+            if xn == x and yn == y:
+                return None
+            un, vn = vel(xn, yn)
+            rn = hypot(un, vn)
+            if rn < r:
+                return xn, yn, un, vn, rn
+            step /= 2
+        return None
 
-    def polish(x: float, y: float) -> tuple[float, float]:
-        # a few undamped steps drive the position to machine precision
-        r = math.hypot(*V._eval_raw(x, y))
+    def newton(x: float, y: float) -> tuple[float, float, float] | None:
+        # the root (x, y, speed) reached from the seed (x, y), or None
+        u, v = vel(x, y)
+        r = hypot(u, v)
+        steps = 0
+        while not r <= tol:
+            trial = descend(x, y, u, v, r, 30) if steps < 60 else None
+            if trial is None:
+                return None
+            x, y, u, v, r = trial
+            steps += 1
         for _ in range(4):
-            step = direction(x, y, *V._eval_raw(x, y))
-            if step is None:
+            trial = descend(x, y, u, v, r, 1)
+            if trial is None:
                 break
-            xn, yn = x + step[0], y + step[1]
-            rn = math.hypot(*V._eval_raw(xn, yn))
-            if not rn < r:
-                break
-            x, y, r = xn, yn, rn
-        return (x, y)
+            x, y, u, v, r = trial
+        return x, y, r
 
-    def newton(x: float, y: float) -> tuple[float, float] | None:
-        for _ in range(60):
-            u, v = V._eval_raw(x, y)
-            r = math.hypot(u, v)
-            if r <= tol:
-                return polish(x, y)
-            newton_step = direction(x, y, u, v)
-            if newton_step is None:
-                return None
-            dx, dy = newton_step
-            step = 1.0
-            for _ in range(30):
-                xn, yn = x + step * dx, y + step * dy
-                un, vn = V._eval_raw(xn, yn)
-                if math.hypot(un, vn) < r:
-                    x, y = xn, yn
-                    break
-                step /= 2
-            else:
-                return None
-        u, v = V._eval_raw(x, y)
-        return polish(x, y) if math.hypot(u, v) <= tol else None
-
-    found: list[tuple[float, float]] = []
+    found: list[tuple[float, float, float]] = []
     dedup_radius = max(1e-8 * a, 10 * tol / vscale * a)
     for seed in interior_lattice(d, seeds_per_axis + 2, margin=1e-6 * a):
         try:
@@ -202,20 +211,18 @@ def stagnation_points(
             root = None
         if root is None:
             continue
-        p = PhysicalPoint(root[0], root[1])
-        if classify(d, p, 1e-7 * a).is_exterior:
+        x, y, _ = root
+        if classify(d, PhysicalPoint(x, y), 1e-7 * a).is_exterior:
             continue
-        if any(math.hypot(p.x - qx, p.y - qy) <= dedup_radius for qx, qy in found):
+        if any(hypot(x - qx, y - qy) <= dedup_radius for qx, qy, _ in found):
             continue
-        found.append((p.x, p.y))
+        found.append(root)
 
     found.sort()
-    out = []
-    for x, y in found:
-        u, v = V._eval_raw(x, y)
-        cls = _classify_jacobian(V.jacobian(PhysicalPoint(x, y)), vscale, a)
-        out.append(StagnationPoint(PhysicalPoint(x, y), cls, math.hypot(u, v)))
-    return out
+    return [
+        StagnationPoint(PhysicalPoint(x, y), _classify_jacobian(V.jacobian(PhysicalPoint(x, y)), vscale, a), r)
+        for x, y, r in found
+    ]
 
 
 def interior_centers(points: Sequence[StagnationPoint], d: TriangleDomain) -> list[StagnationPoint]:

@@ -94,6 +94,16 @@ class TestClassify:
         assert classify(D1, PhysicalPoint(0, 0), 1e-12).edge == 0
         assert classify(D1, PhysicalPoint(2, 0), 1e-12).edge == 0
 
+    @pytest.mark.parametrize("a", [1e-300, 1e-200, 1e-160, 1e300])
+    def test_edge_midpoints_at_any_unit_of_length(self, a):
+        # the projection onto an edge squares no length, which would
+        # underflow below a ~ 1e-154 and overflow above a ~ 1e154
+        d = TriangleDomain(a)
+        mids = [PhysicalPoint(a, 0.0), PhysicalPoint(a / 2, a / 2), PhysicalPoint(1.5 * a, a / 2)]
+        for eid, p in enumerate(mids):
+            loc = classify(d, p, 1e-9 * a)
+            assert loc.is_boundary and loc.edge == eid
+
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             classify(D1, PhysicalPoint(0, 0), -1.0)

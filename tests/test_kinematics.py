@@ -251,6 +251,59 @@ class TestStagnation:
         dist_apex = math.hypot(top.location.x - 1.0, top.location.y - 1.0)
         assert dist_apex < top.location.y
 
+    @pytest.mark.parametrize("field", ["linear", "sinusoidal", "realistic", "cosine"])
+    def test_each_point_evaluated_once(self, field):
+        # a Newton step keeps the velocity of the trial it accepts, and a
+        # root keeps its speed: no point is evaluated twice in a row
+        psi = {
+            "linear": lambda: linear_example(D1),
+            "sinusoidal": lambda: sinusoidal_closed_form(5.0, D1),
+            "realistic": lambda: realistic_example(D1),
+            "cosine": lambda: solve_quadrature(cosine_from_harmonic(1.0, 3, D1), D1),
+        }[field]()
+        V = velocity_field(psi)
+        V.speed_scale()
+        raw = V._eval_raw
+        evals = []
+        V._eval_raw = lambda x, y: evals.append((x, y)) or raw(x, y)
+        pts = stagnation_points(V, D1)
+        assert pts and evals
+        assert all(p != q for p, q in zip(evals, evals[1:]))
+        for p in pts:
+            assert p.residual_speed == math.hypot(*raw(*p.location))
+
+    @staticmethod
+    def _in_units_of_a(make, a):
+        d = TriangleDomain(a)
+        pts = stagnation_points(velocity_field(make(d)), d)
+        return [(p.location.x / a, p.location.y / a, p.classification) for p in pts]
+
+    @pytest.mark.parametrize("name, a", [
+        *(("linear", a) for a in (1e-150, 1e-120, 1e-3, 1e3)),
+        *(("sinusoidal", a) for a in (1e-160, 1e-150, 1e-120, 1e-3, 1e3)),
+    ])
+    def test_same_points_at_every_unit_of_length(self, name, a):
+        # the Newton step and the classification scale their Jacobians
+        # by powers of two, so no product underflows at a tiny a
+        make = {"linear": linear_example, "sinusoidal": lambda d: sinusoidal_closed_form(5.0, d)}[name]
+        ref = self._in_units_of_a(make, 1.0)
+        got = self._in_units_of_a(make, a)
+        assert len(got) == len(ref)
+        for x, y, cls in got:
+            rx, ry, rcls = min(ref, key=lambda r: math.hypot(x - r[0], y - r[1]))
+            assert math.hypot(x - rx, y - ry) <= 1e-9
+            assert cls == rcls
+
+    @pytest.mark.parametrize("a", [1e-60, 1e-50, 1e-10])
+    def test_realistic_points_at_a_tiny_a(self, a):
+        # from about a = 1e-9 the term 100 x^2 of the tilting factor
+        # y - 100 x^2 - a is negligible against a, and the field has 15
+        # stagnation points, also where an unscaled Newton step's
+        # products underflow
+        pts = self._in_units_of_a(realistic_example, a)
+        assert len(pts) == 15
+        assert sum(cls == CENTER for _, _, cls in pts) == 2
+
 
 class TestStreamlines:
     def test_linear_closed_orbit(self, lin_field):
