@@ -22,8 +22,11 @@ were set when the tracer became error-controlled (ROADMAP item 1); a
 change to its tolerances re-sets them, on builtin-flow and on the
 ungated quad-cosine `flow` op, whose streamline now closes.  A change to
 the verify lattice, to the Riemann oracle (one `riemann_psi` call per
-quadrature solve, summing one midpoint table at each of N, N/2 and N/4
-cells per axis; ROADMAP item 6), to the Gauss order of
+quadrature solve, summing one midpoint table at each of n, n/2, n/4 and
+n/8 cells per axis, n about half of N = 4 ceil(max(256, 64 m) / 4), for
+two Richardson levels; ROADMAP item 12 set `quadrature.riemann_nodes`
+from 616,770 to 156,230 and `quadrature.stress_evals` from 1,090,609 to
+531,700 when it replaced one level at N), to the Gauss order of
 `default_quadrature_spec`, to the 1-D ridge rule that `integrate_rect`
 runs for a cosine stress (`ridge=True`; ROADMAP item 9) or to the export
 lattice's `cell_table`, which integrates its cells through
@@ -47,8 +50,8 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 PSI_REL_ERR_MAX = 1e-12
 HEADROOM_MIN = 2.0
 COUNTER_CEILINGS = {
-    "quad-cosine": {"quadrature.nodes": 343_114, "quadrature.stress_evals": 1_090_609,
-                    "quadrature.riemann_nodes": 616_770, "verify.riemann_psi_calls": 2,
+    "quad-cosine": {"quadrature.nodes": 343_114, "quadrature.stress_evals": 531_700,
+                    "quadrature.riemann_nodes": 156_230, "verify.riemann_psi_calls": 2,
                     "kinematics.rk4_steps": 96, "kinematics.velocity_evals": 683},
     "symbolic-exact": {"polyalg.compose_calls": 381, "polyalg.mul_calls": 364,
                        "compatibility.exact_residual_calls": 93},

@@ -69,7 +69,7 @@ MAX_GRID_N = 1001
 # seeds_per_axis loops over n^2 points.
 MAX_SEEDS_PER_AXIS = 101
 # Cosine harmonics: the quadrature subdivision max(8, ceil(m/2)) and the
-# Riemann oracle's max(256, 64m) cells per axis grow with m.
+# Riemann oracle's cells per axis, about max(128, 32m), grow with m.
 MAX_HARMONIC = 200
 MAX_STREAM_STEPS = 1_000_000
 # Joint degree i + j of a polynomial stress term: the exact path grows
@@ -535,9 +535,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # one parser per process, built on the first run and not at import;
+    # each parse_args fills a fresh namespace, so no flag carries over
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args)
     except ConfigError as exc:

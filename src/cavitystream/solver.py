@@ -490,14 +490,21 @@ def residual(psi: StreamFunction, f: StressField, p, h: float):
 # ----------------------------------------------------------------------
 # grid export
 
+def _lattice_axes(d: TriangleDomain, n: int) -> tuple[list[float], list[float]]:
+    """The n column values x = 2a i/(n-1) and the n row values
+    y = a j/(n-1) of the export lattice."""
+    a = float(d.a)
+    return [2 * a * i / (n - 1) for i in range(n)], [a * j / (n - 1) for j in range(n)]
+
+
 def grid_rows(psi: StreamFunction, d: TriangleDomain, n: int) -> list[tuple[float, float, float]]:
     """Row-major (x, y, psi) over the n x n bounding-box lattice clipped
     to the closed triangle, read from ``psi.lattice_values``."""
     ix, iy, values = psi.lattice_values(n)
-    a = float(d.a)
+    columns, rows = _lattice_axes(d, n)
     # coordinates repeat along the lattice: one shared float per column and row
-    xs = np.array([2 * a * i / (n - 1) for i in range(n)], dtype=object)[ix].tolist()
-    ys = np.array([a * j / (n - 1) for j in range(n)], dtype=object)[iy].tolist()
+    xs = np.array(columns, dtype=object)[ix].tolist()
+    ys = np.array(rows, dtype=object)[iy].tolist()
     vs = values.tolist()
     del ix, iy, values  # the lists hold all the rows need
     return list(zip(xs, ys, vs))
@@ -510,7 +517,11 @@ def format_float(v: float) -> str:
 
 def write_grid_csv(psi: StreamFunction, d: TriangleDomain, n: int, path) -> None:
     """One row per lattice point of ``grid_rows``; each float as
-    ``format_float`` writes it, in one format per row."""
+    ``format_float`` writes it.  A coordinate takes one of n values per
+    axis, so each is formatted once, and only psi once per row."""
+    columns, rows = _lattice_axes(d, n)
+    cx = {x: "%.17g," % x for x in columns}
+    cy = {y: "%.17g," % y for y in rows}
     with open(path, "w", newline="\n") as fh:
         fh.write("x,y,psi\n")
-        fh.writelines("%.17g,%.17g,%.17g\n" % (x + 0.0, y + 0.0, v + 0.0) for x, y, v in grid_rows(psi, d, n))
+        fh.writelines("%s%s%.17g\n" % (cx[x], cy[y], v + 0.0) for x, y, v in grid_rows(psi, d, n))

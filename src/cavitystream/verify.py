@@ -89,37 +89,39 @@ def _midpoint_psi(g, d: TriangleDomain, q: CharPoint, n: int) -> np.ndarray:
 
 
 def riemann_psi(stress: StressField, d: TriangleDomain, points, cells_per_axis: int = 256):
-    """(value, error): stream-function values by extrapolated midpoint
-    Riemann sums over the two sigma rectangles, and their error
+    """(value, error): stream-function values by Romberg-extrapolated
+    midpoint Riemann sums over the two sigma rectangles, and their error
     estimate; deliberately independent of the Gauss machinery, and of
     the solver's use of admissibility to drop the second one.
 
     ``points`` is one physical point (floats) or a sequence of them
-    (arrays).  With n = cells_per_axis, a multiple of 4, and h = 2a/n,
-    every point's X and Y must be multiples of 4h, so that at each of
-    n, n/2 and n/4 cells per axis all rectangles are unions of the cells
-    of one table (``_midpoint_psi``), giving the midpoint sums M_n,
-    M_{n/2} and M_{n/4}.  The midpoint error expands in even powers of
-    the cell width (Euler-Maclaurin), so the value
-    R_n = (4 M_n - M_{n/2}) / 3 is O(n^-4), and the error estimate is
-    |R_n - R_{n/2}| / 15.  Uses the same -1/4 prefactor as the solver
-    (the value forced by the Green-theorem bookkeeping and by the exact
-    operator identity).
+    (arrays).  With n = cells_per_axis, a multiple of 8, and h = 2a/n,
+    every point's X and Y must be multiples of 8h, so that at each of
+    n, n/2, n/4 and n/8 cells per axis all rectangles are unions of the
+    cells of one table (``_midpoint_psi``), giving the midpoint sums
+    M_n, M_{n/2}, M_{n/4} and M_{n/8}.  The midpoint error expands in
+    even powers of the cell width (Euler-Maclaurin), so Romberg's scheme
+    applies: R1_k = (4 M_k - M_{k/2}) / 3 is O(k^-4), the value
+    R2_n = (16 R1_n - R1_{n/2}) / 15 is O(n^-6), and the error estimate
+    is |R2_n - R2_{n/2}| / 63.  Uses the same -1/4 prefactor as the
+    solver (the value forced by the Green-theorem bookkeeping and by the
+    exact operator identity).
     """
-    if cells_per_axis % 4:
-        raise ValueError("cells_per_axis must be a multiple of 4")
+    if cells_per_axis % 8:
+        raise ValueError("cells_per_axis must be a multiple of 8")
     a = float(d.a)
     xy = np.asarray(points, dtype=float)
     x, y = xy.reshape(-1, 2).T
     q = to_characteristic(PhysicalPoint(x, y))
-    j = np.asarray(q) * (cells_per_axis / (8 * a))
+    j = np.asarray(q) * (cells_per_axis / (16 * a))
     if np.any(np.abs(j - np.rint(j)) > 1e-9):
-        raise ValueError(f"riemann_psi needs X and Y in multiples of 8a/cells_per_axis = {8 * a / cells_per_axis}")
+        raise ValueError(f"riemann_psi needs X and Y in multiples of 16a/cells_per_axis = {16 * a / cells_per_axis}")
     g = stress_char_evaluator(stress, a)
-    m = [_midpoint_psi(g, d, q, cells_per_axis // k) for k in (1, 2, 4)]
-    r = (4 * m[0] - m[1]) / 3
-    error = np.abs(r - (4 * m[1] - m[2]) / 3) / 15
-    return (float(r[0]), float(error[0])) if xy.ndim == 1 else (r, error)
+    m = [_midpoint_psi(g, d, q, cells_per_axis // k) for k in (1, 2, 4, 8)]
+    r1 = [(4 * fine - coarse) / 3 for fine, coarse in zip(m, m[1:])]
+    r2 = [(16 * fine - coarse) / 15 for fine, coarse in zip(r1, r1[1:])]
+    error = np.abs(r2[0] - r2[1]) / 63
+    return (float(r2[0][0]), float(error[0])) if xy.ndim == 1 else (r2[0], error)
 
 
 # Second-difference step as a fraction of a, the side of the interior
@@ -154,32 +156,33 @@ def _tolerances(psi: StreamFunction, f: StressField, h, pts, edge) -> tuple[floa
 
 
 def _riemann_check(psi: QuadratureStreamFunction, f: StressField) -> tuple[float, float]:
-    """(value, tol) of the Riemann check: psi against the extrapolated
+    """(value, tol) of the Riemann check: psi against the Romberg
     midpoint oracle at RIEMANN_POINTS seeded lattice points.
 
     With N = 4 ceil(max(256, 64 m) / 4) (m the cosine harmonic, 0 for
-    any other stress) and h = 2a/N, the points are drawn from the
-    interior points whose X and Y are multiples of 4h, so ``riemann_psi``
-    sums one table at each of N, N/2 and N/4 cells per axis.  The
-    midpoint error expands in even powers of the cell width
-    (Euler-Maclaurin), so R_n = (4 M_n - M_{n/2}) / 3 is O(h^4), and
-    |R_N - R_{N/2}| / 15 estimates the error of R_N.  The check reads
-    max |psi - R_N| against SAFETY times the largest estimate plus a
-    roundoff floor of 2 delta, delta = ``psi.rounding_bound``: once for
-    psi and once for the oracle, which sums the same integrand over the
-    same rectangles.
+    any other stress), the oracle takes n = 8 ceil(N / 16) cells per
+    axis, about N/2, and h = 2a/n; the points are drawn from the
+    interior points whose X and Y are multiples of 8h, so
+    ``riemann_psi`` sums one table at each of n, n/2, n/4 and n/8 cells
+    per axis.  Two Richardson levels over the midpoint sums give the
+    O(h^6) value R2_n and its error estimate |R2_n - R2_{n/2}| / 63.
+    The check reads max |psi - R2_n| against SAFETY times the largest
+    estimate plus a roundoff floor of 2 delta, delta =
+    ``psi.rounding_bound``: once for psi and once for the oracle, which
+    sums the same integrand over the same rectangles.
     """
     d = psi.domain
     a = float(d.a)
-    n = 4 * math.ceil(max(256, 64 * cosine_harmonic(f, a)) / 4 - 1e-9)
+    big_n = 4 * math.ceil(max(256, 64 * cosine_harmonic(f, a)) / 4 - 1e-9)
+    n = 8 * math.ceil(big_n / 16)
     rng = random.Random(20260808)
     lattice = []
     while len(lattice) < RIEMANN_POINTS:
-        jx, jy = rng.randrange(1, n // 4), rng.randrange(1, n // 4)
-        if jy < jx:  # X = 4h jx and Y = -4h jy strictly inside the triangle's image
+        jx, jy = rng.randrange(1, n // 8), rng.randrange(1, n // 8)
+        if jy < jx:  # X = 8h jx and Y = -8h jy strictly inside the triangle's image
             lattice.append((jx, jy))
     jx, jy = np.array(lattice).T
-    x, y = (jx + jy) * (4 * a / n), (jx - jy) * (4 * a / n)
+    x, y = (jx + jy) * (8 * a / n), (jx - jy) * (8 * a / n)
     r_n, error = riemann_psi(f, d, np.stack([x, y], 1), n)
     value = float(np.max(np.abs(psi.evaluate_many(x, y) - r_n)))
     delta = float(np.max(psi.rounding_bound(x, y)))

@@ -285,6 +285,17 @@ class TestSolveCommand:
         n_rows = len((out / "psi.csv").read_text().splitlines()) - 1
         assert n_rows == 13  # 5x5 bounding-box lattice clipped to the triangle
 
+    def test_flags_do_not_carry_into_the_next_run(self, tmp_path, capsys):
+        # one parser serves every run of the process; each run parses afresh
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, {**LINEAR_STRESS_DOC, "out": str(out), "grid_n": 7})
+        assert run(["solve", "--config", cfg, "--grid", "5", "--quiet"]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert run(["solve", "--config", cfg]) == EXIT_OK
+        assert "interior_residual" in capsys.readouterr().out
+        n_rows = len((out / "psi.csv").read_text().splitlines()) - 1
+        assert n_rows == 25  # grid_n 7 from the config, not --grid 5
+
 
 class TestFlowCommand:
     def test_linear_flow_artifacts(self, tmp_path):

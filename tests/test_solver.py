@@ -198,11 +198,12 @@ class TestQuadratureSolve:
         assert psi.evaluate(0.0, 0.0) == 0.0
 
     def test_cosine_against_riemann_oracle(self):
-        # low-order midpoint oracle at >= 1e6 cells per rectangle
+        # Romberg midpoint oracle at 2400 cells per axis, whose coarsest
+        # lattice (16a/2400 = 1/150) holds X = 1.5 and Y = -0.5
         stress = CosineStress(5.0, math.pi)
         psi = solve_quadrature(stress, D1)
         got = psi.evaluate(1.0, 0.5)
-        ref, _ = riemann_psi(stress, D1, PhysicalPoint(1.0, 0.5), cells_per_axis=2000)
+        ref, _ = riemann_psi(stress, D1, PhysicalPoint(1.0, 0.5), cells_per_axis=2400)
         assert got == pytest.approx(ref, abs=1e-8)
 
     def test_incompatible_stress_raises(self):

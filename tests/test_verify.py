@@ -96,8 +96,9 @@ class TestVerifySolution:
 
     @pytest.mark.parametrize("m, cells", [(3, 256), (15, 960), (61, 3904)])
     def test_riemann_cells_grow_with_the_harmonic(self, monkeypatch, m, cells):
-        # N = 4 ceil(max(256, 64 m) / 4) cells per axis, and the
-        # extrapolation and its error estimate take N/2 and N/4
+        # N = 4 ceil(max(256, 64 m) / 4), here a multiple of 16; the
+        # oracle takes n = 8 ceil(N / 16) = N/2 cells per axis, and its
+        # two Richardson levels and their error estimate n/2, n/4, n/8
         import cavitystream.verify as verify_mod
 
         seen = []
@@ -111,7 +112,7 @@ class TestVerifySolution:
         stress = CosineStress(1.0, m * math.pi)
         psi = solve_quadrature(stress, D1)
         report = verify_solution(psi, stress)
-        assert seen == [cells, cells // 2, cells // 4]
+        assert seen == [cells // 2, cells // 4, cells // 8, cells // 16]
         assert report.checks["quadrature_vs_riemann"]["pass"]
 
     def test_monotone_refinement(self):
@@ -178,8 +179,8 @@ class TestTolerances:
         psi = solve_quadrature(stress, D1)
         checks = verify_solution(psi, stress).checks
         self._assert_cosine_model(checks, 1.0)
-        # tol = SAFETY (|R_N - R_{N/2}| / 15 + 2 delta): the estimate
-        # tracks the extrapolated oracle's own error, O(h^4) at N = 256
+        # tol = SAFETY (|R2_n - R2_{n/2}| / 63 + 2 delta): the estimate
+        # tracks the extrapolated oracle's own error, O(h^6) at n = 128
         riemann = checks["quadrature_vs_riemann"]
         delta = checks["boundary_value"]["tol"] / SAFETY
         estimate = riemann["tol"] / SAFETY - 2 * delta
@@ -273,13 +274,13 @@ class TestRiemannOracle:
     def test_matches_exact_solution_for_linear_stress(self):
         psi = linear_example(D1)
         p = PhysicalPoint(1.0, 0.5)
-        ref, _ = riemann_psi(psi.source_stress, D1, p, cells_per_axis=400)
+        ref, _ = riemann_psi(psi.source_stress, D1, p, cells_per_axis=800)
         assert ref == pytest.approx(0.25, abs=5e-7)
 
     def test_independent_of_gauss_machinery(self):
         stress = CosineStress(5.0, math.pi)
         quad = solve_quadrature(stress, D1)
-        p = PhysicalPoint(0.875, 0.375)  # X = 1.25, Y = -0.5: multiples of 8a/512
+        p = PhysicalPoint(0.875, 0.375)  # X = 1.25, Y = -0.5: multiples of 16a/512
         ref, _ = riemann_psi(stress, D1, p, 512)
         assert ref == pytest.approx(quad.evaluate(*p), abs=5e-5)
 
@@ -287,22 +288,28 @@ class TestRiemannOracle:
         # the linear stress is integrated exactly by the midpoint rule
         psi = linear_example(D1)
         p = PhysicalPoint(1.0, 0.5)
-        value, error = riemann_psi(psi.source_stress, D1, p, 400)
+        value, error = riemann_psi(psi.source_stress, D1, p, 800)
         assert value == pytest.approx(0.25, abs=1e-14) and error <= 1e-15
-        with pytest.raises(ValueError, match="multiple of 4"):
-            riemann_psi(psi.source_stress, D1, p, 402)
+        with pytest.raises(ValueError, match="multiple of 8"):
+            riemann_psi(psi.source_stress, D1, p, 804)
 
     def test_points_off_the_coarsest_lattice_are_refused(self):
-        # X = 1.3 is not a multiple of 8a/512 = 1/64
-        with pytest.raises(ValueError, match="multiples of"):
-            riemann_psi(CosineStress(5.0, math.pi), D1, PhysicalPoint(0.9, 0.4), 512)
+        # X = 1.3 is not a multiple of 16a/512 = 1/32, and neither is
+        # X = 81/64, Y = -33/64, although both are multiples of 8a/512:
+        # that point is on the n/4 lattice but not on the n/8 one
+        for p in (PhysicalPoint(0.9, 0.4), PhysicalPoint(0.890625, 0.375)):
+            with pytest.raises(ValueError, match="multiples of"):
+                riemann_psi(CosineStress(5.0, math.pi), D1, p, 512)
 
     @pytest.mark.parametrize("m", [3, 15, 61])
     def test_quadrature_off_by_a_bubble_fails(self, m):
-        # the check is tight enough to catch an error of 1e-6 of scale
+        # the check is tight enough to catch an error of 1e-6 of scale,
+        # and of 1e-7, below the tolerance of one Richardson level at
+        # m = 15 and 61 (about 2.6e-7 and 3.8e-7 of scale)
         psi = solve_quadrature(cosine_from_harmonic(1.0, m, D1), D1)
-        bad = _Bumped(psi, _bubble(D1) * (1e-6 * psi.scale()))
-        assert not verify_solution(bad, psi.stress).checks["quadrature_vs_riemann"]["pass"]
+        for size in (1e-6, 1e-7):
+            bad = _Bumped(psi, _bubble(D1) * (size * psi.scale()))
+            assert not verify_solution(bad, psi.stress).checks["quadrature_vs_riemann"]["pass"], size
 
     @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
     @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
