@@ -311,18 +311,20 @@ def compat_constraints(
     degrees = [0] * len(basis)
     if d is None:
         for i, r in enumerate(residuals):
-            found = {m + k for m, _, k in r.coefficients}
+            found = {m + k for m, _, k in r.integer_form()[0]}
             if len(found) > 1:
                 raise ValueError(f"basis element {i} ({basis[i].to_text()}) has a residual that is "
                                  "not homogeneous in (X, a); bind a with a domain")
             degrees[i] = found.pop() if found else 0
-    # clear each row's denominators; Gauss-Jordan over Z, each new row
-    # divided by its gcd, so every row stays a multiple of the rational one
+    # entry i is the sum of its coefficients (one term with d=None, none
+    # of a with a domain): its numerator sum over its denominator.  Clear
+    # each row's denominators; Gauss-Jordan over Z, each new row divided
+    # by its gcd, so every row stays a multiple of the rational one
     mat = []
     for row in rows:
-        vals = [sum(e.coefficients.values(), Fraction(0)) for e in row]
-        den = math.lcm(*(q.denominator for q in vals))
-        mat.append(_primitive([q.numerator * (den // q.denominator) for q in vals]))
+        forms = [e.integer_form() for e in row]
+        den = math.lcm(*(d for _, d in forms))
+        mat.append(_primitive([sum(num.values()) * (den // d) for num, d in forms]))
 
     ncols = len(basis)
     pivot_cols: list[int] = []

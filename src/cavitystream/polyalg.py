@@ -2,11 +2,14 @@
 
 Polynomials live in two abstract variables (v1, v2) plus an optional
 symbolic length parameter ``a``.  The two variables are bound to (x, y),
-(t, s) or (X, Y) purely by context; the coefficient map is the canonical
-representation either way.  Coefficients are ``fractions.Fraction``, so
-every ring operation, differentiation, antidifferentiation and
-substitution below is exact.  Numeric evaluation falls back to floats as
-soon as a float argument appears.
+(t, s) or (X, Y) purely by context.  A polynomial is stored as integer
+numerators over one common denominator, in lowest terms (den > 0 and
+gcd(den, *numerators) == 1), which is canonical either way.  Every ring
+operation, differentiation, antidifferentiation, substitution and exact
+evaluation below works on Python ints and reduces its result once;
+``fractions.Fraction`` coefficients are built only where a caller asks
+for them (``coefficients``, ``terms``, ``to_text``).  Numeric evaluation
+falls back to floats as soon as a float argument appears.
 """
 
 from __future__ import annotations
@@ -56,13 +59,22 @@ def _rounded_decimal(c: Fraction) -> str:
     return f"{q:.{ROUNDED_DIGITS - 1}e}"
 
 
-def _numerators(p: "BivariatePoly") -> tuple[dict[Key, int], int]:
-    """(integer numerators, common denominator) of p's coefficients,
-    computed once per polynomial; callers must not mutate them."""
-    if p._numerators is None:
-        den = math.lcm(*(c.denominator for c in p._coef.values()))
-        p._numerators = {key: c.numerator * (den // c.denominator) for key, c in p._coef.items()}, den
-    return p._numerators
+def _make(num: dict[Key, int], den: int) -> "BivariatePoly":
+    """The polynomial with numerators ``num`` (no zero among them) over
+    ``den``, both already in lowest terms."""
+    p = object.__new__(BivariatePoly)
+    p._num, p._den, p._hash, p._compiled = num, den, None, None
+    return p
+
+
+def _reduced(num: dict[Key, int], den: int) -> "BivariatePoly":
+    """The polynomial with numerators ``num`` (no zero among them) over
+    ``den`` > 0, divided through by their one common gcd."""
+    g = math.gcd(den, *num.values())
+    if g != 1:
+        num = {key: c // g for key, c in num.items()}
+        den //= g
+    return _make(num, den)
 
 
 def _int_mul(p: dict[Key, int], q: dict[Key, int]) -> dict[Key, int]:
@@ -84,10 +96,16 @@ def float_or_inf(c: Fraction) -> float:
     """float(c), or +-inf where c is beyond the float range, so that an
     overflowing coefficient gives inf or nan values and a failed check,
     not an exception."""
+    return _ratio_or_inf(c.numerator, c.denominator)
+
+
+def _ratio_or_inf(n: int, d: int) -> float:
+    # n / d for d > 0: int true division is correctly rounded, so this is
+    # float(Fraction(n, d)) without reducing first
     try:
-        return float(c)
+        return n / d
     except OverflowError:
-        return math.inf if c > 0 else -math.inf
+        return math.inf if n > 0 else -math.inf
 
 
 # most Horner steps nested in one generated statement: far below the
@@ -130,13 +148,15 @@ def _horner_code(ni: int, nj: int) -> types.CodeType:
 
 
 class BivariatePoly:
-    """Immutable polynomial in (v1, v2, a) with Fraction coefficients.
+    """Immutable polynomial in (v1, v2, a) with rational coefficients,
+    held as integer numerators over one common denominator.
 
-    Zero coefficients are never stored; two polynomials are equal iff
-    their coefficient maps are equal.
+    Zero coefficients are never stored and the numerators and
+    denominator are in lowest terms, so two polynomials are equal iff
+    their numerator maps and denominators are equal.
     """
 
-    __slots__ = ("_coef", "_hash", "_compiled", "_numerators")
+    __slots__ = ("_num", "_den", "_hash", "_compiled")
 
     def __init__(self, coef: Mapping[Key, Scalar]):
         clean: dict[Key, Fraction] = {}
@@ -147,10 +167,13 @@ class BivariatePoly:
             f = _frac(c)
             if f:
                 clean[(i, j, k)] = f
-        self._coef = clean
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it: already lowest terms
+        den = math.lcm(*(f.denominator for f in clean.values()))
+        self._num = {key: f.numerator * (den // f.denominator) for key, f in clean.items()}
+        self._den = den
         self._hash = None
         self._compiled = None
-        self._numerators = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -189,28 +212,34 @@ class BivariatePoly:
 
     @property
     def coefficients(self) -> dict[Key, Fraction]:
-        return dict(self._coef)
+        den = self._den
+        return {key: Fraction(c, den) for key, c in self._num.items()}
 
     def terms(self) -> list[tuple[Key, Fraction]]:
         """Terms in graded-lex order (deterministic)."""
-        return sorted(self._coef.items(), key=lambda kv: _grlex(kv[0]))
+        return sorted(self.coefficients.items(), key=lambda kv: _grlex(kv[0]))
+
+    def integer_form(self) -> tuple[dict[Key, int], int]:
+        """(numerators, den): each coefficient is numerators[key] / den,
+        with den > 0 and gcd(den, *numerators) == 1."""
+        return dict(self._num), self._den
 
     @property
     def is_zero(self) -> bool:
-        return not self._coef
+        return not self._num
 
     def degree_in(self, var: int) -> int:
-        if not self._coef:
+        if not self._num:
             return -1
         if var == 1:
-            return max(i for i, _, _ in self._coef)
+            return max(i for i, _, _ in self._num)
         if var == 2:
-            return max(j for _, j, _ in self._coef)
+            return max(j for _, j, _ in self._num)
         raise ValueError("var must be 1 or 2")
 
     @property
     def has_symbol_a(self) -> bool:
-        return any(k for _, _, k in self._coef)
+        return any(k for _, _, k in self._num)
 
     # ------------------------------------------------------------------
     # ring operations
@@ -222,10 +251,13 @@ class BivariatePoly:
 
     def __add__(self, other) -> "BivariatePoly":
         other = self._promote(other)
-        coef = dict(self._coef)
-        for key, c in other._coef.items():
-            coef[key] = coef.get(key, Fraction(0)) + c
-        return BivariatePoly(coef)
+        d1, d2 = self._den, other._den
+        den = d1 if d1 == d2 else math.lcm(d1, d2)
+        s1, s2 = den // d1, den // d2
+        num = {key: c * s1 for key, c in self._num.items()} if s1 != 1 else dict(self._num)
+        for key, c in other._num.items():
+            num[key] = num.get(key, 0) + c * s2
+        return _reduced({key: c for key, c in num.items() if c}, den)
 
     __radd__ = __add__
 
@@ -236,14 +268,12 @@ class BivariatePoly:
         return self._promote(other) + (-self)
 
     def __neg__(self) -> "BivariatePoly":
-        return BivariatePoly({key: -c for key, c in self._coef.items()})
+        return _make({key: -c for key, c in self._num.items()}, self._den)
 
     def __mul__(self, other) -> "BivariatePoly":
-        # integer numerators, one division per result coefficient
-        num1, den1 = _numerators(self)
-        num2, den2 = _numerators(self._promote(other))
-        den = den1 * den2
-        return BivariatePoly({key: Fraction(c, den) for key, c in _int_mul(num1, num2).items()})
+        other = self._promote(other)
+        num = _int_mul(self._num, other._num)
+        return _reduced({key: c for key, c in num.items() if c}, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -270,11 +300,11 @@ class BivariatePoly:
             other = BivariatePoly.const(other)
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        return self._coef == other._coef
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._coef.items()))
+            self._hash = hash((self._den, frozenset(self._num.items())))
         return self._hash
 
     # ------------------------------------------------------------------
@@ -286,29 +316,28 @@ class BivariatePoly:
             raise ValueError("var must be 1 or 2")
         if order < 0:
             raise ValueError("order must be >= 0")
-        p = self
+        num = self._num
         for _ in range(order):
-            coef: dict[Key, Fraction] = {}
-            for (i, j, k), c in p._coef.items():
-                e = i if var == 1 else j
-                if e == 0:
-                    continue
-                key = (i - 1, j, k) if var == 1 else (i, j - 1, k)
-                coef[key] = coef.get(key, Fraction(0)) + c * e
-            p = BivariatePoly(coef)
-        return p
+            # the shifted keys are distinct, so nothing collects or cancels
+            if var == 1:
+                num = {(i - 1, j, k): c * i for (i, j, k), c in num.items() if i}
+            else:
+                num = {(i, j - 1, k): c * j for (i, j, k), c in num.items() if j}
+        return _reduced(num, self._den) if order else self
 
     def antideriv(self, var: int) -> "BivariatePoly":
         """Term-wise antiderivative with zero integration constant."""
         if var not in (1, 2):
             raise ValueError("var must be 1 or 2")
-        coef: dict[Key, Fraction] = {}
-        for (i, j, k), c in self._coef.items():
-            if var == 1:
-                coef[(i + 1, j, k)] = c / (i + 1)
-            else:
-                coef[(i, j + 1, k)] = c / (j + 1)
-        return BivariatePoly(coef)
+        # every new power divides the lcm L of them: numerators times
+        # L / power, over den * L
+        slot = var - 1
+        lcm = math.lcm(*(key[slot] + 1 for key in self._num))
+        if var == 1:
+            num = {(i + 1, j, k): c * (lcm // (i + 1)) for (i, j, k), c in self._num.items()}
+        else:
+            num = {(i, j + 1, k): c * (lcm // (j + 1)) for (i, j, k), c in self._num.items()}
+        return _reduced(num, self._den * lcm)
 
     # ------------------------------------------------------------------
     # substitution
@@ -317,17 +346,18 @@ class BivariatePoly:
         """Substitute polynomials (or scalars) for v1 and v2.
 
         The symbol a passes through untouched, so images may themselves
-        contain a (e.g. substituting the upper limit t = 2a).  Works on
-        integer numerators: with self = P/D and the images n1/d1, n2/d2
-        the result is sum_i G_i (n1/d1)^i, G_i collecting the terms of
-        v1 power i with v2 -> n2/d2; Horner in n1 then needs no division
-        until the single denominator D d1^I d2^J (I, J the top powers).
+        contain a (e.g. substituting the upper limit t = 2a).  With
+        self = P/D and the images n1/d1, n2/d2 the result is
+        sum_i G_i (n1/d1)^i, G_i collecting the terms of v1 power i with
+        v2 -> n2/d2; Horner in n1 then needs no division until the
+        single denominator D d1^I d2^J (I, J the top powers).
         """
-        num, den = _numerators(self)
+        num, den = self._num, self._den
         if not num:
-            return BivariatePoly.zero()
-        n1, d1 = _numerators(self._promote(img1))
-        n2, d2 = _numerators(self._promote(img2))
+            return self
+        img1, img2 = self._promote(img1), self._promote(img2)
+        n1, d1 = img1._num, img1._den
+        n2, d2 = img2._num, img2._den
         top1 = max(i for i, _, _ in num)
         top2 = max(j for _, j, _ in num)
 
@@ -352,16 +382,22 @@ class BivariatePoly:
                 for key, c in g.items():
                     acc[key] = acc.get(key, 0) + c * scale
         total = den * d1**top1 * d2**top2
-        return BivariatePoly({key: Fraction(c, total) for key, c in acc.items() if c})
+        return _reduced({key: c for key, c in acc.items() if c}, total)
 
     def subs_a(self, value: Scalar) -> "BivariatePoly":
         """Bind the symbolic parameter a to an exact numeric value."""
         v = _frac(value)
-        coef: dict[Key, Fraction] = {}
-        for (i, j, k), c in self._coef.items():
+        if not self.has_symbol_a:
+            return self
+        n, d = v.numerator, v.denominator
+        top = max(k for _, _, k in self._num)
+        # a^k over a^top's denominator d^top
+        powers = [n**k * d ** (top - k) for k in range(top + 1)]
+        num: dict[Key, int] = {}
+        for (i, j, k), c in self._num.items():
             key = (i, j, 0)
-            coef[key] = coef.get(key, Fraction(0)) + c * v**k
-        return BivariatePoly(coef)
+            num[key] = num.get(key, 0) + c * powers[k]
+        return _reduced({key: c for key, c in num.items() if c}, self._den * d**top)
 
     # ------------------------------------------------------------------
     # evaluation
@@ -377,17 +413,17 @@ class BivariatePoly:
         symbolic = self.has_symbol_a
         if symbolic and a is None:
             raise ValueError("polynomial carries the symbol a; pass a value for it")
-        if not self._coef:
+        if not self._num:
             return 0
         args = (x, y, a) if symbolic else (x, y)
         if all(isinstance(v, (int, Fraction)) for v in args):
-            return self._eval_exact(Fraction(x), Fraction(y), Fraction(a if symbolic else 1))
+            return self._eval_exact(x, y, a if symbolic else 1)
         return (self.subs_a(a) if symbolic else self).float_evaluator()(x, y)
 
-    def _eval_exact(self, x: Fraction, y: Fraction, a: Fraction) -> Fraction:
+    def _eval_exact(self, x: int | Fraction, y: int | Fraction, a: int | Fraction) -> Fraction:
         # sum of N_ijk x^i y^j a^k with every power over its top power's
         # denominator: one integer sum, one division
-        num, den = _numerators(self)
+        num, den = self._num, self._den
         tables = []
         for slot, v in enumerate((x, y, a)):
             top = max(key[slot] for key in num)
@@ -402,21 +438,22 @@ class BivariatePoly:
         to be bound.
 
         The Horner code is unrolled and compiled once per table shape
-        (``_horner_code``); this polynomial's coefficients are bound to
+        (``_horner_code``); this polynomial's coefficients, each its
+        numerator over the denominator correctly rounded, are bound to
         it as one tuple.  Accepts scalars or numpy arrays. Cached on the
         instance (idempotent, so benign under concurrent use).
         """
         if self._compiled is None:
             if self.has_symbol_a:
                 raise ValueError("bind a before compiling a float evaluator")
-            if not self._coef:
+            if not self._num:
                 self._compiled = lambda x, y: 0.0 * x * y
             else:
                 ni = self.degree_in(1) + 1
                 nj = self.degree_in(2) + 1
                 table = [[0.0] * nj for _ in range(ni)]
-                for (i, j, _), c in self._coef.items():
-                    table[i][j] = float_or_inf(c)
+                for (i, j, _), c in self._num.items():
+                    table[i][j] = _ratio_or_inf(c, self._den)
                 # in the order the code reads them: top row first, each
                 # row from its top power down
                 coefs = tuple(c for row in reversed(table) for c in reversed(row))
@@ -428,10 +465,10 @@ class BivariatePoly:
 
     def coefficients_in_v1(self) -> dict[int, "BivariatePoly"]:
         """Map power-of-v1 -> coefficient polynomial (in v2 and a)."""
-        out: dict[int, dict[Key, Fraction]] = {}
-        for (i, j, k), c in self._coef.items():
+        out: dict[int, dict[Key, int]] = {}
+        for (i, j, k), c in self._num.items():
             out.setdefault(i, {})[(0, j, k)] = c
-        return {i: BivariatePoly(m) for i, m in sorted(out.items())}
+        return {i: _reduced(m, self._den) for i, m in sorted(out.items())}
 
     # ------------------------------------------------------------------
     # formatting
@@ -439,7 +476,7 @@ class BivariatePoly:
     def to_text(self, names: tuple[str, str] = ("x", "y"), a_name: str = "a") -> str:
         """Serialize as a sum of c * x^i * y^j terms in graded-lex order,
         each coefficient as ``_coefficient_text`` writes it."""
-        if not self._coef:
+        if not self._num:
             return "0"
         parts: list[str] = []
         for (i, j, k), c in self.terms():

@@ -261,6 +261,12 @@ class SinusoidalStreamFunction(StreamFunction):
         a = float(domain.a)
         self._c = 2.0 * self.amplitude * a * a / (9.0 * math.pi**2)
         self._k = 3.0 * math.pi / a
+        # the speed ck = 2A a/(3 pi) formed as c k, below a = 1/2 at
+        # s = a 2^-e in [1/2, 1): c k's own bits wherever c is normal, and
+        # normal where c underflows; at a huge a it overflows with psi
+        e = min(math.frexp(a)[1], 0)
+        s = math.ldexp(a, -e)
+        self._ck = math.ldexp(2.0 * self.amplitude * s * s / (9.0 * math.pi**2) * (3.0 * math.pi / s), e)
 
     def _raw_eval(self, x, y):
         k = self._k
@@ -270,7 +276,7 @@ class SinusoidalStreamFunction(StreamFunction):
         """Closed-form derivatives.  With al = k(x-y)/2 and be = k(x+y)/2,
         u = ck (sin ky - (sin al + sin be)/2), v = ck (sin be - sin al)/2,
         and the Jacobian carries ck^2/4 times cosines of the same angles."""
-        k, ck = self._k, self._c * self._k
+        k, ck = self._k, self._ck
         q = ck * k / 4.0
         sin, cos = math.sin, math.cos
 

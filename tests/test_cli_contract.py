@@ -103,18 +103,28 @@ def test_flow_on_an_overflowing_field_fails_in_one_line():
 
 
 def test_flow_on_an_underflowed_field_fails_in_one_line():
-    # at a = 1e-300 every velocity of the builtins underflows to 0 while
-    # their stress does not vanish: that is no null field, and `solve`
-    # fails on the same configs.  A subnormal speed scale has too few
-    # digits for the stagnation search: the linear builtin at a = 1e-160
-    # (speed scale 1.46e-320) and the realistic one at a = 1e-80 would
-    # find 1 of their 4 and of their 15 points
-    cases = [(stress, 1e-300) for stress in STRESSES[:3]] + [(STRESSES[0], 1e-160), (STRESSES[2], 1e-80)]
+    # at a = 1e-300 the velocities of the linear and realistic builtins
+    # underflow to 0 while their stress does not vanish: that is no null
+    # field, and `solve` fails on the same configs.  A subnormal speed
+    # scale has too few digits for the stagnation search: the linear
+    # builtin at a = 1e-160 (speed scale 1.46e-320) and the realistic one
+    # at a = 1e-80 would find 1 of their 4 and of their 15 points
+    cases = [(stress, 1e-300) for stress in (STRESSES[0], STRESSES[2])] + [(STRESSES[0], 1e-160), (STRESSES[2], 1e-80)]
     for stress, a in cases:
         with tempfile.TemporaryDirectory() as work:
             rc, err, _ = _run("flow", {"a": a, "stress": stress}, work, "flow")
         assert rc == EXIT_DOMAIN
         assert len(err.splitlines()) == 1 and err.startswith("error: the velocity underflows to zero")
+
+
+@pytest.mark.parametrize("a", [1e-162, 1e-250])
+def test_flow_on_the_sinusoidal_builtin_where_its_psi_underflows(a):
+    # psi ~ a^2 underflows, but the speed ~ a is formed so that it stays
+    # normal: all 13 stagnation points are found
+    with tempfile.TemporaryDirectory() as work:
+        rc, err, files = _run("flow", {"a": a, "stress": STRESSES[1]}, work, "flow")
+    assert rc == EXIT_OK and not err
+    assert len(files["stagnation.csv"].decode().splitlines()) == 1 + 13
 
 
 def test_huge_constraint_coefficients_fail_in_one_line():

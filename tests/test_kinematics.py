@@ -17,6 +17,7 @@ from cavitystream.polyalg import BivariatePoly, poly_vars, wave_operator
 from cavitystream.compatibility import cosine_from_harmonic
 from cavitystream.solver import (
     PolyStreamFunction,
+    SinusoidalStreamFunction,
     StreamFunction,
     linear_example,
     realistic_example,
@@ -293,6 +294,27 @@ class TestStagnation:
             rx, ry, rcls = min(ref, key=lambda r: math.hypot(x - r[0], y - r[1]))
             assert math.hypot(x - rx, y - ry) <= 1e-9
             assert cls == rcls
+
+    @pytest.mark.parametrize("a", [1e-162, 1e-300])
+    def test_sinusoidal_speed_where_its_psi_prefactor_underflows(self, a):
+        # c = 2A a^2/(9 pi^2) is 0 from a ~ 1e-162 on, but the speed
+        # c k ~ a is formed at a scaled by a power of two
+        ref = velocity_field(sinusoidal_closed_form(5.0, D1))
+        d = TriangleDomain(a)
+        V = velocity_field(sinusoidal_closed_form(5.0, d))
+        assert V.speed_scale() / a == pytest.approx(ref.speed_scale(), rel=1e-12)
+        ref_pts = [p.location for p in stagnation_points(ref, D1, seeds_per_axis=21)]
+        pts = stagnation_points(V, d, seeds_per_axis=21)
+        assert len(pts) == len(ref_pts) == 13
+        for p in pts:
+            x, y = min(ref_pts, key=lambda r: math.hypot(p.location.x - a * r.x, p.location.y - a * r.y))
+            assert math.hypot(p.location.x - a * x, p.location.y - a * y) <= 1e-12 * a
+
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3, 1e-150, 1e200])
+    def test_sinusoidal_speed_keeps_its_bits_where_nothing_underflows(self, a):
+        # at a = 1e200 psi and the speed overflow together, as before
+        psi = SinusoidalStreamFunction(5.0, TriangleDomain(a))
+        assert psi._ck == psi._c * psi._k
 
     @pytest.mark.parametrize("a", [1e-60, 1e-50, 1e-10])
     def test_realistic_points_at_a_tiny_a(self, a):

@@ -202,6 +202,169 @@ class TestIntegerMul:
         assert (p * zero).is_zero and (zero * p).is_zero and (zero * zero).is_zero
 
 
+# ----------------------------------------------------------------------
+# every operation against a plain dict-of-Fraction reference
+
+
+def _coef_maps(max_degree=12, max_terms=8, with_a=True):
+    """(i, j, k) -> Fraction maps, zeros dropped: degrees up to 12,
+    powers of a up to 3, and coefficients from small integers to
+    40-digit numerators over 40-digit denominators."""
+    keys = st.tuples(st.integers(0, max_degree), st.integers(0, max_degree), st.integers(0, 3 if with_a else 0))
+    small = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    long = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40))
+    return st.dictionaries(keys, st.one_of(small, long), max_size=max_terms).map(
+        lambda m: {key: c for key, c in m.items() if c})
+
+
+def _ref_add(p, q, sign=1):
+    out = dict(p)
+    for key, c in q.items():
+        out[key] = out.get(key, Fraction(0)) + sign * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _ref_mul(p, q):
+    out = {}
+    for (i1, j1, k1), c1 in p.items():
+        for (i2, j2, k2), c2 in q.items():
+            key = (i1 + i2, j1 + j2, k1 + k2)
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def _ref_pow(p, n):
+    out = {(0, 0, 0): Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, p)
+    return out
+
+
+def _ref_diff(p, var):
+    slot = var - 1
+    out = {}
+    for key, c in p.items():
+        if key[slot]:
+            new = list(key)
+            new[slot] -= 1
+            out[tuple(new)] = c * key[slot]
+    return out
+
+
+def _ref_antideriv(p, var):
+    slot = var - 1
+    out = {}
+    for key, c in p.items():
+        new = list(key)
+        new[slot] += 1
+        out[tuple(new)] = c / new[slot]
+    return out
+
+
+def _ref_compose(p, img1, img2):
+    out = {}
+    for (i, j, k), c in p.items():
+        term = _ref_mul(_ref_mul(_ref_pow(img1, i), _ref_pow(img2, j)), {(0, 0, k): c})
+        out = _ref_add(out, term)
+    return out
+
+
+def _ref_subs_a(p, v):
+    out = {}
+    for (i, j, k), c in p.items():
+        out[(i, j, 0)] = out.get((i, j, 0), Fraction(0)) + c * v**k
+    return {key: c for key, c in out.items() if c}
+
+
+def _ref_eval(p, x, y, a):
+    return sum((c * x**i * y**j * a**k for (i, j, k), c in p.items()), Fraction(0))
+
+
+def _checked(p):
+    """p's coefficient map, after checking the representation's
+    invariants: den > 0, lowest terms, no zero numerator, and the hash
+    of an equal polynomial built from Fractions."""
+    num, den = p.integer_form()
+    assert den > 0 and math.gcd(den, *num.values()) == 1 and all(num.values())
+    coef = p.coefficients
+    twin = BivariatePoly(coef)
+    assert twin == p and hash(twin) == hash(p) and twin.integer_form() == (num, den)
+    return coef
+
+
+rationals = st.one_of(st.fractions(min_value=-5, max_value=5, max_denominator=9),
+                      st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)))
+
+
+class TestAgainstFractionDicts:
+    """Each operation on integer numerators equals the same operation
+    on plain (i, j, k) -> Fraction dicts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_coef_maps(), _coef_maps())
+    def test_ring(self, p, q):
+        P, Q = BivariatePoly(p), BivariatePoly(q)
+        assert _checked(P + Q) == _ref_add(p, q)
+        assert _checked(P - Q) == _ref_add(p, q, -1)
+        assert _checked(-P) == {key: -c for key, c in p.items()}
+        assert _checked(P * Q) == _ref_mul(p, q)
+        assert _checked(P - P) == {} and (P - P).integer_form() == ({}, 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_coef_maps(max_degree=4, max_terms=4), st.integers(0, 3))
+    def test_pow(self, p, n):
+        assert _checked(BivariatePoly(p) ** n) == _ref_pow(p, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_coef_maps(), st.sampled_from([1, 2]), st.integers(0, 3))
+    def test_calculus(self, p, var, order):
+        P = BivariatePoly(p)
+        want = p
+        for _ in range(order):
+            want = _ref_diff(want, var)
+        assert _checked(P.diff(var, order)) == want
+        assert _checked(P.antideriv(var)) == _ref_antideriv(p, var)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_coef_maps(max_terms=5), rationals, rationals, rationals, rationals)
+    def test_compose_affine(self, p, c1, c2, c3, c4):
+        img1 = _ref_add({(1, 0, 0): c1, (0, 1, 0): c2}, {(0, 0, 0): c3} if c3 else {})
+        img2 = {key: c for key, c in {(0, 1, 0): c4, (1, 0, 0): Fraction(1), (0, 0, 1): c1}.items() if c}
+        got = BivariatePoly(p).compose(BivariatePoly(img1), BivariatePoly(img2))
+        assert _checked(got) == _ref_compose(p, img1, img2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_coef_maps(max_degree=6, max_terms=4), _coef_maps(max_degree=2, max_terms=3),
+           _coef_maps(max_degree=2, max_terms=3))
+    def test_compose_polynomial(self, p, img1, img2):
+        got = BivariatePoly(p).compose(BivariatePoly(img1), BivariatePoly(img2))
+        assert _checked(got) == _ref_compose(p, img1, img2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_coef_maps(), rationals, rationals)
+    def test_scalar_images(self, p, v1, v2):
+        got = BivariatePoly(p).compose(v1, v2)
+        want = _ref_compose(p, {(0, 0, 0): v1} if v1 else {}, {(0, 0, 0): v2} if v2 else {})
+        assert _checked(got) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(_coef_maps(), rationals, rationals, rationals)
+    def test_subs_a_and_exact_eval(self, p, x, y, a):
+        P = BivariatePoly(p)
+        assert _checked(P.subs_a(a)) == _ref_subs_a(p, a)
+        got = P.eval(x, y, a)
+        assert got == _ref_eval(p, x, y, a)
+        assert type(got) is Fraction or (not p and got == 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_coef_maps(), st.sampled_from([Fraction(1, 3), Fraction(-7, 2), Fraction(10**30 + 1, 10**29), 2]))
+    def test_equal_values_hash_equal(self, p, c):
+        # one value reached along two paths of different denominators
+        P = BivariatePoly(p)
+        Q = (P * c + P) * (1 / Fraction(c + 1))
+        assert Q == P and hash(Q) == hash(P) and Q.integer_form() == P.integer_form()
+
+
 class TestSegmentRestriction:
     # the segment origin + tau * direction, tau in slot v1
     def test_stream_function_vanishes_on_base(self):
@@ -271,14 +434,21 @@ class TestEvaluation:
                     got = p.eval(x, y, a if with_a else None)
                     assert type(got) is Fraction and got == expected
 
-    def test_numerators_are_computed_once(self, monkeypatch):
-        # compat_check evaluates one residual polynomial at 65 sweep nodes
+    def test_exact_eval_computes_no_lcm_or_gcd(self, monkeypatch):
+        # compat_check evaluates one residual polynomial at 65 sweep
+        # nodes: the stored numerators serve every one, and the only gcd
+        # is the one that reduces each returned Fraction
         p = X**38 * Y**6 * Fraction(-15, 7) + A * X * Fraction(1, 3)
-        calls = []
-        lcm = math.lcm
-        monkeypatch.setattr(math, "lcm", lambda *d: calls.append(d) or lcm(*d))
-        values = [p.eval(Fraction(i, 64), 0, Fraction(1, 2)) for i in range(65)]
-        assert len(calls) == 1
+        points = [Fraction(i, 64) for i in range(65)]
+        half = Fraction(1, 2)
+        calls = {"lcm": 0, "gcd": 0}
+        for name in calls:
+            def spy(*v, _name=name, _real=getattr(math, name)):
+                calls[_name] += 1
+                return _real(*v)
+            monkeypatch.setattr(math, name, spy)
+        values = [p.eval(x, 0, half) for x in points]
+        assert calls == {"lcm": 0, "gcd": 65}
         assert values[64] == Fraction(1, 6)
 
     def test_float_arguments_stay_on_the_float_path(self):

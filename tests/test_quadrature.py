@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cavitystream.compatibility import CosineStress, cosine_harmonic
-from cavitystream.geometry import Rect
+from cavitystream.compatibility import CosineStress, OpaqueStress, cosine_harmonic
+from cavitystream.geometry import Rect, TriangleDomain
+from cavitystream.solver import QuadratureStreamFunction
 from cavitystream.quadrature import (
     MAX_BLOCK,
     QuadratureSpec,
@@ -374,6 +375,44 @@ class TestCellTable:
         cell_table(fn, size, 0.01, QuadratureSpec(order, sub), 0.01)
         assert max(sizes) <= MAX_BLOCK
         assert sum(sizes) == size * (size - 1) // 2 * (sub * order) ** 2
+
+    @pytest.mark.parametrize("size, order, sub, span", [(60, 12, 2, 0.01), (200, 12, 8, 0.08), (90, 5, 1, 1.0)])
+    def test_blocks_are_equal_quarter_blocks(self, size, order, sub, span):
+        # every cell takes the same Gauss cells, so whole rows group into
+        # blocks of one size; only the last block is shorter
+        sizes = []
+
+        def fn(t, s):
+            sizes.append(t.size)
+            return np.cos(t) * s
+
+        cell_table(fn, size, 0.01, QuadratureSpec(order, sub), span)
+        sides = min(max(math.ceil(sub * 0.01 / span - 1e-9), 1), sub)
+        per_cell = (order * sides) ** 2
+        full = MAX_BLOCK // 4 // per_cell * per_cell
+        assert set(sizes[:-1]) == {full} and 0 < sizes[-1] <= full
+        assert sum(sizes) == size * (size - 1) // 2 * per_cell
+
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [3, 41, 101])
+    def test_lattice_matches_the_per_row_table(self, a, n):
+        # the per-row table (one integrate_rect call per row of cells)
+        # takes the same cells and nodes; a block of another size rounds
+        # the cell sums differently, and both cumsums carry that past the
+        # bound on one evaluation (up to 1.07 times it): twice it here
+        f = OpaqueStress(lambda x, y: 16.0 * y - 8.0 * a + 5.0 * np.cos(3 * math.pi * y / a))
+        psi = QuadratureStreamFunction(f, TriangleDomain(a))
+        size, h = 2 * (n - 1), a / (n - 1)
+        table = np.zeros((size + 1, size + 1))
+        for p in range(1, size):
+            q = np.arange(p)
+            table[p + 1, 1:p + 1] = integrate_rect(psi._g, Rect(p * h, (p + 1) * h, -(q + 1) * h, -q * h),
+                                                   psi.spec, 2 * a)
+        table = table.cumsum(0).cumsum(1)
+        ix, iy, got = psi.lattice_values(n)
+        q = 2 * ix - iy
+        want = -0.25 * (table[2 * ix + iy, q] - table[q, q])
+        assert np.max(np.abs(got - want)) <= 2 * psi.rounding_bound(0.0, 0.0)
 
     def test_ridge_table_takes_one_cell_per_diagonal(self):
         calls = []
