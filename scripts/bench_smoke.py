@@ -35,7 +35,12 @@ quad-cosine quadrature and verify ones; a change that lowers a count
 should lower its ceiling.  The `kinematics.velocity_evals` ceilings
 (builtin-flow from 32,659 to 24,751, quad-cosine new at 683, 697
 before) were set when the stagnation search came to evaluate each
-Newton iterate once.
+Newton iterate once.  The symbolic-exact `polyalg.compose_calls` (381
+to 51) and `polyalg.mul_calls` (364 to 34) ceilings, and builtin-flow's
+`polyalg.compose_calls` (18 to 6), were set when the characteristic
+antiderivative H, psi and the residual R came to be read off their
+input's terms by binomial expansion: `compose` is left to the AB gate
+and the exact boundary checks of each solve.
 
 Usage: python scripts/bench_smoke.py [--seconds S]
 """
@@ -53,9 +58,9 @@ COUNTER_CEILINGS = {
     "quad-cosine": {"quadrature.nodes": 343_114, "quadrature.stress_evals": 531_700,
                     "quadrature.riemann_nodes": 156_230, "verify.riemann_psi_calls": 2,
                     "kinematics.rk4_steps": 96, "kinematics.velocity_evals": 683},
-    "symbolic-exact": {"polyalg.compose_calls": 381, "polyalg.mul_calls": 364,
+    "symbolic-exact": {"polyalg.compose_calls": 51, "polyalg.mul_calls": 34,
                        "compatibility.exact_residual_calls": 93},
-    "builtin-flow": {"polyalg.compose_calls": 18, "compatibility.exact_residual_calls": 2,
+    "builtin-flow": {"polyalg.compose_calls": 6, "compatibility.exact_residual_calls": 2,
                      "kinematics.velocity_evals": 24_751, "kinematics.rk4_steps": 2_413,
                      "kinematics.jacobian_calls": 6_435, "solver.psi_evals": 2_437},
 }

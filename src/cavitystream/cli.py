@@ -24,6 +24,7 @@ import numpy as np
 from .geometry import TriangleDomain, PhysicalPoint, classify, distance_to_boundary
 from .polyalg import BivariatePoly
 from .compatibility import (
+    CosineStress,
     PolynomialStress,
     StressField,
     compat_check,
@@ -253,13 +254,23 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
 # ----------------------------------------------------------------------
 # stress / solution assembly
 
+def _require_finite_wavenumber(stress: CosineStress, a: float) -> None:
+    """A cosine stress whose wavenumber m pi / a overflows (a below
+    about m pi / 1.8e308) has no value anywhere: a config error."""
+    if not math.isfinite(stress.wavenumber):
+        raise ConfigError(f"a={a:g} is too small: the wavenumber m*pi/a of the cosine stress "
+                          "overflows float arithmetic")
+
+
 def build_stress(cfg: RunConfig) -> StressField:
     spec = cfg.stress
     if spec.kind == "polynomial":
         poly = BivariatePoly({(i, j, 0): c for i, j, c in spec.terms})
         return PolynomialStress(poly)
     if spec.kind == "cosine":
-        return cosine_from_harmonic(spec.amplitude, spec.harmonic, cfg.domain)
+        stress = cosine_from_harmonic(spec.amplitude, spec.harmonic, cfg.domain)
+        _require_finite_wavenumber(stress, cfg.a)
+        return stress
     return build_stream_function(cfg).source_stress
 
 
@@ -270,7 +281,9 @@ def build_stream_function(cfg: RunConfig) -> StreamFunction:
         if spec.name == "linear":
             return linear_example(d)
         if spec.name == "sinusoidal":
-            return sinusoidal_closed_form(SINUSOIDAL_AMPLITUDE, d)
+            psi = sinusoidal_closed_form(SINUSOIDAL_AMPLITUDE, d)
+            _require_finite_wavenumber(psi.source_stress, cfg.a)
+            return psi
         return realistic_example(d)
     stress = build_stress(cfg)
     if isinstance(stress, PolynomialStress):

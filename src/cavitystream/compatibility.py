@@ -22,11 +22,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import TriangleDomain, interior_lattice, boundary_sample
-from .polyalg import BivariatePoly, float_or_inf
+from .polyalg import BivariatePoly, binomial_row, float_or_inf
 from .quadrature import default_quadrature_spec, integrate_rect
 from .geometry import Rect
-
-HALF = Fraction(1, 2)
 
 
 # ----------------------------------------------------------------------
@@ -117,9 +115,24 @@ def char_antiderivative(f: BivariatePoly) -> BivariatePoly:
     H vanishes on both axes, so g integrates over [t0, t1] x [s0, s1] to
     H(t1, s1) - H(t0, s1) - H(t1, s0) + H(t0, s0), the parallelogram rule
     of the wave equation.  The symbol a passes through untouched.
+
+    Read off f's terms in one pass: c x^i y^j a^k rotates to
+    c 2^-n (t-s)^i (t+s)^j a^k (n = i + j), whose term t^m s^(n-m)
+    integrates to t^M s^L / (M L) with M = m + 1, L = n - m + 1; each
+    key's divisor 2^n M L is read from the key itself, so the sums over
+    f's terms are integers until one common denominator.
     """
-    t, s = BivariatePoly.v1(), BivariatePoly.v2()
-    return f.compose((t - s) * HALF, (t + s) * HALF).antideriv(2).antideriv(1)
+    num, den = f.integer_form()
+    acc = {}
+    for (i, j, k), c in num.items():
+        n = i + j
+        for m, b in enumerate(binomial_row(i, j)):
+            if b:
+                key = (m + 1, n - m + 1, k)
+                acc[key] = acc.get(key, 0) + c * b
+    divisors = {(M, L, k): (M * L) << (M + L - 2) for M, L, k in acc}
+    lcm = math.lcm(*divisors.values())
+    return BivariatePoly.from_integer_form({key: c * (lcm // divisors[key]) for key, c in acc.items()}, den * lcm)
 
 
 def exact_residual_poly(f: BivariatePoly, d: TriangleDomain | None) -> BivariatePoly:
@@ -128,17 +141,34 @@ def exact_residual_poly(f: BivariatePoly, d: TriangleDomain | None) -> Bivariate
     the t axis.
 
     Pass d=None to keep the length parameter symbolic; the result is the
-    zero polynomial iff the stress is admissible.
+    zero polynomial iff the stress is admissible.  Each term
+    h t^M s^L a^k of H = ``char_antiderivative(f)`` gives
+    h (-1)^L (X^(M+L) - (2a)^M X^L) a^k: with d=None (2a)^M is
+    2^M a^M, with a domain (2 n/q)^M over the one denominator q^top
+    (a = n/q exactly, top H's highest power of t).
     """
+    if d is not None and f.has_symbol_a:
+        f = f.subs_a(Fraction(d.a))
+    num, den = char_antiderivative(f).integer_form()
+    top = max((M for M, _, _ in num), default=0)
     if d is None:
-        two_a = 2 * BivariatePoly.sym_a()
+        lift, shift = 1, 1
+        powers = [1 << M for M in range(top + 1)]
     else:
-        two_a = 2 * BivariatePoly.const(Fraction(d.a))
-        if f.has_symbol_a:
-            f = f.subs_a(Fraction(d.a))
-    X = BivariatePoly.v1()
-    h = char_antiderivative(f)
-    return h.compose(X, -X) - h.compose(two_a, -X)
+        a = Fraction(d.a)
+        two_n, q = 2 * a.numerator, a.denominator
+        lift, shift = q**top, 0
+        powers = [two_n**M * q ** (top - M) for M in range(top + 1)]
+        den *= lift
+    out = {}
+    for (M, L, k), h in num.items():
+        if L & 1:
+            h = -h
+        key = (M + L, 0, k)
+        out[key] = out.get(key, 0) + h * lift
+        key = (L, 0, k + shift * M)
+        out[key] = out.get(key, 0) - h * powers[M]
+    return BivariatePoly.from_integer_form(out, den)
 
 
 def _cosine_residual(A: float, k: float, a: float, X) -> float:

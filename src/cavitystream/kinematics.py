@@ -387,7 +387,12 @@ def trace_streamline(
         return xn, yn, err, (k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v)
 
     psi_at = psi.evaluate
-    inv_tol = 1.0 / (STEP_TOL * a)
+    # ratio = err / (STEP_TOL a), below a = 1/2 at s = a 2^-e in
+    # [1/2, 1): the same bits wherever STEP_TOL a is normal, and no
+    # overflow of its inverse where it is not
+    e = min(math.frexp(a)[1], 0)
+    err_scale = math.ldexp(1.0, -e)
+    inv_tol = 1.0 / (STEP_TOL * math.ldexp(a, -e))
     edge = EDGE_STEP * a
     close_tol = CLOSE_TOL * a
     h = min(FIRST_STEP * a, step) / speed
@@ -415,7 +420,7 @@ def trace_streamline(
             h *= 0.2
             continue
         xn, yn, err, ks = trial
-        ratio = err * inv_tol
+        ratio = err * err_scale * inv_tol
         if not ratio <= 1.0:
             # max() keeps 0.2 for a nan ratio
             rejected += 1

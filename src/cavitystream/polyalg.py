@@ -86,6 +86,17 @@ def _int_mul(p: dict[Key, int], q: dict[Key, int]) -> dict[Key, int]:
     return out
 
 
+@functools.lru_cache(maxsize=1024)
+def binomial_row(i: int, j: int) -> tuple[int, ...]:
+    """Coefficients of (v1 - v2)^i (v1 + v2)^j, homogeneous of degree
+    n = i + j: entry m is the coefficient of v1^m v2^(n - m)."""
+    row = [math.comb(j, m) for m in range(j + 1)]
+    for _ in range(i):
+        # times (v1 - v2): entry m takes entry m - 1 less entry m
+        row = [lo - hi for lo, hi in zip([0] + row, row + [0])]
+    return tuple(row)
+
+
 def _grlex(key: Key) -> tuple[int, int, int]:
     # graded lexicographic, x-major within each total degree
     i, j, k = key
@@ -201,6 +212,13 @@ class BivariatePoly:
     @classmethod
     def monomial(cls, c: Scalar, i: int, j: int, k: int = 0) -> "BivariatePoly":
         return cls({(i, j, k): c})
+
+    @classmethod
+    def from_integer_form(cls, num: Mapping[Key, int], den: int) -> "BivariatePoly":
+        """The polynomial with coefficients num[key] / den, den > 0: the
+        inverse of ``integer_form``, for any integers (zeros dropped,
+        one reduction)."""
+        return _reduced({key: c for key, c in num.items() if c}, den)
 
     @classmethod
     def from_terms(cls, terms: Mapping[tuple[int, int], Scalar]) -> "BivariatePoly":

@@ -45,9 +45,8 @@ from .geometry import (
     signed_edge_distances,
     to_characteristic,
 )
-from .polyalg import BivariatePoly, wave_operator
+from .polyalg import BivariatePoly, binomial_row, wave_operator
 from .compatibility import (
-    HALF,
     CosineStress,
     PolynomialStress,
     StressField,
@@ -90,11 +89,22 @@ def solve_poly_symbolic(f: BivariatePoly) -> BivariatePoly:
       so psi vanishes there iff R is zero: ``solve_exact_poly`` reads R
       from this trace and raises unless it is zero.
 
+    Read off H's terms in one pass: h t^M s^L a^k adds
+    h (-1)^L [(x-y)^L (x+y)^M - (x-y)^(M+L)] a^k / 4 to psi.
     The symbol a, if present, passes through untouched.
     """
-    h = char_antiderivative(f)
-    x, y = BivariatePoly.v1(), BivariatePoly.v2()
-    return (h.compose(x - y, y - x) - h.compose(x + y, y - x)) * SOLUTION_PREFACTOR
+    num, den = char_antiderivative(f).integer_form()
+    p = SOLUTION_PREFACTOR
+    out = {}
+    for (M, L, k), h in num.items():
+        # the prefactor -1/4 times H(x-y, y-x) - H(x+y, y-x)
+        h *= -p.numerator if L & 1 else p.numerator
+        n = M + L
+        for m, (b1, b2) in enumerate(zip(binomial_row(n, 0), binomial_row(L, M))):
+            if b1 != b2:
+                key = (m, n - m, k)
+                out[key] = out.get(key, 0) + h * (b1 - b2)
+    return BivariatePoly.from_integer_form(out, den * p.denominator)
 
 
 def _check_poly_boundary_exact(psi: BivariatePoly) -> bool:
@@ -398,7 +408,7 @@ def solve_exact_poly(
         if fp.has_symbol_a:
             fp = fp.subs_a(Fraction(d.a))
     psi = solve_poly_symbolic(fp)
-    half = BivariatePoly.v1() * HALF
+    half = BivariatePoly.v1() * Fraction(1, 2)
     constraint = psi.compose(a_poly + half, a_poly - half) * -4
     if not constraint.is_zero:
         raise IncompatibleStress(

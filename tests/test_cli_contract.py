@@ -127,6 +127,18 @@ def test_flow_on_the_sinusoidal_builtin_where_its_psi_underflows(a):
     assert len(files["stagnation.csv"].decode().splitlines()) == 1 + 13
 
 
+@pytest.mark.parametrize("a", [1e-308, 1e-310])
+@pytest.mark.parametrize("command", ["check", "solve", "flow"])
+@pytest.mark.parametrize("stress", [1, 3], ids=["sinusoidal", "cosine"])
+def test_an_overflowing_wavenumber_fails_in_one_line(stress, command, a):
+    # 3 pi / a is inf from a = 5.2e-308 down: the cosine has no value
+    with tempfile.TemporaryDirectory() as work:
+        rc, err, _ = _run(command, {"a": a, "stress": STRESSES[stress]}, work, command)
+    assert rc == EXIT_USAGE
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config error: a={a:g} is too small: the wavenumber m*pi/a")
+
+
 def test_huge_constraint_coefficients_fail_in_one_line():
     # Fraction(1.19e-174) has a 578-digit denominator, and its powers in
     # the constraint polynomial pass the interpreter's int -> str limit;

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 
@@ -518,6 +519,20 @@ class TestTracerMatchesReference:
             assert all(tr.termination == CLOSED for tr in traces)
             counts[a] = [len(tr.vertices) for tr in traces]
         assert counts[1e100] == counts[1.0]
+
+    def test_step_tolerance_does_not_overflow(self):
+        # 1 / (STEP_TOL a) overflows below a = 3.7e-298, which rejected
+        # every step; scaled by a power of two, the sinusoidal builtin's
+        # 12 default-seed orbits close at a = 1e-300 in the steps they
+        # take at 1e-297, and as fast
+        counts = {}
+        for a in (1e-297, 1e-300):
+            start = time.perf_counter()
+            _, traces = _default_seed_traces("sinusoidal", a)
+            assert time.perf_counter() - start < 2.0
+            assert len(traces) == 12 and all(tr.termination == CLOSED for tr in traces)
+            counts[a] = sorted(len(tr.vertices) for tr in traces)
+        assert counts[1e-300] == counts[1e-297]
 
     def test_max_steps_counts_accepted_steps(self, lin_field):
         full = trace_streamline(lin_field, PhysicalPoint(1.0, 0.5))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavitystream.polyalg import BivariatePoly, float_or_inf, poly_vars, wave_operator
+from cavitystream.polyalg import BivariatePoly, binomial_row, float_or_inf, poly_vars, wave_operator
 
 X, Y, A = poly_vars()
 
@@ -200,6 +200,23 @@ class TestIntegerMul:
         p = _seeded_poly(random.Random(4), 3, True)
         zero = BivariatePoly.zero()
         assert (p * zero).is_zero and (zero * p).is_zero and (zero * zero).is_zero
+
+
+class TestBinomialRow:
+    def test_matches_the_expanded_product(self):
+        for i in range(7):
+            for j in range(7):
+                p = (X - Y) ** i * (X + Y) ** j
+                n = i + j
+                assert binomial_row(i, j) == tuple(p.coefficients.get((m, n - m, 0), 0) for m in range(n + 1))
+
+    def test_integer_form_round_trip(self):
+        p = _seeded_poly(random.Random(5), 5, True, dens=(1, 3, 4, 9))
+        num, den = p.integer_form()
+        assert BivariatePoly.from_integer_form(num, den) == p
+        # any multiple, zeros included, reduces to the same form
+        scaled = {key: 6 * c for key, c in num.items()} | {(9, 9, 0): 0}
+        assert BivariatePoly.from_integer_form(scaled, 6 * den).integer_form() == (num, den)
 
 
 # ----------------------------------------------------------------------

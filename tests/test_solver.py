@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cavitystream.geometry import Rect, TriangleDomain, PhysicalPoint, boundary_sample, classify, interior_lattice
 from cavitystream.polyalg import BivariatePoly, poly_vars, wave_operator
@@ -15,6 +16,7 @@ from cavitystream.compatibility import (
     CosineStress,
     OpaqueStress,
     PolynomialStress,
+    char_antiderivative,
     compat_check,
     cosine_from_harmonic,
     exact_residual_poly,
@@ -120,6 +122,36 @@ def _random_stress(rng):
     return BivariatePoly(terms)
 
 
+def _stresses():
+    """Stresses of joint degree up to 12 in (x, y), powers of a up to 3,
+    coefficients from small integers to 40-digit numerators over 40-digit
+    denominators."""
+    key = st.builds(lambda n, i, k: (min(i, n), n - min(i, n), k),
+                    st.integers(0, 12), st.integers(0, 12), st.integers(0, 3))
+    small = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    long = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40))
+    return st.dictionaries(key, st.one_of(small, long), max_size=8).map(BivariatePoly)
+
+
+class TestClosedForms:
+    """H, psi and R read off their input's terms equal the compose and
+    antiderivative chains term for term."""
+
+    DOMAINS = [None, TriangleDomain(Fraction(3, 7)), TriangleDomain(1e-30)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(_stresses())
+    @example(BivariatePoly({(12, 0, 3): Fraction(10**40 - 1, 10**39 + 7), (0, 12, 0): -3, (5, 7, 1): Fraction(1, 9),
+                            (0, 0, 2): Fraction(-(10**40), 3**80)}))
+    @example(BivariatePoly.zero())
+    def test_against_the_nested_chains(self, f):
+        t, s = BivariatePoly.v1(), BivariatePoly.v2()
+        assert char_antiderivative(f) == f.compose((t - s) * HALF, (t + s) * HALF).antideriv(2).antideriv(1)
+        assert solve_poly_symbolic(f) == _nested_psi(f)
+        for d in self.DOMAINS:
+            assert exact_residual_poly(f, d) == _nested_residual(f, d)
+
+
 class TestCornerFormula:
     """psi and R read from the corners of one double antiderivative equal
     the nested antiderivative chains coefficient for coefficient."""
@@ -156,11 +188,12 @@ class TestCornerFormula:
             return real(self, img1, img2)
 
         monkeypatch.setattr(BivariatePoly, "compose", counting)
+        # H, psi and R are read off their input's terms: no compose at all
         exact_residual_poly(16 * Y - 8 * A, d)
-        assert len(calls) == 3
-        calls.clear()
+        assert len(calls) == 0
+        # the AB gate and the two exact boundary checks
         solve_exact_poly(16 * Y - 8 * A, d)
-        assert len(calls) == 6
+        assert len(calls) == 3
 
 
 class TestGateFromTrace:
