@@ -489,13 +489,16 @@ def cmd_flow(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = N
 
 
 def cmd_examples(cfg: RunConfig, quiet: bool = False) -> int:
+    # every builtin is built before anything is written, so a config
+    # error in one leaves no artifact of another
+    subs = {name: replace(cfg, stress=StressSpec(kind="builtin", name=name), out=os.path.join(cfg.out, name))
+            for name in BUILTIN_NAMES}
+    fields = {name: build_stream_function(sub) for name, sub in subs.items()}
     _ensure_outdir(cfg.out)
     overall_ok = True
-    fields = {}
-    for name in BUILTIN_NAMES:
-        sub = replace(cfg, stress=StressSpec(kind="builtin", name=name), out=os.path.join(cfg.out, name))
+    for name, sub in subs.items():
         _ensure_outdir(sub.out)
-        psi = fields[name] = build_stream_function(sub)
+        psi = fields[name]
         rc_check = cmd_check(sub, quiet=True, psi=psi)
         rc_solve = cmd_solve(sub, quiet=True, psi=psi)
         rc_flow = cmd_flow(sub, quiet=True, psi=psi)

@@ -143,32 +143,20 @@ def exact_residual_poly(f: BivariatePoly, d: TriangleDomain | None) -> Bivariate
     Pass d=None to keep the length parameter symbolic; the result is the
     zero polynomial iff the stress is admissible.  Each term
     h t^M s^L a^k of H = ``char_antiderivative(f)`` gives
-    h (-1)^L (X^(M+L) - (2a)^M X^L) a^k: with d=None (2a)^M is
-    2^M a^M, with a domain (2 n/q)^M over the one denominator q^top
-    (a = n/q exactly, top H's highest power of t).
+    h (-1)^L (X^(M+L) - 2^M X^L a^M) a^k.  A domain binds a once, in
+    the finished R (``subs_a``).
     """
-    if d is not None and f.has_symbol_a:
-        f = f.subs_a(Fraction(d.a))
     num, den = char_antiderivative(f).integer_form()
-    top = max((M for M, _, _ in num), default=0)
-    if d is None:
-        lift, shift = 1, 1
-        powers = [1 << M for M in range(top + 1)]
-    else:
-        a = Fraction(d.a)
-        two_n, q = 2 * a.numerator, a.denominator
-        lift, shift = q**top, 0
-        powers = [two_n**M * q ** (top - M) for M in range(top + 1)]
-        den *= lift
     out = {}
     for (M, L, k), h in num.items():
         if L & 1:
             h = -h
         key = (M + L, 0, k)
-        out[key] = out.get(key, 0) + h * lift
-        key = (L, 0, k + shift * M)
-        out[key] = out.get(key, 0) - h * powers[M]
-    return BivariatePoly.from_integer_form(out, den)
+        out[key] = out.get(key, 0) + h
+        key = (L, 0, k + M)
+        out[key] = out.get(key, 0) - (h << M)
+    r = BivariatePoly.from_integer_form(out, den)
+    return r if d is None else r.subs_a(Fraction(d.a))
 
 
 def _cosine_residual(A: float, k: float, a: float, X) -> float:

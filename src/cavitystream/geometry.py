@@ -123,13 +123,15 @@ def _nearest_on_segment(px, py, ax, ay, bx, by) -> tuple[float, float]:
     """The point of the segment from (ax, ay) to (bx, by) nearest to
     (px, py).  It is projected in units of a power of two near the
     segment's length: no square underflows however short the segment,
-    and the scaling is exact, so no bit changes where none did."""
+    and the scaling is exact, so no bit changes where none did.  Each
+    operand is scaled by ``ldexp``, since the factor 2^-e alone
+    overflows below a length of 2^-1024."""
     vx, vy = bx - ax, by - ay
     if vx == 0 and vy == 0:
         return ax, ay
-    s = math.ldexp(1.0, -math.frexp(max(abs(vx), abs(vy)))[1])
-    ux, uy = vx * s, vy * s
-    t = ((px - ax) * s * ux + (py - ay) * s * uy) / (ux * ux + uy * uy)
+    e = math.frexp(max(abs(vx), abs(vy)))[1]
+    ux, uy = math.ldexp(vx, -e), math.ldexp(vy, -e)
+    t = (math.ldexp(px - ax, -e) * ux + math.ldexp(py - ay, -e) * uy) / (ux * ux + uy * uy)
     t = 0.0 if t < 0 else (1.0 if t > 1 else t)
     return ax + t * vx, ay + t * vy
 

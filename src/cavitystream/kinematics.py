@@ -389,9 +389,10 @@ def trace_streamline(
     psi_at = psi.evaluate
     # ratio = err / (STEP_TOL a), below a = 1/2 at s = a 2^-e in
     # [1/2, 1): the same bits wherever STEP_TOL a is normal, and no
-    # overflow of its inverse where it is not
+    # overflow of its inverse where it is not; 2^-e is taken as two
+    # factors, each finite where a is subnormal
     e = min(math.frexp(a)[1], 0)
-    err_scale = math.ldexp(1.0, -e)
+    err_scale, err_scale2 = math.ldexp(1.0, -e // 2), math.ldexp(1.0, -e - -e // 2)
     inv_tol = 1.0 / (STEP_TOL * math.ldexp(a, -e))
     edge = EDGE_STEP * a
     close_tol = CLOSE_TOL * a
@@ -420,7 +421,7 @@ def trace_streamline(
             h *= 0.2
             continue
         xn, yn, err, ks = trial
-        ratio = err * err_scale * inv_tol
+        ratio = err * err_scale * err_scale2 * inv_tol
         if not ratio <= 1.0:
             # max() keeps 0.2 for a nan ratio
             rejected += 1

@@ -39,7 +39,6 @@ from .geometry import (
     TriangleDomain,
     PhysicalPoint,
     Rect,
-    boundary_sample,
     clipped_lattice,
     require_in_char_image,
     signed_edge_distances,
@@ -193,13 +192,6 @@ class StreamFunction:
             self._rounding = UNIT_ROUNDOFF * (1 + 2 * math.pi * cosine_harmonic(f, a)) \
                 * stress_scale(f, self.domain) * a * a / 4
         return self._rounding
-
-    def check_boundary(self, tol: float = 1e-9) -> float:
-        """max |psi| over 100 boundary samples; raises when above tol."""
-        worst = self.max_abs(boundary_sample(self.domain, 100))
-        if worst > tol:
-            raise ValueError(f"stream function fails to vanish on the boundary: {worst:g} > {tol:g}")
-        return worst
 
 
 class PolyStreamFunction(StreamFunction):
@@ -398,18 +390,18 @@ def solve_exact_poly(
 
     Pass d=None to keep the length parameter symbolic.  Raises
     IncompatibleStress when the admissibility polynomial is nonzero; it
-    is read from psi on AB, R(X) = -4 psi((2a + X)/2, (2a - X)/2).
+    is read from psi on AB, R(X) = -4 psi((2a + X)/2, (2a - X)/2), with
+    a symbolic and bound last: the powers of a domain's Fraction(a) meet
+    R's coefficients once, never the products inside ``compose``.
     """
     fp = f if isinstance(f, BivariatePoly) else f.poly
-    if d is None:
-        a_poly = BivariatePoly.sym_a()
-    else:
-        a_poly = BivariatePoly.const(Fraction(d.a))
-        if fp.has_symbol_a:
-            fp = fp.subs_a(Fraction(d.a))
+    if d is not None and fp.has_symbol_a:
+        fp = fp.subs_a(Fraction(d.a))
     psi = solve_poly_symbolic(fp)
-    half = BivariatePoly.v1() * Fraction(1, 2)
-    constraint = psi.compose(a_poly + half, a_poly - half) * -4
+    a, half = BivariatePoly.sym_a(), BivariatePoly.v1() * Fraction(1, 2)
+    constraint = psi.compose(a + half, a - half) * -4
+    if d is not None:
+        constraint = constraint.subs_a(Fraction(d.a))
     if not constraint.is_zero:
         raise IncompatibleStress(
             "stress fails the admissibility condition; constraint polynomial: "
@@ -419,10 +411,7 @@ def solve_exact_poly(
         raise ArithmeticError("internal error: operator identity violated by the exact solve")
     if not _check_poly_boundary_exact(psi):
         raise ArithmeticError("internal error: exact solution does not vanish on the boundary")
-    out = PolyStreamFunction(psi, d, PolynomialStress(fp))
-    if d is not None:
-        out.check_boundary(1e-9 * max(out.scale(), 1.0))
-    return out
+    return PolyStreamFunction(psi, d, PolynomialStress(fp))
 
 
 def solve_quadrature(f: StressField, d: TriangleDomain) -> QuadratureStreamFunction:
@@ -435,18 +424,12 @@ def solve_quadrature(f: StressField, d: TriangleDomain) -> QuadratureStreamFunct
             f"stress fails the admissibility sweep: max residual {report.max_abs_residual:g} "
             f"(normalization {report.normalization:g})"
         )
-    out = QuadratureStreamFunction(f, d)
-    out.check_boundary(1e-6 * max(out.scale(), 1e-12))
-    return out
+    return QuadratureStreamFunction(f, d)
 
 
 def sinusoidal_closed_form(amplitude: float, d: TriangleDomain) -> SinusoidalStreamFunction:
     """The builtin sinusoidal-stress stream function (verbatim closed form)."""
-    out = SinusoidalStreamFunction(amplitude, d)
-    c = abs(out._c)
-    if c > 0:
-        out.check_boundary(1e-13 * c)
-    return out
+    return SinusoidalStreamFunction(amplitude, d)
 
 
 def realistic_example(d: TriangleDomain | None) -> PolyStreamFunction:
@@ -456,10 +439,7 @@ def realistic_example(d: TriangleDomain | None) -> PolyStreamFunction:
         * (y - 100 * x**2 - a) * (y + x * Fraction(1, 4) - a * Fraction(5, 6))
     if d is not None:
         psi = psi.subs_a(Fraction(d.a))
-    out = PolyStreamFunction(psi, d)
-    if d is not None:
-        out.check_boundary(1e-9 * max(out.scale(), 1.0))
-    return out
+    return PolyStreamFunction(psi, d)
 
 
 def linear_example(d: TriangleDomain | None) -> PolyStreamFunction:

@@ -139,6 +139,18 @@ def test_an_overflowing_wavenumber_fails_in_one_line(stress, command, a):
     assert err.startswith(f"config error: a={a:g} is too small: the wavenumber m*pi/a")
 
 
+def test_examples_with_an_overflowing_wavenumber_fail_in_one_line_and_write_nothing():
+    # the sinusoidal builtin's config error comes before the linear
+    # builtin writes anything
+    with tempfile.TemporaryDirectory() as work:
+        rc, err, _ = _run("examples", {"a": 1e-308}, work, "examples")
+        written = [name for _, _, names in os.walk(os.path.join(work, "examples")) for name in names]
+    assert rc == EXIT_USAGE
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: a=1e-308 is too small: the wavenumber m*pi/a")
+    assert written == []
+
+
 def test_huge_constraint_coefficients_fail_in_one_line():
     # Fraction(1.19e-174) has a 578-digit denominator, and its powers in
     # the constraint polynomial pass the interpreter's int -> str limit;

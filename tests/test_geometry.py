@@ -18,6 +18,7 @@ from cavitystream.geometry import (
     signed_edge_distances,
     to_characteristic,
     to_physical,
+    _nearest_on_segment,
 )
 from cavitystream.verify import _sigma_rectangles as sigma_rectangles
 
@@ -107,6 +108,14 @@ class TestClassify:
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             classify(D1, PhysicalPoint(0, 0), -1.0)
+
+    def test_projection_onto_a_subnormal_segment(self):
+        # a segment of length about 1.2e-310, below 2^-1024: the factor
+        # 2^-e that would scale it to unit length overflows
+        s = math.ldexp(1.0, -1030)
+        assert _nearest_on_segment(s, 0.0, 0.0, 0.0, s, s) == (s / 2, s / 2)
+        assert _nearest_on_segment(-s, 0.0, 0.0, 0.0, s, s) == (0.0, 0.0)
+        assert _nearest_on_segment(3 * s, 3 * s, 0.0, 0.0, s, s) == (s, s)
 
 
 class TestSigmaRectangles:

@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -533,6 +534,18 @@ class TestTracerMatchesReference:
             assert len(traces) == 12 and all(tr.termination == CLOSED for tr in traces)
             counts[a] = sorted(len(tr.vertices) for tr in traces)
         assert counts[1e-300] == counts[1e-297]
+
+    def test_orbit_at_a_subnormal_unit_of_length(self):
+        # at a = 1e-309 the scale 2^-e of the step ratio and of the edge
+        # projection overflows as one factor
+        a = 1e-309
+        d = TriangleDomain(a)
+        x, y, fa = BivariatePoly.v1(), BivariatePoly.v2(), Fraction(a)
+        psi = PolyStreamFunction(((x - fa) ** 2 + (y - fa / 3) ** 2) * Fraction(1, 2), d)
+        tr = trace_streamline(velocity_field(psi), PhysicalPoint(1.2 * a, a / 3))
+        assert len(tr.vertices) > 1
+        for v in tr.vertices:
+            assert v.y >= 0 and v.x - v.y >= 0 and 2 * a - v.x - v.y >= 0
 
     def test_max_steps_counts_accepted_steps(self, lin_field):
         full = trace_streamline(lin_field, PhysicalPoint(1.0, 0.5))
