@@ -47,6 +47,15 @@ re-checking in floats that psi vanishes on the boundary (a 51 x 51
 lattice for `scale()` and 100 boundary samples per quadrature solve):
 the formula's psi vanishes there by proof once the admissibility gate
 has passed, and `verify_solution` samples the boundary for `solve`.
+They fell again, `quadrature.nodes` from 313,050 to 350 and
+`quadrature.stress_evals` from 517,650 to 315,523, when a cosine
+stress's psi, velocity, Jacobian and export lattice came to read one
+table of its second antiderivative Phi (ROADMAP item 13): each field
+integrates the S - 1 interior knots of its table in one
+`integrate_rect` call, and every psi value after that is three Phi
+values, each a table entry plus one partial Gauss cell of stress calls
+outside `integrate_rect`.  `quadrature.riemann_nodes` did not move: the
+Riemann oracle does not read the table.
 
 Usage: python scripts/bench_smoke.py [--seconds S]
 """
@@ -61,7 +70,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 PSI_REL_ERR_MAX = 1e-12
 HEADROOM_MIN = 2.0
 COUNTER_CEILINGS = {
-    "quad-cosine": {"quadrature.nodes": 313_050, "quadrature.stress_evals": 517_650,
+    "quad-cosine": {"quadrature.nodes": 350, "quadrature.stress_evals": 315_523,
                     "quadrature.riemann_nodes": 156_230, "verify.riemann_psi_calls": 2,
                     "kinematics.rk4_steps": 96, "kinematics.velocity_evals": 683},
     "symbolic-exact": {"polyalg.compose_calls": 51, "polyalg.mul_calls": 34,

@@ -10,11 +10,13 @@ stress or failed verification), 2 usage/config failure.
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import math
 import os
 import sys
+from contextlib import redirect_stderr
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator
@@ -495,16 +497,22 @@ def cmd_examples(cfg: RunConfig, quiet: bool = False) -> int:
             for name in BUILTIN_NAMES}
     fields = {name: build_stream_function(sub) for name, sub in subs.items()}
     _ensure_outdir(cfg.out)
-    overall_ok = True
+    # each command prints its own error line; the run reports one line
+    # for all builtins, the first failure's
+    failures = []
     for name, sub in subs.items():
         _ensure_outdir(sub.out)
         psi = fields[name]
-        rc_check = cmd_check(sub, quiet=True, psi=psi)
-        rc_solve = cmd_solve(sub, quiet=True, psi=psi)
-        rc_flow = cmd_flow(sub, quiet=True, psi=psi)
-        ok = rc_check == EXIT_OK and rc_solve == EXIT_OK and rc_flow == EXIT_OK
-        overall_ok = overall_ok and ok
-        _info(quiet, f"examples/{name}: {'pass' if ok else 'FAIL'}")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            rcs = {"check": cmd_check(sub, quiet=True, psi=psi), "solve": cmd_solve(sub, quiet=True, psi=psi),
+                   "flow": cmd_flow(sub, quiet=True, psi=psi)}
+        failed = [command for command, rc in rcs.items() if rc != EXIT_OK]
+        if failed:
+            lines = err.getvalue().splitlines()
+            why = lines[0].removeprefix("error: ") if lines else f"{', '.join(failed)} failed"
+            failures.append(f"{name}: {why}")
+        _info(quiet, f"examples/{name}: {'FAIL' if failed else 'pass'}")
 
     n = 201
     a = cfg.a
@@ -523,8 +531,11 @@ def cmd_examples(cfg: RunConfig, quiet: bool = False) -> int:
         for xv, uv in u_profile(v_real, "y", 0.0, n):
             fh.write(f"{format_float(xv)},{format_float(uv)}\n")
 
-    _info(quiet, f"examples: {'all pass' if overall_ok else 'FAILURES PRESENT'}")
-    return EXIT_OK if overall_ok else EXIT_DOMAIN
+    _info(quiet, f"examples: {'FAILURES PRESENT' if failures else 'all pass'}")
+    if not failures:
+        return EXIT_OK
+    _error(f"examples: {len(failures)} of {len(subs)} builtins failed; first {failures[0]}")
+    return EXIT_DOMAIN
 
 
 # ----------------------------------------------------------------------

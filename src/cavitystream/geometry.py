@@ -189,7 +189,10 @@ def in_char_image(d: TriangleDomain, X, Y):
 def require_in_char_image(d: TriangleDomain, X, Y) -> None:
     """Raise ValueError at the first (X, Y) outside ``in_char_image``;
     scalars or numpy arrays."""
-    outside = ~np.asarray(in_char_image(d, X, Y))
+    inside = in_char_image(d, X, Y)
+    if inside is True:  # Python floats compare to a bool: no array to scan
+        return
+    outside = ~np.asarray(inside)
     if np.any(outside):
         i = np.argmax(outside)
         q = (float(np.ravel(X)[i]), float(np.ravel(Y)[i]))

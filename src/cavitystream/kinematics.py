@@ -2,9 +2,10 @@
 
 Velocity is (d/dy psi, -d/dx psi), differentiated by each backing
 itself: exact derivative polynomials, the closed-form derivatives of
-the sinusoidal builtin, or the Leibniz rule on the quadrature integral
-(three line integrals of the stress).  The one difference quotient left
-is the quadrature Jacobian, taken from the exact velocity.
+the sinusoidal builtin, the tabulated antiderivative of a cosine
+stress, or the Leibniz rule on the quadrature integral (three line
+integrals of the stress).  The one difference quotient left is the
+Jacobian of an opaque stress, taken from the exact velocity.
 Stagnation points come from damped Newton iteration over a seed
 lattice; streamlines from the embedded Runge-Kutta pair of Dormand and
 Prince under a local error tolerance that is a fraction of a, so that a
@@ -53,9 +54,10 @@ CLOSE_TOL = 1e-6
 class VelocityField:
     """Velocity (u, v) = (d psi/dy, -d psi/dx) of the flow described by
     a stream function, from the backing's own derivatives: exact
-    polynomials, the sinusoidal closed form, or the Leibniz rule on the
-    quadrature integral.  Only the quadrature Jacobian is a difference
-    quotient (of the exact velocity).
+    polynomials, the sinusoidal closed form, the tabulated
+    antiderivative of a cosine stress, or the Leibniz rule on the
+    quadrature integral.  Only an opaque stress's Jacobian is a
+    difference quotient (of the exact velocity).
     """
 
     def __init__(self, source: StreamFunction):
@@ -206,8 +208,8 @@ def stagnation_points(
         try:
             root = newton(seed.x, seed.y)
         except ValueError:
-            # a quadrature-backed field: Newton left the cavity, or the
-            # Jacobian stencil would
+            # a quadrature-backed field: Newton left the cavity, or an
+            # opaque stress's Jacobian stencil would
             root = None
         if root is None:
             continue

@@ -225,8 +225,7 @@ def integrate_segments(fn: Callable, t0, t1, s0, s1, spec: QuadratureSpec, span:
     return np.bincount(seg, weights=(vals @ w) * (0.5 * length / n)[seg], minlength=length.size)
 
 
-def cell_table(fn: Callable, size: int, h: float, spec: QuadratureSpec, span: float, *,
-               ridge: bool = False) -> np.ndarray:
+def cell_table(fn: Callable, size: int, h: float, spec: QuadratureSpec, span: float) -> np.ndarray:
     """Summed-area table of fn(t, s) over the cells of a square lattice
     of step h below its diagonal.
 
@@ -234,34 +233,24 @@ def cell_table(fn: Callable, size: int, h: float, spec: QuadratureSpec, span: fl
     integrated by ``integrate_rect``.  Every cell is h wide, so each
     takes the same number of Gauss cells: the cells, row after row, go
     in groups that fill a quarter of MAX_BLOCK nodes, and fn sees blocks
-    of one size (the last one shorter).  With
-    ``ridge=True`` (fn depends on t + s alone) t + s spans
-    [(p - q - 1) h, (p - q + 1) h] over cell (p, q), so its integral
-    depends on p - q alone: the size - 1 cells (d, 0) are integrated in
-    one ridge call and each row is a reversed slice of them.  Returns T
-    of shape (size+1, size+1) with T[P, Q] the integral over the cells
-    p < P, q < Q; cells with q >= p count zero and are not evaluated.
-    Two in-place cumsums sum the cell integrals.
+    of one size (the last one shorter).  Returns T of shape
+    (size+1, size+1) with T[P, Q] the integral over the cells p < P,
+    q < Q; cells with q >= p count zero and are not evaluated.  Two
+    in-place cumsums sum the cell integrals.
     """
     table = np.zeros((size + 1, size + 1))
-    if ridge:
-        d = np.arange(1, size)
-        diagonals = integrate_rect(fn, Rect(d * h, (d + 1) * h, -h, 0.0), spec, span, ridge=True)
-        for p in range(1, size):
-            table[p + 1, 1:p + 1] = diagonals[p - 1::-1]  # cell (p, q) is cell (p - q, 0)
-    else:
-        # fn makes full-size temporaries of its own; at a quarter block
-        # (128 KiB each) they stay in cache, and on 2 vCPU whole equal
-        # blocks took about twice as long per node
-        sides = int(_cell_counts(np.float64(h), spec, span))
-        group = max(1, MAX_BLOCK // 4 // (spec.order * sides) ** 2)
-        total = size * (size - 1) // 2
-        starts = np.arange(size - 1) * np.arange(1, size) // 2  # row p's first cell is starts[p - 1]
-        for f0 in range(0, total, group):
-            f = np.arange(f0, min(f0 + group, total))
-            p = np.searchsorted(starts, f, side="right")
-            q = f - starts[p - 1]
-            table[p + 1, q + 1] = integrate_rect(fn, Rect(p * h, (p + 1) * h, -(q + 1) * h, -q * h), spec, span)
+    # fn makes full-size temporaries of its own; at a quarter block
+    # (128 KiB each) they stay in cache, and on 2 vCPU whole equal
+    # blocks took about twice as long per node
+    sides = int(_cell_counts(np.float64(h), spec, span))
+    group = max(1, MAX_BLOCK // 4 // (spec.order * sides) ** 2)
+    total = size * (size - 1) // 2
+    starts = np.arange(size - 1) * np.arange(1, size) // 2  # row p's first cell is starts[p - 1]
+    for f0 in range(0, total, group):
+        f = np.arange(f0, min(f0 + group, total))
+        p = np.searchsorted(starts, f, side="right")
+        q = f - starts[p - 1]
+        table[p + 1, q + 1] = integrate_rect(fn, Rect(p * h, (p + 1) * h, -(q + 1) * h, -q * h), spec, span)
     np.cumsum(table, axis=0, out=table)
     np.cumsum(table, axis=1, out=table)
     return table

@@ -16,21 +16,25 @@ exact double antiderivative H of the rotated stress
 (``char_antiderivative``), yielding the stream function as an exact
 polynomial, and the gate is that polynomial's own trace on AB, which
 is -R/4 (``solve_exact_poly``); otherwise ``solve_quadrature`` runs the
-admissibility sweep first and psi is evaluated by a subdivided Gauss
-rule batched over points (1-D on each rectangle for a cosine stress,
-whose integrand depends on t + s alone; a tensor rule otherwise), and
-on the export lattice from one summed-area table of lattice cells, the
-discrete form of the same corner rule, each cell integrated by the same
+admissibility sweep first.  A cosine stress's integrand depends on
+t + s alone, so the same corner rule holds with one tabulated second
+antiderivative Phi of it, and psi, the velocity, the Jacobian and the
+export lattice each read a few values of Phi, Phi' or the stress
+(``QuadratureStreamFunction``).  Any other stress is integrated point by
+point by a subdivided Gauss tensor rule batched over points, and on the
+export lattice from one summed-area table of lattice cells, the
+discrete form of the corner rule, each cell integrated by the same
 rule.  The closed-form sinusoidal case is provided as a builtin.  Every
 backing differentiates itself: derivative polynomials, the closed-form
-derivatives, or the Leibniz rule on the first rectangle (three line
-integrals of the stress).
+derivatives, Phi' and the stress, or the Leibniz rule on the first
+rectangle (three line integrals of the stress).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -59,6 +63,7 @@ from .compatibility import (
 from .quadrature import (
     cell_table,
     default_quadrature_spec,
+    gauss_nodes,
     integrate_rect,
     integrate_segments,
 )
@@ -128,7 +133,6 @@ class StreamFunction:
 
     def __init__(self, domain: TriangleDomain | None):
         self.domain = domain
-        self._scale: float | None = None
         self._rounding: float | None = None
 
     def _raw_eval(self, x, y):
@@ -167,19 +171,6 @@ class StreamFunction:
     @property
     def source_stress(self) -> StressField:
         raise NotImplementedError
-
-    def scale(self) -> float:
-        """max |psi| over the interior points of the n x n clipped
-        lattice, n = max(51, 2m + 1) for a source stress of cosine
-        harmonic m (51 for any other stress), so that the lattice
-        resolves every half period of psi (cached)."""
-        if self._scale is None:
-            m = math.ceil(cosine_harmonic(self.source_stress, float(self.domain.a)) - 1e-9)
-            n = max(51, 2 * m + 1)
-            ix, iy, values = self.lattice_values(n)
-            interior = (iy > 0) & (iy < 2 * ix) & (2 * ix + iy < 2 * (n - 1))
-            self._scale = float(np.max(np.abs(values[interior]), initial=0.0))
-        return self._scale
 
     def rounding_bound(self, x, y):
         """Bound on how far one float evaluation of psi at (x, y) can
@@ -302,6 +293,15 @@ class QuadratureStreamFunction(StreamFunction):
 
     Valid only behind the admissibility gate: the second rectangle of
     the solution formula is the residual R(X) and is left out.
+
+    A stress that reads only y (``is_ridge``: a cosine) has a ridge
+    integrand g(t, s) = F(t + s), and its integral over a rectangle is a
+    corner rule on one second antiderivative of F, Phi'' = F with
+    Phi(0) = Phi'(0) = 0:
+    psi = -1/4 [Phi(x+y) - Phi(x-y) - Phi(2y)], every argument in [0, 2a]
+    on the closed triangle.  Phi and Phi' are tabulated once per field
+    (``_ridge_knots``) and completed by one Gauss cell at each argument
+    (``_ridge_phi``).  Any other stress takes the tensor rule per point.
     """
 
     kind = "quadrature"
@@ -312,40 +312,121 @@ class QuadratureStreamFunction(StreamFunction):
         self.spec = default_quadrature_spec(cosine_harmonic(stress, float(domain.a)))
         self._g = stress_char_evaluator(stress, float(domain.a))
         self._ridge = is_ridge(stress)
+        self._knots = None
 
     def _raw_eval(self, x, y):
+        if self._ridge:
+            require_in_char_image(self.domain, x + y, y - x)
+            return self._ridge_psi(x, y)
         return self.evaluate_many([x], [y])[0]
 
     def evaluate_many(self, x, y) -> np.ndarray:
-        """All points in one batched ``integrate_rect`` call.  A stress
-        that reads only y = (t + s)/2 (``is_ridge``: a cosine) has a ridge
-        integrand and takes the 1-D rule; any other stress the tensor
-        rule."""
-        X, Y = to_characteristic(PhysicalPoint(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+        """All points in one batch: three Phi values each for a ridge
+        stress, one batched ``integrate_rect`` call under the tensor rule
+        otherwise."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        X, Y = to_characteristic(PhysicalPoint(x, y))
         require_in_char_image(self.domain, X, Y)
+        if self._ridge:
+            return self._ridge_psi(x, y)
         rect1 = Rect(-Y, X, Y, np.zeros_like(Y))
-        return float(SOLUTION_PREFACTOR) * integrate_rect(self._g, rect1, self.spec, 2 * float(self.domain.a),
-                                                          ridge=self._ridge)
+        return float(SOLUTION_PREFACTOR) * integrate_rect(self._g, rect1, self.spec, 2 * float(self.domain.a))
+
+    def _ridge_psi(self, x, y):
+        """-1/4 [Phi(x+y) - Phi(x-y) - Phi(2y)] on floats or arrays."""
+        phi = self._ridge_phi(np.array([x + y, x - y, y + y]))[0]
+        return float(SOLUTION_PREFACTOR) * (phi[0] - phi[1] - phi[2])
+
+    def _ridge_knots(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(h, Phi, Phi') at the knots u_j = j h of the S cells across
+        [0, 2a] that ``_cell_counts`` cuts, h = 2a/S: Phi at j = 0..S,
+        Phi' at j = 0..S-1 (built on first use).
+
+        The second differences Phi(u_j + h) - 2 Phi(u_j) + Phi(u_j - h)
+        are the integrals of g over the cells [u_j, u_j + h] x [-h, 0],
+        j = 1..S-1, in one ``integrate_rect(..., ridge=True)`` call.
+        With P_j = int_{u_j}^{u_j + h} (u_j + h - w) F(w) dw
+        (``_ridge_cells``), Phi(h) = P_0 and
+        Phi'(u_j) = (Phi(u_{j+1}) - Phi(u_j) - P_j) / h.  Both running
+        sums are compensated (Neumaier; Higham, Accuracy and Stability of
+        Numerical Algorithms, 2nd ed., 4.3).
+        """
+        if self._knots is None:
+            a = float(self.domain.a)
+            S = self.spec.subdivision
+            h = 2 * a / S
+            j = np.arange(S)
+            second = integrate_rect(self._g, Rect(j[1:] * h, (j[1:] + 1) * h, -h, 0.0), self.spec, 2 * a,
+                                    ridge=True)
+            weighted = self._ridge_cells(j * h, np.full(S, h))[0]
+            first = _running_sum(np.concatenate((weighted[:1], second)))  # Phi(u_{j+1}) - Phi(u_j)
+            self._knots = (h, np.concatenate(([0.0], _running_sum(first))), (first - weighted) / h)
+        return self._knots
+
+    def _ridge_cells(self, start: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(int (end - w) F(w) dw, int F(w) dw) from each start to
+        end = start + width, by one Gauss cell of ``spec.order``; F is
+        called as g(w, 0) on every node."""
+        c, weights = _cell_rule(self.spec.order)
+        F = np.asarray(self._g(start[..., None] + width[..., None] * c, 0.0), dtype=float)
+        sums = F @ weights
+        return width * width * sums[..., 1], width * sums[..., 0]
+
+    def _ridge_phi(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Phi(u), Phi'(u)) from the knot below u and the partial cell
+        up to u; an argument up to the boundary slack outside [0, 2a]
+        extends the first or the last cell."""
+        h, phi, dphi = self._ridge_knots()
+        j = np.minimum(np.maximum(u // h, 0.0), dphi.size - 1).astype(np.intp)
+        start = j * h
+        tau = u - start
+        weighted, plain = self._ridge_cells(start, tau)
+        return phi[j] + dphi[j] * tau + weighted, dphi[j] + plain
 
     def lattice_values(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One summed-area table of lattice cells answers every point.
+        """A ridge stress reads Phi at the 2(n-1) + 1 multiples of
+        h = a/(n-1): the point (ix, iy) has x + y = (2 ix + iy) h,
+        x - y = (2 ix - iy) h and 2y = 2 iy h.
 
-        With h = a/(n-1) the point (ix, iy) has X = (2 ix + iy) h and
-        Y = (iy - 2 ix) h, so its rectangle [-Y, X] x [Y, 0] is the union
-        of the cells [p h, (p+1) h] x [-(q+1) h, -q h] with
+        Any other stress sums one table of lattice cells: its rectangle
+        [-Y, X] x [Y, 0], X = (2 ix + iy) h and Y = (iy - 2 ix) h, is the
+        union of the cells [p h, (p+1) h] x [-(q+1) h, -q h] with
         2 ix - iy <= p < 2 ix + iy and q < 2 ix - iy, all below the
-        diagonal q < p.  Each cell is integrated once (``cell_table``)
-        by ``integrate_rect`` under the rule and the ridge flag of
-        ``evaluate_many``; a ridge integrand needs one cell per diagonal.
+        diagonal q < p, each integrated once (``cell_table``) by
+        ``integrate_rect`` under the rule of ``evaluate_many``.
         """
         ix, iy = clipped_lattice(n)
         a = float(self.domain.a)
-        table = cell_table(self._g, 2 * (n - 1), a / (n - 1), self.spec, 2 * a, ridge=self._ridge)
+        p = float(SOLUTION_PREFACTOR)
+        if self._ridge:
+            phi = self._ridge_phi(a * np.arange(2 * n - 1) / (n - 1))[0]
+            return ix, iy, p * (phi[2 * ix + iy] - phi[2 * ix - iy] - phi[2 * iy])
+        table = cell_table(self._g, 2 * (n - 1), a / (n - 1), self.spec, 2 * a)
         q = 2 * ix - iy
-        return ix, iy, float(SOLUTION_PREFACTOR) * (table[2 * ix + iy, q] - table[q, q])
+        return ix, iy, p * (table[2 * ix + iy, q] - table[q, q])
 
     def velocity_functions(self) -> tuple[Callable, Callable]:
+        if self._ridge:
+            return self._ridge_velocity, self._ridge_jacobian
         return self._velocity, self._velocity_jacobian
+
+    def _ridge_velocity(self, x, y):
+        """u = -1/4 [Phi'(x+y) + Phi'(x-y) - 2 Phi'(2y)] and
+        v = 1/4 [Phi'(x+y) - Phi'(x-y)], on the closed triangle."""
+        require_in_char_image(self.domain, x + y, y - x)
+        d1, d2, d3 = self._ridge_phi(np.array([x + y, x - y, y + y]))[1].tolist()
+        p = float(SOLUTION_PREFACTOR)
+        return p * (d1 + d2 - 2 * d3), -p * (d1 - d2)
+
+    def _ridge_jacobian(self, x, y):
+        """Exact, from F1 = F(x+y), F2 = F(x-y) and F3 = F(2y):
+        du/dx = -1/4 (F1 + F2), du/dy = -1/4 (F1 - F2 - 4 F3),
+        dv/dx = 1/4 (F1 - F2) and dv/dy = -du/dx, on the closed triangle."""
+        require_in_char_image(self.domain, x + y, y - x)
+        F1, F2, F3 = np.asarray(self._g(np.array([x + y, x - y, y + y]), 0.0), dtype=float).tolist()
+        p = float(SOLUTION_PREFACTOR)
+        ux = p * (F1 + F2)
+        return ux, p * (F1 - F2 - 4 * F3), -p * (F1 - F2), -ux
 
     def _velocity(self, x, y):
         """The Leibniz rule on the first rectangle:
@@ -377,6 +458,28 @@ class QuadratureStreamFunction(StreamFunction):
     @property
     def source_stress(self) -> StressField:
         return self.stress
+
+
+@lru_cache(maxsize=32)
+def _cell_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss nodes of ``order`` on [0, 1] and, as two columns, the
+    weights of int_0^1 F(v) dv and of int_0^1 (1 - v) F(v) dv."""
+    x, w = gauss_nodes(order)
+    c = 0.5 * (1.0 + x)
+    return c, 0.5 * np.stack([w, w * (1.0 - c)], 1)
+
+
+def _running_sum(terms: np.ndarray) -> np.ndarray:
+    """The prefix sums terms[0] + ... + terms[k], compensated
+    (Neumaier's variant of Kahan's summation)."""
+    out = np.empty(len(terms))
+    s = c = 0.0
+    for k, v in enumerate(terms.tolist()):
+        t = s + v
+        c += (s - t) + v if abs(s) >= abs(v) else (v - t) + s
+        s = t
+        out[k] = s + c
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,8 @@ from cavitystream.kinematics import (
 from cavitystream.verify import boundary_vanishing_poly, random_poly
 from cavitystream.cli import run as cli_run
 
+from helpers import lattice_scale
+
 X, Y, A = poly_vars()
 D1 = TriangleDomain(1.0)
 
@@ -179,7 +181,7 @@ def test_08_two_path_uniqueness():
             f = PolynomialStress(wave_operator(psi0))
             exact = solve_exact_poly(f, D1)
             quad = solve_quadrature(f, D1)
-            scale = max(exact.scale(), 1e-12)
+            scale = max(lattice_scale(exact), 1e-12)
             for _ in range(50):
                 x, y = rng.uniform(0, 2), rng.uniform(0, 1)
                 if not (0 < y < x and x + y < 2):
@@ -207,7 +209,7 @@ def test_09_streamline_conservation(linear, sinusoidal, realistic):
         }
         for name, (psi, centers, fractions) in cases.items():
             V = velocity_field(psi)
-            tol = 1e-6 * psi.scale()
+            tol = 1e-6 * lattice_scale(psi)
             closed = 0
             for cx, cy in centers:
                 reach = distance_to_boundary(D1, PhysicalPoint(cx, cy))

@@ -260,13 +260,13 @@ class TestSolveCommand:
         assert verdict["quadrature_vs_riemann"] is not None
 
     def test_cosine_psi_is_pinned(self, tmp_path):
-        # recorded with the lattice's cells integrated by the ridge rule
-        # of integrate_rect, one cell per diagonal
+        # recorded with the lattice read from the ridge table of Phi; it
+        # moved by at most 0.05 rounding_bound from the summed-area table
         out = tmp_path / "o"
         doc = {"a": 1, "stress": {"kind": "cosine", "A": 10, "m": 3}, "grid_n": 101, "out": str(out)}
         assert run(["solve", "--config", write_config(tmp_path, doc), "--quiet"]) == EXIT_OK
         assert hashlib.sha256((out / "psi.csv").read_bytes()).hexdigest() == \
-            "9908606d6941b292bbe1ae327d7ffd19c501bfbcde6eb0b67ed5db2f2c15529e"
+            "1993b16ba55347aa822a54b2fdea114630302375b6621b69394bfbd2d8adca5c"
 
     def test_high_harmonic_solves(self, tmp_path):
         out = tmp_path / "o"

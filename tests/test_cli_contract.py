@@ -151,6 +151,18 @@ def test_examples_with_an_overflowing_wavenumber_fail_in_one_line_and_write_noth
     assert written == []
 
 
+@pytest.mark.parametrize("a", [1e-160, 1e300])
+def test_examples_at_an_extreme_a_fail_in_one_line(a):
+    # every builtin fails there, each `flow` with an error line of its
+    # own; examples reports how many failed and the first failure
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as work, redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = run(["examples", "--a", repr(a), "--out", os.path.join(work, "examples"), "--quiet"])
+    assert rc == EXIT_DOMAIN
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().startswith("error: examples: 3 of 3 builtins failed; first linear: the velocity ")
+
+
 def test_huge_constraint_coefficients_fail_in_one_line():
     # Fraction(1.19e-174) has a 578-digit denominator, and its powers in
     # the constraint polynomial pass the interpreter's int -> str limit;

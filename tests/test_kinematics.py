@@ -42,6 +42,8 @@ from cavitystream.kinematics import (
 )
 from cavitystream.verify import boundary_vanishing_poly, random_poly
 
+from helpers import lattice_scale
+
 X, Y, A = poly_vars()
 D1 = TriangleDomain(1.0)
 
@@ -353,7 +355,7 @@ class TestStreamlines:
         for seed in [(1.0, 0.5), (1.0, 0.2), (0.7, 0.35)]:
             tr = trace_streamline(lin_field, PhysicalPoint(*seed), step=1e-3)
             assert tr.termination == CLOSED
-            assert tr.psi_drift <= 100 * (1e-3) ** 4 * psi.scale()
+            assert tr.psi_drift <= 100 * (1e-3) ** 4 * lattice_scale(psi)
 
     def test_realistic_loops_around_both_gyres(self, real_field):
         pts = stagnation_points(real_field, D1, seeds_per_axis=21)
@@ -474,7 +476,7 @@ class TestTracerMatchesReference:
             psi, traces = _default_seed_traces(name, scaled)
             for tr in traces:
                 assert tr.termination == CLOSED
-                assert tr.psi_drift <= 1e-9 * psi.scale()
+                assert tr.psi_drift <= 1e-9 * lattice_scale(psi)
             counts[scaled] = sorted(len(tr.vertices) - 1 for tr in traces)
         for other in (a / 1000, 1000 * a):
             if name == "realistic":
@@ -508,7 +510,7 @@ class TestTracerMatchesReference:
         psi = solve_quadrature(cosine_from_harmonic(10.0, 3, D1), D1)
         tr = trace_streamline(velocity_field(psi), PhysicalPoint(1.0, 0.2), max_steps=400)
         assert tr.termination == CLOSED
-        assert tr.psi_drift <= 1e-9 * psi.scale()
+        assert tr.psi_drift <= 1e-9 * lattice_scale(psi)
 
     def test_error_norm_does_not_overflow(self):
         # at a = 1e100 the linear builtin's velocity is about 1e200, and a

@@ -414,20 +414,6 @@ class TestCellTable:
         want = -0.25 * (table[2 * ix + iy, q] - table[q, q])
         assert np.max(np.abs(got - want)) <= 2 * psi.rounding_bound(0.0, 0.0)
 
-    def test_ridge_table_takes_one_cell_per_diagonal(self):
-        calls = []
-
-        def fn(t, s):
-            calls.append(np.broadcast(t, s).size)
-            return np.cos(1.5 * np.pi * (t + s))
-
-        size, h, spec = 20, 0.01, QuadratureSpec(7, 8)
-        table = cell_table(fn, size, h, spec, 2.0, ridge=True)
-        # one ridge call: three pieces of one cell each on the size - 1 cells (d, 0)
-        assert len(calls) == 1 and calls[0] <= 3 * (size - 1) * spec.order
-        tensor = cell_table(fn, size, h, spec, 2.0)
-        assert np.max(np.abs(table - tensor)) <= 1e-15 * np.max(np.abs(tensor))
-
 
 class TestGaussOrder:
     @pytest.mark.parametrize("m, a, n, want", [(3, 1.0, 101, 4), (15, 0.25, 51, 6), (15, 100.0, 51, 6)])

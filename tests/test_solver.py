@@ -39,6 +39,8 @@ from cavitystream.solver import (
 from cavitystream.quadrature import QuadratureSpec, integrate_rect
 from cavitystream.verify import FD_STEP, LATTICE_N, boundary_vanishing_poly, random_poly, riemann_psi
 
+from helpers import lattice_scale
+
 X, Y, A = poly_vars()
 D1 = TriangleDomain(1.0)
 LINEAR_CASE_PSI = 2 * Y**3 - 2 * X**2 * Y - 4 * A * Y**2 + 4 * A * X * Y
@@ -254,7 +256,7 @@ class TestQuadratureSolve:
             f = PolynomialStress(wave_operator(psi0))
             exact = solve_exact_poly(f, D1)
             quad = solve_quadrature(f, D1)
-            scale = max(exact.scale(), 1e-12)
+            scale = max(lattice_scale(exact), 1e-12)
             for _ in range(40):
                 x = rng.uniform(0, 2)
                 y = rng.uniform(0, 1)
@@ -434,7 +436,7 @@ class TestBatchedQuadratureEvaluation:
         pts = interior_lattice(D1, 9) + boundary_sample(D1, 12)
         many = psi.evaluate_many([p.x for p in pts], [p.y for p in pts])
         one = [psi.evaluate(p.x, p.y) for p in pts]
-        assert many.tolist() == pytest.approx(one, rel=1e-14, abs=1e-14 * psi.scale())
+        assert many.tolist() == pytest.approx(one, rel=1e-14, abs=1e-14 * lattice_scale(psi))
 
     def test_evaluate_many_rejects_exterior_point(self):
         psi = solve_quadrature(CosineStress(5.0, 3 * math.pi), D1)
@@ -553,7 +555,7 @@ class TestRidgeBacking:
         assert np.max(np.abs(got - want)) <= psi.rounding_bound(x, y)
 
     def test_cosine_calls_the_integrand_on_the_ridge(self):
-        # the 1-D rule calls g(u, 0) on each of its nodes
+        # the table and each partial cell call g(u, 0) on every node
         seen = []
         psi = QuadratureStreamFunction(CosineStress(1.0, 3 * math.pi), D1)
         g = psi._g
@@ -569,6 +571,76 @@ class TestRidgeBacking:
         rect = Rect(-Y, X, Y, np.zeros_like(Y))
         want = -0.25 * integrate_rect(psi._g, rect, psi.spec, 2.0)
         assert psi.evaluate_many(x, y).tobytes() == want.tobytes()
+
+    def test_ridge_table_takes_one_cell_per_knot(self):
+        # one ridge integrate_rect call on the S - 1 cells
+        # [u_j, u_j + h] x [-h, 0] (two pieces of one Gauss cell each),
+        # then one partial-cell call on the S cells; for F = A cos(k u/2),
+        # Phi = 4A/k^2 (1 - cos(k u/2)) and Phi' = 2A/k sin(k u/2)
+        A, k, a = 1.0, 15 * math.pi / 0.25, 0.25
+        psi = QuadratureStreamFunction(CosineStress(A, k), TriangleDomain(a))
+        g, calls = psi._g, []
+        psi._g = lambda t, s: calls.append(np.broadcast(t, s).size) or g(t, s)
+        h, phi, dphi = psi._ridge_knots()
+        S, order = psi.spec.subdivision, psi.spec.order
+        assert calls == [2 * (S - 1) * order, S * order]
+        assert h == 2 * a / S and phi.size == S + 1 and dphi.size == S
+        u = h * np.arange(S + 1)
+        delta = psi.rounding_bound(0.0, 0.0)
+        assert np.max(np.abs(phi - 4 * A / k**2 * (1 - np.cos(k * u / 2)))) <= delta
+        assert np.max(np.abs(dphi - 2 * A / k * np.sin(k * u[:-1] / 2))) <= 4 * delta / a
+        psi._ridge_knots()
+        assert len(calls) == 2
+
+
+def _odd_cosine_kinematics(A, m, a, x, y):
+    """(u, v) and (du/dx, du/dy, dv/dx, dv/dy) of ``_odd_cosine_psi``."""
+    k = m * math.pi / a
+    c = A / k**2
+    al, be, ky = k * (x - y) / 2, k * (x + y) / 2, k * y
+    psi_x = -c * k / 2 * (math.sin(be) - math.sin(al))
+    psi_y = c * k * (math.sin(ky) - (math.sin(al) + math.sin(be)) / 2)
+    psi_xx = c * k * k / 4 * (math.cos(al) - math.cos(be))
+    psi_xy = -c * k * k / 4 * (math.cos(al) + math.cos(be))
+    psi_yy = c * k * k * (math.cos(ky) + (math.cos(al) - math.cos(be)) / 4)
+    return (psi_y, -psi_x), (psi_xy, psi_yy, -psi_xx, -psi_xy)
+
+
+class TestRidgeKinematics:
+    """The velocity reads Phi' and the Jacobian F at x + y, x - y and 2y,
+    defined on the closed triangle: each is held to the rounding bound
+    of psi divided by a once and twice (a line integral of length at most
+    2a and a stress value, each times 1/4 per term)."""
+
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("m", [1, 3, 15, 61])
+    def test_velocity_and_jacobian_match_the_closed_form(self, m, a):
+        d = TriangleDomain(a)
+        psi = solve_quadrature(CosineStress(1.0, m * math.pi / a), d)
+        vel, jac = psi.velocity_functions()
+        r2 = math.sqrt(2.0)
+        # a point of each edge and the inward unit normal there
+        edges = [(lambda t: (2 * a * t, 0.0), (0.0, 1.0)),
+                 (lambda t: (a * t, a * t), (1 / r2, -1 / r2)),
+                 (lambda t: (2 * a - a * t, a * t), (-1 / r2, -1 / r2))]
+        bound = 4 * psi.rounding_bound(0.0, 0.0) / a
+        for point, normal in edges:
+            for t in np.linspace(0.0, 1.0, 9).tolist():
+                for depth in (-0.9e-9, 0.0, 0.5e-9, 1e-9, 0.25):
+                    bx, by = point(t)
+                    x, y = bx + depth * a * normal[0], by + depth * a * normal[1]
+                    if depth == 0.25 and not classify(d, PhysicalPoint(x, y), 1e-9 * a).is_interior:
+                        continue  # a vertex's inward step leaves through the other edge
+                    want_v, want_j = _odd_cosine_kinematics(1.0, m, a, x, y)
+                    assert max(abs(g - w) for g, w in zip(vel(x, y), want_v)) <= bound
+                    assert max(abs(g - w) for g, w in zip(jac(x, y), want_j)) <= bound / a
+
+    def test_jacobian_outside_the_slack_raises(self):
+        psi = solve_quadrature(CosineStress(10.0, 3 * math.pi), D1)
+        _, jac = psi.velocity_functions()
+        assert all(math.isfinite(v) for v in jac(1.0, -0.9e-9))
+        with pytest.raises(ValueError, match="outside the closed triangle image"):
+            jac(1.0, -2e-9)
 
 
 def _per_point(psi, n):
@@ -613,7 +685,7 @@ class TestLatticeTable:
         psi = solve_quadrature(CosineStress(1.0, m * math.pi / a), d)
         pts = interior_lattice(d, 51)
         want = float(np.max(np.abs([psi.evaluate(p.x, p.y) for p in pts])))
-        assert psi.scale() == pytest.approx(want, rel=1e-14)
+        assert lattice_scale(psi) == pytest.approx(want, rel=1e-14)
 
     def test_scale_resolves_a_high_harmonic(self):
         # at n = 51 the lattice read 1.28e-6 against a max of 1.02e-5
@@ -622,7 +694,7 @@ class TestLatticeTable:
         x, y = np.meshgrid(np.linspace(0.0, 2.0, 2001), np.linspace(0.0, 1.0, 1001))
         inside = (y <= x) & (x + y <= 2.0)
         want = float(np.max(np.abs(_odd_cosine_psi(1.0, m, 1.0, x[inside], y[inside]))))
-        assert psi.scale() == pytest.approx(want, rel=1e-2)
+        assert lattice_scale(psi) == pytest.approx(want, rel=1e-2)
 
     def test_integer_clip_is_the_closed_triangle(self):
         psi = linear_example(D1)
@@ -643,10 +715,11 @@ class TestLatticeTable:
         psi._g = counted
         n = 101
         psi.lattice_values(n)
-        # a ridge table integrates the size - 1 cells (d, 0) alone, each
-        # on three pieces of one cell
-        size = 2 * (n - 1)
-        assert 0 < sum(seen) <= 3 * (size - 1) * psi.spec.order
+        # the table: two pieces of one Gauss cell on each of the S - 1
+        # cells [u_j, u_j + h] x [-h, 0] and one partial cell per knot
+        # cell; then one partial cell per multiple of a/(n-1)
+        S = psi.spec.subdivision
+        assert sum(seen) == (2 * (S - 1) + S + 2 * n - 1) * psi.spec.order
 
     @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("m", [1, 3, 15, 61, 199])
@@ -656,6 +729,31 @@ class TestLatticeTable:
             ix, iy, got = psi.lattice_values(n)
             x, y = 2 * a * ix / (n - 1), a * iy / (n - 1)
             assert np.max(np.abs(got - _odd_cosine_psi(1.0, m, a, x, y))) <= psi.rounding_bound(x, y)
+
+    @pytest.mark.parametrize("m", [1, 199])
+    def test_lattice_is_within_the_rounding_bound_at_n_1001(self, m):
+        # each Phi value sums O(S) cells: the summed-area table it
+        # replaced read 2.7 times the bound at m = 1
+        psi = QuadratureStreamFunction(CosineStress(1.0, m * math.pi), D1)
+        n = 1001
+        ix, iy, got = psi.lattice_values(n)
+        x, y = 2 * ix / (n - 1), iy / (n - 1)
+        assert np.max(np.abs(got - _odd_cosine_psi(1.0, m, 1.0, x, y))) <= psi.rounding_bound(x, y)
+
+    def test_lattice_against_a_30_digit_closed_form(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        psi = QuadratureStreamFunction(CosineStress(1.0, math.pi), D1)
+        n = 1001
+        ix, iy, got = psi.lattice_values(n)
+        pick = np.random.default_rng(5).choice(ix.size, 300, replace=False)
+        k = mpmath.pi
+        worst = 0.0
+        for i in pick.tolist():
+            x, y = mpmath.mpf(2 * ix[i] / (n - 1)), mpmath.mpf(iy[i] / (n - 1))
+            want = -(mpmath.cos(k * y) + mpmath.cos(k * (x - y) / 2) - mpmath.cos(k * (x + y) / 2) - 1) / k**2
+            worst = max(worst, abs(float(got[i] - want)))
+        assert worst <= 0.5 * psi.rounding_bound(0.0, 0.0)
 
     def test_grid_rows_peak_memory(self):
         # the list of rows itself is about 57 MiB at n = 1001; the
@@ -687,7 +785,7 @@ class TestBoundarySlack:
                         "AB": ((1.5 * a, 0.5 * a), (1 / r2, 1 / r2))}[edge]
         near = PhysicalPoint(base[0] + 0.9e-9 * a * normal[0], base[1] + 0.9e-9 * a * normal[1])
         assert classify(d, near, 1e-9 * a).is_boundary
-        assert abs(psi.evaluate(*near)) <= 1e-6 * psi.scale()
+        assert abs(psi.evaluate(*near)) <= 1e-6 * lattice_scale(psi)
         u, v = V.velocity(near)
         assert math.isfinite(u) and math.isfinite(v)
         far = PhysicalPoint(base[0] + 2e-9 * a * normal[0], base[1] + 2e-9 * a * normal[1])

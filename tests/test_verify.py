@@ -29,6 +29,8 @@ from cavitystream.verify import (
     verify_solution,
 )
 
+from helpers import lattice_scale
+
 X, Y, A = poly_vars()
 D1 = TriangleDomain(1.0)
 
@@ -130,7 +132,7 @@ class TestVerifySolution:
     def test_monotone_refinement_float_sanity(self):
         psi = linear_example(D1)
         r16, r32 = (max(residual(psi, psi.source_stress, interior_lattice(D1, n), 1e-3)) for n in (16, 32))
-        noise = 32 * 2.3e-16 * psi.scale() / 1e-3**2
+        noise = 32 * 2.3e-16 * lattice_scale(psi) / 1e-3**2
         assert r32 <= r16 + noise
 
     def test_perturbation_sensitivity_scales_linearly(self):
@@ -185,7 +187,7 @@ class TestTolerances:
         delta = checks["boundary_value"]["tol"] / SAFETY
         estimate = riemann["tol"] / SAFETY - 2 * delta
         assert estimate == pytest.approx(riemann["value"], rel=0.05)
-        assert estimate <= 1e-7 * psi.scale()
+        assert estimate <= 1e-7 * lattice_scale(psi)
 
     def test_stencil_truncation_is_the_stress_laplacian(self):
         # L commutes with the Laplacian: -psi_xxxx + psi_yyyy = f_xx + f_yy
@@ -243,14 +245,14 @@ class TestMutationsFailTheStrongForm:
     @pytest.mark.parametrize("amplitude", [1e-6, 1.0, 1e6])
     def test_quadrature_off_by_a_bubble(self, amplitude):
         psi = solve_quadrature(cosine_from_harmonic(amplitude, 3, D1), D1)
-        bad = _Bumped(psi, _bubble(D1) * (1e-6 * psi.scale()))
+        bad = _Bumped(psi, _bubble(D1) * (1e-6 * lattice_scale(psi)))
         assert not verify_solution(bad, psi.stress).checks["interior_residual"]["pass"]
 
     @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
     def test_linear_off_by_a_bubble(self, a):
         d = TriangleDomain(a)
         psi = linear_example(d)
-        bad = PolyStreamFunction(psi.poly + _bubble(d) * (1e-6 * psi.scale()), d)
+        bad = PolyStreamFunction(psi.poly + _bubble(d) * (1e-6 * lattice_scale(psi)), d)
         assert not verify_solution(bad, psi.source_stress).checks["interior_residual"]["pass"]
 
     @pytest.mark.parametrize("amplitude", [1e-6, 1.0, 1e6])
@@ -308,7 +310,7 @@ class TestRiemannOracle:
         # m = 15 and 61 (about 2.6e-7 and 3.8e-7 of scale)
         psi = solve_quadrature(cosine_from_harmonic(1.0, m, D1), D1)
         for size in (1e-6, 1e-7):
-            bad = _Bumped(psi, _bubble(D1) * (size * psi.scale()))
+            bad = _Bumped(psi, _bubble(D1) * (size * lattice_scale(psi)))
             assert not verify_solution(bad, psi.stress).checks["quadrature_vs_riemann"]["pass"], size
 
     @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
