@@ -220,7 +220,10 @@ def stagnation_points(
             continue
         found.append(root)
 
-    found.sort()
+    # order on a key in units of 1e-9 a, so that roots on one line do not
+    # reorder when they move at rounding level; x / a * 1e9, not
+    # x / (1e-9 a), which would divide by zero at a subnormal a
+    found.sort(key=lambda root: (round(root[0] / a * 1e9), round(root[1] / a * 1e9)))
     return [
         StagnationPoint(PhysicalPoint(x, y), _classify_jacobian(V.jacobian(PhysicalPoint(x, y)), vscale, a), r)
         for x, y, r in found

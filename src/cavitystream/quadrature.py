@@ -1,12 +1,9 @@
 """Gauss-Legendre quadrature over axis-aligned rectangles and segments.
 
-``integrate_rect`` takes a subdivided tensor rule, or, when the caller
-states that the integrand depends on t + s alone (a ridge, as for a
-stress that reads only y), a 1-D rule on the trapezoidal overlap
-length of each rectangle.  ``cell_table`` sums the cells of a square
-lattice, each integrated by ``integrate_rect``; ``integrate_segments``
-integrates along segments, and ``riemann_rect`` is the midpoint
-cross-check.
+``integrate_rect`` is the one rule for rectangles: a subdivided
+Gauss tensor rule, batched over rectangles.  ``integrate_segments`` is
+its 1-D counterpart along segments, and ``riemann_rect`` is the
+midpoint cross-check.
 """
 
 from __future__ import annotations
@@ -105,7 +102,7 @@ def _cell_counts(width: np.ndarray, spec: QuadratureSpec, span: float) -> np.nda
     return np.clip(np.ceil(S * width / span - 1e-9), 1, S).astype(np.int64)
 
 
-def integrate_rect(fn: Callable, rect: Rect, spec: QuadratureSpec, span: float, *, ridge: bool = False):
+def integrate_rect(fn: Callable, rect: Rect, spec: QuadratureSpec, span: float):
     """Integrate fn(t, s) over one rectangle or over a batch of them.
 
     ``rect`` holds floats (the result is a float) or four arrays of one
@@ -118,22 +115,14 @@ def integrate_rect(fn: Callable, rect: Rect, spec: QuadratureSpec, span: float, 
     rectangles form one flat sequence; fn receives blocks of at most
     MAX_BLOCK // order**2 whole cells (full-shape node arrays), and the
     cell sums are added up per rectangle.
-
-    ``ridge=True`` states that fn(t, s) depends on t + s alone, as the
-    integrand of a stress that reads only y does.  Each rectangle is
-    then one 1-D integral (``_ridge_chunk``): fn is called as fn(u, 0)
-    on order nodes per cell, in blocks of at most MAX_BLOCK // (2 order)
-    whole cells.  The caller states the fact, so a wrapped fn sees every
-    node.
     """
     t0, t1, s0, s1 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in rect))
     shape = t0.shape
     t0, t1, s0, s1 = (v.ravel() for v in (t0, t1, s0, s1))
-    chunk = _ridge_chunk if ridge else _integrate_chunk
     out = np.zeros(t0.shape)
     for i in range(0, out.size, RECT_CHUNK):
         part = slice(i, i + RECT_CHUNK)
-        out[part] = chunk(fn, t0[part], t1[part], s0[part], s1[part], spec, span)
+        out[part] = _integrate_chunk(fn, t0[part], t1[part], s0[part], s1[part], spec, span)
     return float(out[0]) if not shape else out.reshape(shape)
 
 
@@ -166,42 +155,6 @@ def _integrate_chunk(fn, t0, t1, s0, s1, spec, span):
     return out
 
 
-# slope of the overlap length K on each of its three pieces
-_RIDGE_SLOPE = np.array([1.0, 0.0, -1.0])
-
-
-def _ridge_chunk(fn, t0, t1, s0, s1, spec, span):
-    """The double integral of F(t + s) over [t0, t1] x [s0, s1] is
-    int F(u) K(u) du, K(u) the length of [t0, t1] ∩ [u - s1, u - s0]:
-    the convolution of two boxes, a trapezoid with kinks at t0 + s1 and
-    t1 + s0.  With short <= wide the two side lengths and u = t0 + s0 + v,
-    K = v on [0, short], short on [short, wide] and short + wide - v on
-    [wide, short + wide].  Each piece is cut like a side of the same
-    length (``_cell_counts``; an empty middle piece gets no cell), and
-    Gauss-Legendre of spec.order per cell integrates F times the linear K."""
-    x, w = gauss_nodes(spec.order)
-    wt, ws = t1 - t0, s1 - s0
-    short, wide = np.minimum(wt, ws), np.maximum(wt, ws)
-    width = np.stack([short, wide - short, short], 1)
-    start = np.stack([np.zeros_like(short), short, wide], 1)
-    n = np.where(width > 0, _cell_counts(width, spec, span), 0)
-    n[(wt <= 0) | (ws <= 0)] = 0
-    first = np.cumsum(n, 1) - n  # each piece's first cell within its rectangle
-    origin = t0 + s0
-    out = np.zeros(t0.shape)
-    # half blocks: fn gets the nodes as one full array and makes its own
-    # temporaries of that size, where the tensor rule hands it broadcast
-    # views, so whole blocks would raise peak memory
-    for r, k in _cell_blocks(n.sum(1), max(1, MAX_BLOCK // (2 * spec.order))):
-        p = (k >= first[r, 1]).astype(np.int64) + (k >= first[r, 2])
-        h = width[r, p] / n[r, p]
-        v = ((k - first[r, p] + 0.5)[:, None] + 0.5 * x) * h[:, None]  # node offsets within the piece
-        K = np.where(p == 0, 0.0, short[r])[:, None] + _RIDGE_SLOPE[p][:, None] * v
-        vals = np.asarray(fn((origin[r] + start[r, p])[:, None] + v, 0.0), dtype=float)
-        out[r[0]:r[-1] + 1] += np.bincount(r - r[0], weights=((vals * K) @ w) * (0.5 * h))
-    return out
-
-
 def integrate_segments(fn: Callable, t0, t1, s0, s1, spec: QuadratureSpec, span: float) -> np.ndarray:
     """Integrate fn(t, s) with respect to arc length along each segment
     from (t0[i], s0[i]) to (t1[i], s1[i]).
@@ -223,37 +176,6 @@ def integrate_segments(fn: Callable, t0, t1, s0, s1, spec: QuadratureSpec, span:
     S = s0[seg][:, None] + tau * (s1 - s0)[seg][:, None]
     vals = np.broadcast_to(np.asarray(fn(T, S), dtype=float), T.shape)
     return np.bincount(seg, weights=(vals @ w) * (0.5 * length / n)[seg], minlength=length.size)
-
-
-def cell_table(fn: Callable, size: int, h: float, spec: QuadratureSpec, span: float) -> np.ndarray:
-    """Summed-area table of fn(t, s) over the cells of a square lattice
-    of step h below its diagonal.
-
-    Cell (p, q), 0 <= q < p < size, is [p h, (p+1) h] x [-(q+1) h, -q h],
-    integrated by ``integrate_rect``.  Every cell is h wide, so each
-    takes the same number of Gauss cells: the cells, row after row, go
-    in groups that fill a quarter of MAX_BLOCK nodes, and fn sees blocks
-    of one size (the last one shorter).  Returns T of shape
-    (size+1, size+1) with T[P, Q] the integral over the cells p < P,
-    q < Q; cells with q >= p count zero and are not evaluated.  Two
-    in-place cumsums sum the cell integrals.
-    """
-    table = np.zeros((size + 1, size + 1))
-    # fn makes full-size temporaries of its own; at a quarter block
-    # (128 KiB each) they stay in cache, and on 2 vCPU whole equal
-    # blocks took about twice as long per node
-    sides = int(_cell_counts(np.float64(h), spec, span))
-    group = max(1, MAX_BLOCK // 4 // (spec.order * sides) ** 2)
-    total = size * (size - 1) // 2
-    starts = np.arange(size - 1) * np.arange(1, size) // 2  # row p's first cell is starts[p - 1]
-    for f0 in range(0, total, group):
-        f = np.arange(f0, min(f0 + group, total))
-        p = np.searchsorted(starts, f, side="right")
-        q = f - starts[p - 1]
-        table[p + 1, q + 1] = integrate_rect(fn, Rect(p * h, (p + 1) * h, -(q + 1) * h, -q * h), spec, span)
-    np.cumsum(table, axis=0, out=table)
-    np.cumsum(table, axis=1, out=table)
-    return table
 
 
 def riemann_rect(fn: Callable, rect: Rect, cells_per_axis: int, parts=None):

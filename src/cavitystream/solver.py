@@ -21,13 +21,11 @@ t + s alone, so the same corner rule holds with one tabulated second
 antiderivative Phi of it, and psi, the velocity, the Jacobian and the
 export lattice each read a few values of Phi, Phi' or the stress
 (``QuadratureStreamFunction``).  Any other stress is integrated point by
-point by a subdivided Gauss tensor rule batched over points, and on the
-export lattice from one summed-area table of lattice cells, the
-discrete form of the corner rule, each cell integrated by the same
-rule.  The closed-form sinusoidal case is provided as a builtin.  Every
-backing differentiates itself: derivative polynomials, the closed-form
-derivatives, Phi' and the stress, or the Leibniz rule on the first
-rectangle (three line integrals of the stress).
+point, on the export lattice too, by a subdivided Gauss tensor rule
+batched over points.  The closed-form sinusoidal case is provided as a
+builtin.  Every backing differentiates itself: derivative polynomials,
+the closed-form derivatives, Phi' and the stress, or the Leibniz rule
+on the first rectangle (three line integrals of the stress).
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ from .compatibility import (
     stress_scale,
 )
 from .quadrature import (
-    cell_table,
     default_quadrature_spec,
     gauss_nodes,
     integrate_rect,
@@ -344,7 +341,7 @@ class QuadratureStreamFunction(StreamFunction):
 
         The second differences Phi(u_j + h) - 2 Phi(u_j) + Phi(u_j - h)
         are the integrals of g over the cells [u_j, u_j + h] x [-h, 0],
-        j = 1..S-1, in one ``integrate_rect(..., ridge=True)`` call.
+        j = 1..S-1, in one ``integrate_rect`` call.
         With P_j = int_{u_j}^{u_j + h} (u_j + h - w) F(w) dw
         (``_ridge_cells``), Phi(h) = P_0 and
         Phi'(u_j) = (Phi(u_{j+1}) - Phi(u_j) - P_j) / h.  Both running
@@ -356,8 +353,7 @@ class QuadratureStreamFunction(StreamFunction):
             S = self.spec.subdivision
             h = 2 * a / S
             j = np.arange(S)
-            second = integrate_rect(self._g, Rect(j[1:] * h, (j[1:] + 1) * h, -h, 0.0), self.spec, 2 * a,
-                                    ridge=True)
+            second = integrate_rect(self._g, Rect(j[1:] * h, (j[1:] + 1) * h, -h, 0.0), self.spec, 2 * a)
             weighted = self._ridge_cells(j * h, np.full(S, h))[0]
             first = _running_sum(np.concatenate((weighted[:1], second)))  # Phi(u_{j+1}) - Phi(u_j)
             self._knots = (h, np.concatenate(([0.0], _running_sum(first))), (first - weighted) / h)
@@ -386,24 +382,13 @@ class QuadratureStreamFunction(StreamFunction):
     def lattice_values(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A ridge stress reads Phi at the 2(n-1) + 1 multiples of
         h = a/(n-1): the point (ix, iy) has x + y = (2 ix + iy) h,
-        x - y = (2 ix - iy) h and 2y = 2 iy h.
-
-        Any other stress sums one table of lattice cells: its rectangle
-        [-Y, X] x [Y, 0], X = (2 ix + iy) h and Y = (iy - 2 ix) h, is the
-        union of the cells [p h, (p+1) h] x [-(q+1) h, -q h] with
-        2 ix - iy <= p < 2 ix + iy and q < 2 ix - iy, all below the
-        diagonal q < p, each integrated once (``cell_table``) by
-        ``integrate_rect`` under the rule of ``evaluate_many``.
-        """
+        x - y = (2 ix - iy) h and 2y = 2 iy h.  Any other stress takes
+        the tensor rule per point (``StreamFunction.lattice_values``)."""
+        if not self._ridge:
+            return super().lattice_values(n)
         ix, iy = clipped_lattice(n)
-        a = float(self.domain.a)
-        p = float(SOLUTION_PREFACTOR)
-        if self._ridge:
-            phi = self._ridge_phi(a * np.arange(2 * n - 1) / (n - 1))[0]
-            return ix, iy, p * (phi[2 * ix + iy] - phi[2 * ix - iy] - phi[2 * iy])
-        table = cell_table(self._g, 2 * (n - 1), a / (n - 1), self.spec, 2 * a)
-        q = 2 * ix - iy
-        return ix, iy, p * (table[2 * ix + iy, q] - table[q, q])
+        phi = self._ridge_phi(float(self.domain.a) * np.arange(2 * n - 1) / (n - 1))[0]
+        return ix, iy, float(SOLUTION_PREFACTOR) * (phi[2 * ix + iy] - phi[2 * ix - iy] - phi[2 * iy])
 
     def velocity_functions(self) -> tuple[Callable, Callable]:
         if self._ridge:

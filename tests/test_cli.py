@@ -260,13 +260,14 @@ class TestSolveCommand:
         assert verdict["quadrature_vs_riemann"] is not None
 
     def test_cosine_psi_is_pinned(self, tmp_path):
-        # recorded with the lattice read from the ridge table of Phi; it
-        # moved by at most 0.05 rounding_bound from the summed-area table
+        # recorded with the Phi table's knot cells integrated by the Gauss
+        # tensor rule; it moved by at most 0.046 rounding_bound from the
+        # 1-D ridge rule those cells took before
         out = tmp_path / "o"
         doc = {"a": 1, "stress": {"kind": "cosine", "A": 10, "m": 3}, "grid_n": 101, "out": str(out)}
         assert run(["solve", "--config", write_config(tmp_path, doc), "--quiet"]) == EXIT_OK
         assert hashlib.sha256((out / "psi.csv").read_bytes()).hexdigest() == \
-            "1993b16ba55347aa822a54b2fdea114630302375b6621b69394bfbd2d8adca5c"
+            "3029f7b8e5b3860526482bac70da821d745d9c01991be915d77a8bd4bc6eadc1"
 
     def test_high_harmonic_solves(self, tmp_path):
         out = tmp_path / "o"

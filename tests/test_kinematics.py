@@ -238,6 +238,22 @@ class TestStagnation:
         for c, f in zip(coarse, fine):
             assert math.hypot(c.location.x - f.location.x, c.location.y - f.location.y) <= 1e-9
 
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    def test_order_survives_a_rounding_level_change(self, a):
+        # the 47 roots of m = 9 lie in columns; a velocity read at
+        # x (1 + 2^-52) moves each by about 4e-16 a, which reordered a
+        # sort on the raw floats within a column at every a here
+        d = TriangleDomain(a)
+        V = velocity_field(solve_quadrature(cosine_from_harmonic(1.0, 9, d), d))
+        W = velocity_field(V.source)
+        vel = W._vel
+        W._vel = lambda x, y: vel(x * (1 + 2**-52), y)
+        pts, moved = stagnation_points(V, d), stagnation_points(W, d)
+        assert len(pts) == len(moved) == 47
+        for p, q in zip(pts, moved):
+            assert math.hypot(p.location.x - q.location.x, p.location.y - q.location.y) <= 1e-14 * a
+            assert p.classification == q.classification
+
     @pytest.mark.parametrize("a", [0.5, 2.0])
     def test_linear_center_scales_with_a(self, a):
         d = TriangleDomain(a)

@@ -6,14 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cavitystream.compatibility import CosineStress, OpaqueStress, cosine_harmonic
-from cavitystream.geometry import Rect, TriangleDomain
-from cavitystream.solver import QuadratureStreamFunction
+from cavitystream.compatibility import CosineStress, cosine_harmonic
+from cavitystream.geometry import Rect
 from cavitystream.quadrature import (
     MAX_BLOCK,
     QuadratureSpec,
     _cell_counts,
-    cell_table,
     default_quadrature_spec,
     gauss_nodes,
     gauss_order,
@@ -201,113 +199,22 @@ def _cosine_ridge_exact(A, m, a, rect):
     return A * (np.cos(c * (t0 + s1)) + np.cos(c * (t1 + s0)) - np.cos(c * (t1 + s1)) - np.cos(c * (t0 + s0))) / c**2
 
 
-class TestRidgeRule:
+class TestCosineClosedForm:
     @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("m", [1, 3, 15, 61, 199])
-    def test_matches_the_tensor_rule_for_a_cosine(self, m, a):
+    def test_matches_the_closed_form(self, m, a):
         # psi = -1/4 of the integral, and its rounding_bound,
         # u (1 + 2 pi m) |A| a^2 / 4, covers rectangles of area at most
         # a^2; a larger rectangle rounds in proportion to its area
         A = 10.0
         rect = _ridge_rects(a)
-        spec = default_quadrature_spec(m)
-        tensor = integrate_rect(_cosine_ridge(A, m, a), rect, spec, 2 * a)
-        ridge = integrate_rect(_cosine_ridge(A, m, a), rect, spec, 2 * a, ridge=True)
+        got = integrate_rect(_cosine_ridge(A, m, a), rect, default_quadrature_spec(m), 2 * a)
+        proper = (rect.t1 > rect.t0) & (rect.s1 > rect.s0)
+        assert got[~proper].tolist() == [0.0] * int(np.sum(~proper))
         rounding = 2.0**-53 * (1 + 2 * math.pi * m) * A * a * a / 4
-        area = np.maximum(rect.t1 - rect.t0, 0) * np.maximum(rect.s1 - rect.s0, 0)
-        assert np.all(np.abs(ridge - tensor) / 4 <= 4 * rounding * np.maximum(1.0, area / a**2))
-
-    def test_scalar_and_batch_forms_agree_with_the_closed_form(self):
-        A, m, a = 2.0, 3, 1.0
-        rect = _ridge_rects(a)
-        spec = default_quadrature_spec(m)
-        batch = integrate_rect(_cosine_ridge(A, m, a), rect, spec, 2 * a, ridge=True)
-        assert batch.shape == rect.t0.shape
-        want = _cosine_ridge_exact(A, m, a, rect)
-        for k, one in enumerate(zip(*rect)):
-            got = integrate_rect(_cosine_ridge(A, m, a), Rect(*one), spec, 2 * a, ridge=True)
-            assert isinstance(got, float)
-            assert abs(got - batch[k]) <= 1e-15 * A * a * a
-            if one[1] > one[0] and one[3] > one[2]:
-                assert abs(got - want[k]) <= 1e-14 * A * a * a
-
-    @pytest.mark.parametrize("order", [1, 2, 3, 6])
-    def test_exact_for_polynomial_ridges(self, order):
-        # F(u) K(u), K linear on each piece, has degree p + 1: exact when
-        # p + 1 <= 2 order - 1, as the tensor rule is for (t + s)^p
-        p = 2 * order - 2
-        fn = lambda t, s: (t + s + 0.3) ** p  # noqa: E731
-        rect = _ridge_rects(1.0)
-        spec = QuadratureSpec(order, 5)
-        tensor = integrate_rect(fn, rect, spec, 2.0)
-        ridge = integrate_rect(fn, rect, spec, 2.0, ridge=True)
-        np.testing.assert_allclose(ridge, tensor, rtol=1e-13, atol=1e-15)
-
-    def test_degenerate_rectangles_are_exactly_zero_and_not_evaluated(self):
-        seen = []
-
-        def fn(t, s):
-            seen.append(np.size(t))
-            return np.ones_like(t)
-
-        spec = QuadratureSpec(3, 2)
-        rects = Rect(np.array([0.0, 1.0, 0.0, 2.0]), np.array([0.0, 0.5, 1.0, 3.0]),
-                     np.array([-1.0, 0.0, 0.0, -1.0]), np.array([0.0, 1.0, 0.0, 0.0]))
-        out = integrate_rect(fn, rects, spec, 2.0, ridge=True)
-        assert out[:3].tolist() == [0.0, 0.0, 0.0]
-        assert out[3] == pytest.approx(1.0, rel=1e-14)
-        assert sum(seen) == 2 * 3  # the square has two pieces of one cell each
-        seen.clear()
-        assert integrate_rect(fn, Rect(1.0, 1.0, 0.0, 1.0), spec, 2.0, ridge=True) == 0.0
-        assert integrate_rect(fn, Rect(*(v[:3] for v in rects)), spec, 2.0, ridge=True).tolist() == [0.0] * 3
-        assert seen == []
-
-    def test_a_counting_integrand_sees_each_piece_cut_like_a_side(self):
-        seen = []
-
-        def fn(t, s):
-            seen.append((np.size(t), s))
-            return np.ones_like(t)
-
-        spec = QuadratureSpec(order=3, subdivision=10)
-        # cells no wider than 2/10: a 0.9 x 0.2 rectangle has pieces of
-        # 0.2, 0.7 and 0.2 (1 + 4 + 1 cells), a 0.9 square two of 0.9
-        # (5 + 5) and the 2 x 2 span two of 2 (10 + 10)
-        for rect, cells in [(Rect(0.0, 0.9, -0.2, 0.0), 6), (Rect(0.0, 0.2, -0.9, 0.0), 6),
-                            (Rect(0.1, 1.0, -0.9, 0.0), 10), (Rect(0.0, 2.0, -2.0, 0.0), 20)]:
-            seen.clear()
-            area = (rect.t1 - rect.t0) * (rect.s1 - rect.s0)
-            assert integrate_rect(fn, rect, spec, 2.0, ridge=True) == pytest.approx(area, rel=1e-14)
-            assert sum(n for n, _ in seen) == cells * spec.order
-            assert all(s == 0 for _, s in seen)
-
-    def test_many_rectangles_at_the_largest_harmonic_stay_in_bounded_memory(self):
-        sizes = []
-        fn = _cosine_ridge(1.0, 199, 1.0)
-
-        def counted(t, s):
-            sizes.append(t.size)
-            return fn(t, s)
-
-        rng = np.random.default_rng(5)
-        n = 100_000
-        t0 = rng.uniform(0.0, 1.0, n)
-        s0 = rng.uniform(-1.0, 0.0, n)
-        rects = Rect(t0, t0 + rng.uniform(0.0, 0.1, n), s0, s0 + rng.uniform(0.0, 0.1, n))
-        spec = default_quadrature_spec(199)
-        tracemalloc.start()
-        try:
-            got = integrate_rect(counted, rects, spec, 2.0, ridge=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # 7.9M nodes: a flat rule would hold 60 MB per node array
-        assert sum(sizes) > 60 * 2**20 / 8
-        assert peak < 8 * 2**20
-        assert max(sizes) <= MAX_BLOCK
-        sample = slice(0, n, 10_000)
-        want = integrate_rect(fn, Rect(*(v[sample] for v in rects)), spec, 2.0)
-        assert np.max(np.abs(got[sample] - want)) <= 1e-13
+        area = (rect.t1 - rect.t0) * (rect.s1 - rect.s0)
+        err = np.abs(got - _cosine_ridge_exact(A, m, a, rect)) / 4
+        assert np.all(err[proper] <= 4 * rounding * np.maximum(1.0, area[proper] / a**2))
 
 
 class TestIntegrateSegments:
@@ -337,82 +244,6 @@ class TestIntegrateSegments:
         assert seen == [(8 + 2 + 1, 3)]  # one call: 8 cells across the span, 2 for a quarter, 1 for a point
         assert list(got) == pytest.approx([2.0, 0.5, 0.0], abs=1e-15)
         assert got[2] == 0.0
-
-
-class TestCellTable:
-    def test_entries_are_integrals_over_the_cells_below_the_diagonal(self):
-        # fn = t*s + 1 is exact under any Gauss order; cell (p, q) with
-        # q < p is [p h, (p+1) h] x [-(q+1) h, -q h]
-        size, h = 7, 0.3
-        table = cell_table(lambda t, s: t * s + 1.0, size, h, QuadratureSpec(2, 1), 1.0)
-        assert table.shape == (size + 1, size + 1)
-
-        def cell(p, q):
-            t0, t1, s0, s1 = p * h, (p + 1) * h, -(q + 1) * h, -q * h
-            return (t1**2 - t0**2) / 2 * (s1**2 - s0**2) / 2 + h * h
-
-        for P in range(size + 1):
-            for Q in range(size + 1):
-                want = sum(cell(p, q) for p in range(P) for q in range(min(Q, p)))
-                assert table[P, Q] == pytest.approx(want, rel=1e-13, abs=1e-13)
-
-    def test_sub_cells_refine_the_rule(self):
-        fn = lambda t, s: np.cos(3 * t) * np.exp(s)  # noqa: E731
-        # h = 0.5 against span / S = 0.125: four sub-cells per axis
-        coarse = cell_table(fn, 6, 0.5, QuadratureSpec(3, 1), 1.0)
-        fine = cell_table(fn, 6, 0.5, QuadratureSpec(3, 8), 1.0)
-        exact = cell_table(fn, 6, 0.5, QuadratureSpec(12, 8), 1.0)
-        assert np.max(np.abs(fine - exact)) < np.max(np.abs(coarse - exact)) / 100
-
-    def test_blocks_respect_the_cap(self):
-        sizes = []
-
-        def fn(t, s):
-            sizes.append(t.size)
-            return np.cos(t) * s
-
-        size, order, sub = 60, 12, 2
-        cell_table(fn, size, 0.01, QuadratureSpec(order, sub), 0.01)
-        assert max(sizes) <= MAX_BLOCK
-        assert sum(sizes) == size * (size - 1) // 2 * (sub * order) ** 2
-
-    @pytest.mark.parametrize("size, order, sub, span", [(60, 12, 2, 0.01), (200, 12, 8, 0.08), (90, 5, 1, 1.0)])
-    def test_blocks_are_equal_quarter_blocks(self, size, order, sub, span):
-        # every cell takes the same Gauss cells, so whole rows group into
-        # blocks of one size; only the last block is shorter
-        sizes = []
-
-        def fn(t, s):
-            sizes.append(t.size)
-            return np.cos(t) * s
-
-        cell_table(fn, size, 0.01, QuadratureSpec(order, sub), span)
-        sides = min(max(math.ceil(sub * 0.01 / span - 1e-9), 1), sub)
-        per_cell = (order * sides) ** 2
-        full = MAX_BLOCK // 4 // per_cell * per_cell
-        assert set(sizes[:-1]) == {full} and 0 < sizes[-1] <= full
-        assert sum(sizes) == size * (size - 1) // 2 * per_cell
-
-    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
-    @pytest.mark.parametrize("n", [3, 41, 101])
-    def test_lattice_matches_the_per_row_table(self, a, n):
-        # the per-row table (one integrate_rect call per row of cells)
-        # takes the same cells and nodes; a block of another size rounds
-        # the cell sums differently, and both cumsums carry that past the
-        # bound on one evaluation (up to 1.07 times it): twice it here
-        f = OpaqueStress(lambda x, y: 16.0 * y - 8.0 * a + 5.0 * np.cos(3 * math.pi * y / a))
-        psi = QuadratureStreamFunction(f, TriangleDomain(a))
-        size, h = 2 * (n - 1), a / (n - 1)
-        table = np.zeros((size + 1, size + 1))
-        for p in range(1, size):
-            q = np.arange(p)
-            table[p + 1, 1:p + 1] = integrate_rect(psi._g, Rect(p * h, (p + 1) * h, -(q + 1) * h, -q * h),
-                                                   psi.spec, 2 * a)
-        table = table.cumsum(0).cumsum(1)
-        ix, iy, got = psi.lattice_values(n)
-        q = 2 * ix - iy
-        want = -0.25 * (table[2 * ix + iy, q] - table[q, q])
-        assert np.max(np.abs(got - want)) <= 2 * psi.rounding_bound(0.0, 0.0)
 
 
 class TestGaussOrder:

@@ -555,9 +555,11 @@ class TestRidgeBacking:
         assert np.max(np.abs(got - want)) <= psi.rounding_bound(x, y)
 
     def test_cosine_calls_the_integrand_on_the_ridge(self):
-        # the table and each partial cell call g(u, 0) on every node
+        # once the table is built, each partial cell calls g(u, 0) on
+        # every node
         seen = []
         psi = QuadratureStreamFunction(CosineStress(1.0, 3 * math.pi), D1)
+        psi._ridge_knots()
         g = psi._g
         psi._g = lambda t, s: seen.append(s) or g(t, s)
         psi.evaluate_many([1.0, 0.5], [0.3, 0.1])
@@ -573,9 +575,9 @@ class TestRidgeBacking:
         assert psi.evaluate_many(x, y).tobytes() == want.tobytes()
 
     def test_ridge_table_takes_one_cell_per_knot(self):
-        # one ridge integrate_rect call on the S - 1 cells
-        # [u_j, u_j + h] x [-h, 0] (two pieces of one Gauss cell each),
-        # then one partial-cell call on the S cells; for F = A cos(k u/2),
+        # one integrate_rect call on the S - 1 cells
+        # [u_j, u_j + h] x [-h, 0] (one Gauss tensor cell each), then one
+        # partial-cell call on the S cells; for F = A cos(k u/2),
         # Phi = 4A/k^2 (1 - cos(k u/2)) and Phi' = 2A/k sin(k u/2)
         A, k, a = 1.0, 15 * math.pi / 0.25, 0.25
         psi = QuadratureStreamFunction(CosineStress(A, k), TriangleDomain(a))
@@ -583,7 +585,7 @@ class TestRidgeBacking:
         psi._g = lambda t, s: calls.append(np.broadcast(t, s).size) or g(t, s)
         h, phi, dphi = psi._ridge_knots()
         S, order = psi.spec.subdivision, psi.spec.order
-        assert calls == [2 * (S - 1) * order, S * order]
+        assert calls == [(S - 1) * order**2, S * order]
         assert h == 2 * a / S and phi.size == S + 1 and dphi.size == S
         u = h * np.arange(S + 1)
         delta = psi.rounding_bound(0.0, 0.0)
@@ -658,19 +660,28 @@ class TestLatticeTable:
         d = TriangleDomain(a)
         psi = solve_quadrature(CosineStress(A, m * math.pi / a), d)
         ix, iy, got = psi.lattice_values(n)
-        # the cosine's own per-point path takes the 1-D ridge rule; the
-        # table is checked against the tensor rule it shares its nodes with
+        # the cosine's own per-point path reads the same Phi table; the
+        # table is checked against the tensor rule of its opaque twin
         jx, jy, want = _per_point(_opaque_twin(psi), n)
         assert ix.tolist() == jx.tolist() and iy.tolist() == jy.tolist()
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n", [3, 21])
     def test_table_matches_per_point_for_an_opaque_stress(self, n):
+        # an opaque stress has no table: its lattice is the per-point rule
         f = OpaqueStress(lambda x, y: 16.0 * y - 8.0 + 5.0 * np.cos(3 * math.pi * y))
         psi = solve_quadrature(f, D1)
-        got = psi.lattice_values(n)[2]
-        want = _per_point(psi, n)[2]
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert psi.lattice_values(n)[2].tobytes() == _per_point(psi, n)[2].tobytes()
+
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [3, 41, 101])
+    def test_opaque_lattice_matches_closed_form(self, n, a):
+        # read up to 1.86 times the bound (n = 101, a = 1e-3)
+        f = CosineStress(10.0, 3 * math.pi / a)
+        psi = QuadratureStreamFunction(OpaqueStress(f.evaluator(a)), TriangleDomain(a))
+        ix, iy, got = psi.lattice_values(n)
+        x, y = 2 * a * ix / (n - 1), a * iy / (n - 1)
+        assert np.max(np.abs(got - _odd_cosine_psi(10.0, 3, a, x, y))) <= 4 * psi.rounding_bound(x, y)
 
     @pytest.mark.parametrize("A, m, a, n", [(10.0, 3, 1.0, 101), (1.0, 15, 0.25, 51), (1.0, 15, 100.0, 51)])
     def test_table_matches_closed_form(self, A, m, a, n):
@@ -715,11 +726,11 @@ class TestLatticeTable:
         psi._g = counted
         n = 101
         psi.lattice_values(n)
-        # the table: two pieces of one Gauss cell on each of the S - 1
-        # cells [u_j, u_j + h] x [-h, 0] and one partial cell per knot
-        # cell; then one partial cell per multiple of a/(n-1)
-        S = psi.spec.subdivision
-        assert sum(seen) == (2 * (S - 1) + S + 2 * n - 1) * psi.spec.order
+        # the table: one Gauss tensor cell on each of the S - 1 cells
+        # [u_j, u_j + h] x [-h, 0] and one partial cell per knot cell;
+        # then one partial cell per multiple of a/(n-1)
+        S, order = psi.spec.subdivision, psi.spec.order
+        assert sum(seen) == (S - 1) * order**2 + (S + 2 * n - 1) * order
 
     @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("m", [1, 3, 15, 61, 199])
