@@ -239,15 +239,17 @@ class TestStagnation:
             assert math.hypot(c.location.x - f.location.x, c.location.y - f.location.y) <= 1e-9
 
     @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
-    def test_order_survives_a_rounding_level_change(self, a):
+    @pytest.mark.parametrize("sx, sy", [(1 + 2**-52, 1.0), (1.0, 1 + 2**-52)], ids=["x", "y"])
+    def test_order_survives_a_rounding_level_change(self, sx, sy, a):
         # the 47 roots of m = 9 lie in columns; a velocity read at
-        # x (1 + 2^-52) moves each by about 4e-16 a, which reordered a
-        # sort on the raw floats within a column at every a here
+        # x (1 + 2^-52) or at y (1 + 2^-52) moves each by about 4e-16 a,
+        # which reordered a sort on the raw floats within a column at
+        # every a here
         d = TriangleDomain(a)
         V = velocity_field(solve_quadrature(cosine_from_harmonic(1.0, 9, d), d))
         W = velocity_field(V.source)
         vel = W._vel
-        W._vel = lambda x, y: vel(x * (1 + 2**-52), y)
+        W._vel = lambda x, y: vel(x * sx, y * sy)
         pts, moved = stagnation_points(V, d), stagnation_points(W, d)
         assert len(pts) == len(moved) == 47
         for p, q in zip(pts, moved):

@@ -216,6 +216,41 @@ class TestCosineClosedForm:
         err = np.abs(got - _cosine_ridge_exact(A, m, a, rect)) / 4
         assert np.all(err[proper] <= 4 * rounding * np.maximum(1.0, area[proper] / a**2))
 
+    def test_scalar_and_batch_forms_agree_with_the_closed_form(self):
+        A, m, a = 2.0, 3, 1.0
+        rect = _ridge_rects(a)
+        spec = default_quadrature_spec(m)
+        batch = integrate_rect(_cosine_ridge(A, m, a), rect, spec, 2 * a)
+        assert batch.shape == rect.t0.shape
+        want = _cosine_ridge_exact(A, m, a, rect)
+        for k, one in enumerate(zip(*rect)):
+            got = integrate_rect(_cosine_ridge(A, m, a), Rect(*one), spec, 2 * a)
+            assert isinstance(got, float)
+            assert abs(got - batch[k]) <= 1e-15 * A * a * a
+            if one[1] > one[0] and one[3] > one[2]:
+                assert abs(got - want[k]) <= 1e-14 * A * a * a
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 6])
+    def test_exact_for_polynomial_ridges(self, order):
+        # (t + s + 0.3)^p has degree p along each axis: exact when
+        # p <= 2 order - 1, and not one order lower; the corner rule on
+        # G(u) = (u + 0.3)^(p+2) / ((p+1)(p+2)) rounds in proportion to
+        # its corner values
+        p = 2 * order - 1
+        fn = lambda t, s: (t + s + 0.3) ** p  # noqa: E731
+        rect = _ridge_rects(1.0)
+        t0, t1, s0, s1 = rect
+        corners = [((t1 + s1), 1), ((t1 + s0), -1), ((t0 + s1), -1), ((t0 + s0), 1)]
+        G = [(u + 0.3) ** (p + 2) / ((p + 1) * (p + 2)) for u, _ in corners]
+        want = sum(sign * g for (_, sign), g in zip(corners, G))
+        tol = 1e-14 * sum(np.abs(g) for g in G)
+        proper = (t1 > t0) & (s1 > s0)
+        got = integrate_rect(fn, rect, QuadratureSpec(order, 5), 2.0)
+        assert np.all(np.abs(got - want)[proper] <= tol[proper])
+        if order > 1:
+            lower = integrate_rect(fn, rect, QuadratureSpec(order - 1, 5), 2.0)
+            assert np.max(np.abs(lower - want)[proper] / tol[proper]) > 100
+
 
 class TestIntegrateSegments:
     def test_axis_segments_match_closed_form(self):

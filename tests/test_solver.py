@@ -683,6 +683,26 @@ class TestLatticeTable:
         x, y = 2 * a * ix / (n - 1), a * iy / (n - 1)
         assert np.max(np.abs(got - _odd_cosine_psi(10.0, 3, a, x, y))) <= 4 * psi.rounding_bound(x, y)
 
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [3, 41, 101])
+    def test_opaque_lattice_of_a_mixed_stress_matches_a_30_digit_closed_form(self, n, a):
+        # 16 y - 8a + 5 cos(3 pi y / a): psi is the linear case's
+        # polynomial plus the cosine's closed form; read up to 3.0 times
+        # the bound (n = 101, a = 1)
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        f = OpaqueStress(lambda x, y: 16.0 * y - 8.0 * a + 5.0 * np.cos(3 * math.pi * y / a))
+        psi = QuadratureStreamFunction(f, TriangleDomain(a))
+        ix, iy, got = psi.lattice_values(n)
+        am, k = mpmath.mpf(a), 3 * mpmath.pi / a
+        worst = 0.0
+        for i, j, value in zip(ix.tolist(), iy.tolist(), got.tolist()):
+            x, y = 2 * am * i / (n - 1), am * j / (n - 1)
+            want = 2 * y**3 - 2 * x**2 * y - 4 * am * y**2 + 4 * am * x * y \
+                - 5 / k**2 * (mpmath.cos(k * y) + mpmath.cos(k * (x - y) / 2) - mpmath.cos(k * (x + y) / 2) - 1)
+            worst = max(worst, abs(float(value - want)))
+        assert worst <= 4 * psi.rounding_bound(0.0, 0.0)
+
     @pytest.mark.parametrize("A, m, a, n", [(10.0, 3, 1.0, 101), (1.0, 15, 0.25, 51), (1.0, 15, 100.0, 51)])
     def test_table_matches_closed_form(self, A, m, a, n):
         d = TriangleDomain(a)
