@@ -21,9 +21,14 @@ ceiling is the count traced at seed 1.  A change that lowers a count
 lowers its ceiling; a change that raises one re-sets it, and CHANGES.md
 gives the reason.
 
-The untraced run (seed 2, 2 s) takes the paths that the benchmark's
+The untraced run (seed 2, 5 s) takes the paths that the benchmark's
 timed passes take and the traced pass does not, such as the reference
-kernel's sampling, which raises when a pass takes no sample.
+kernel's sampling, which raises when a pass takes no sample: the timer
+ticks every 50 ms, so a pass shorter than that can end before a tick.
+The run also fails when its seconds per pass (the run's length over its
+timed passes) is below MIN_PASS_S.  No pass starts that would be
+expected to end past the run's length, so that reading is never below
+the mean pass: below 55 ms, the mean pass is too.
 
 Usage: python scripts/bench_smoke.py [--seconds S]
 """
@@ -37,7 +42,8 @@ import sys
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 PSI_REL_ERR_MAX = 1e-12
 HEADROOM_MIN = 2.0
-UNTRACED_SECONDS = "2"
+UNTRACED_SECONDS = "5"
+MIN_PASS_S = 0.055
 COUNTER_CEILINGS = {
     "quad-cosine": {"quadrature.nodes": 1_533, "quadrature.stress_evals": 316_706,
                     "quadrature.riemann_nodes": 156_230, "verify.riemann_psi_calls": 2,
@@ -45,21 +51,28 @@ COUNTER_CEILINGS = {
     "symbolic-exact": {"polyalg.compose_calls": 51, "polyalg.mul_calls": 34,
                        "compatibility.exact_residual_calls": 93},
     "builtin-flow": {"polyalg.compose_calls": 6, "compatibility.exact_residual_calls": 2,
-                     "kinematics.velocity_evals": 24_751, "kinematics.rk4_steps": 2_413,
-                     "kinematics.jacobian_calls": 6_435, "solver.psi_evals": 2_437},
+                     "kinematics.velocity_evals": 17_188, "kinematics.rk4_steps": 2_413,
+                     "kinematics.jacobian_calls": 72, "solver.psi_evals": 2_437},
 }
 
 
+def _json_line(lines: list[str], k: int):
+    # the object on line k of stdout, or None
+    try:
+        obj = json.loads(lines[k])
+    except (IndexError, ValueError):
+        return None
+    return obj if isinstance(obj, dict) else None
+
+
 def run(name: str, *flags: str):
-    """perfbench/run.py on one workload: the finished process and its
-    result object (None when the last line of stdout is not one)."""
+    """perfbench/run.py on one workload: the finished process, its result
+    object and its report (the line before; each None when that line is
+    not one)."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", name, *flags],
                           cwd=ROOT, capture_output=True, text=True)
-    try:
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
-    except (IndexError, ValueError):
-        result = None
-    return proc, result if isinstance(result, dict) else None
+    lines = proc.stdout.strip().splitlines()
+    return proc, _json_line(lines, -1), _json_line(lines, -2)
 
 
 def clean(proc, result) -> bool:
@@ -76,7 +89,7 @@ def report(label: str, ok: bool, proc, detail: str) -> bool:
 
 
 def check_traced(name: str, seconds: str) -> bool:
-    proc, result = run(name, "--seed", "1", "--seconds", seconds, "--trace", "1")
+    proc, result, _ = run(name, "--seed", "1", "--seconds", seconds, "--trace", "1")
     over = []
     try:
         metrics = result["metrics"]
@@ -93,10 +106,13 @@ def check_traced(name: str, seconds: str) -> bool:
 
 
 def check_untraced(name: str) -> bool:
-    proc, result = run(name, "--seed", "2", "--seconds", UNTRACED_SECONDS)
+    proc, result, run_report = run(name, "--seed", "2", "--seconds", UNTRACED_SECONDS)
     ok = clean(proc, result)
     latency = result["metrics"].get("latency_ref", {}).get("value") if ok else None
-    return report(f"{name} untraced", ok, proc, f"latency_ref {latency}")
+    passes = run_report.get("passes") if run_report else None
+    per_pass = float(UNTRACED_SECONDS) / passes if passes else None
+    ok = ok and per_pass is not None and per_pass >= MIN_PASS_S
+    return report(f"{name} untraced", ok, proc, f"latency_ref {latency}, seconds/passes {per_pass}")
 
 
 def main() -> int:

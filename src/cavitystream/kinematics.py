@@ -7,7 +7,7 @@ stress, or the Leibniz rule on the quadrature integral (three line
 integrals of the stress).  The one difference quotient left is the
 Jacobian of an opaque stress, taken from the exact velocity.
 Stagnation points come from damped Newton iteration over a seed
-lattice; streamlines from the embedded Runge-Kutta pair of Dormand and
+lattice, all seeds in lock step on numpy arrays; streamlines from the embedded Runge-Kutta pair of Dormand and
 Prince under a local error tolerance that is a fraction of a, so that a
 closed orbit costs the same number of steps at every unit of length.
 The stream function is conserved along a streamline; that conservation,
@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .geometry import (
     TriangleDomain,
@@ -66,9 +68,10 @@ class VelocityField:
         if self.domain is None:
             raise ValueError("bind a before building a velocity field")
         self._vel, self._jac = source.velocity_functions()
+        self._arrays = source.velocity_takes_arrays
         self._speed_scale: float | None = None
 
-    def _eval_raw(self, x: float, y: float) -> tuple[float, float]:
+    def _eval_raw(self, x, y):
         return self._vel(x, y)
 
     def velocity(self, p: PhysicalPoint) -> tuple[float, float]:
@@ -80,8 +83,42 @@ class VelocityField:
         return self._eval_raw(float(p[0]), float(p[1]))
 
     def jacobian(self, p: PhysicalPoint) -> tuple[float, float, float, float]:
-        """(du/dx, du/dy, dv/dx, dv/dy)."""
-        return self._jac(float(p[0]), float(p[1]))
+        """(du/dx, du/dy, dv/dx, dv/dy); elementwise where p holds two
+        float arrays, as ``jacobian_many`` passes them."""
+        x, y = p
+        if not isinstance(x, np.ndarray):
+            x, y = float(x), float(y)
+        return self._jac(x, y)
+
+    def velocity_many(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """((u, v), failed) at each point of two float arrays (``_many``)."""
+        return self._many(lambda p: self._eval_raw(*p), x, y, 2)
+
+    def jacobian_many(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """((du/dx, du/dy, dv/dx, dv/dy), failed) at each point of two
+        float arrays (``_many``)."""
+        return self._many(self.jacobian, x, y, 4)
+
+    def _many(self, fn, x: np.ndarray, y: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """The `width` values of fn((x, y)) at each point of two 1-d float
+        arrays, as the rows of one array, and the mask of the points where
+        fn raised ValueError (their values are nan).  A backing whose
+        velocity takes arrays (``velocity_takes_arrays``) gets one call on
+        the arrays, with the bits of a call per point; any other gets one
+        call per point on Python floats."""
+        if self._arrays:
+            try:
+                return np.asarray(fn((x, y))), np.zeros(x.shape, dtype=bool)
+            except ValueError:
+                pass  # at some point: one call per point finds which
+        values, failed = [], np.zeros(x.shape, dtype=bool)
+        for k, p in enumerate(zip(x.tolist(), y.tolist())):
+            try:
+                values.extend(fn(p))
+            except ValueError:
+                values.extend((math.nan,) * width)
+                failed[k] = True
+        return np.array(values, dtype=float).reshape(-1, width).T, failed
 
     def speed_scale(self) -> float:
         """max speed over the interior of the 15 x 15 lattice (hypot
@@ -141,9 +178,13 @@ def stagnation_points(
     speed drops, run until the speed is at most 1e-10 times the velocity
     scale; a seed that takes more than 60 steps is dropped.  Then at most
     4 undamped steps polish the root while the speed keeps dropping.
-    Every point is evaluated once: a step carries the velocity of the
-    trial point it accepted.  Converged roots inside the closed triangle
-    are deduplicated and classified through the velocity Jacobian.
+    All seeds advance together (``_newton``), and each takes the same
+    trials, in the same order, as it would alone.  A step carries the
+    velocity of the trial point it accepted, and a root keeps its speed,
+    so no seed evaluates a point twice in a row; but a batch evaluates
+    halvings that a seed may never reach.  Converged roots are
+    deduplicated, those inside the closed triangle are kept, and each is
+    classified through the velocity Jacobian.
     """
     a = float(d.a)
     vscale = V.speed_scale()
@@ -158,65 +199,20 @@ def stagnation_points(
     # it near 1, so that Cramer's products neither underflow nor change
     # a bit where they did not
     s = math.ldexp(1.0, -math.frexp(vscale / a)[1])
-    vel, hypot = V._eval_raw, math.hypot
-
-    def descend(x, y, u, v, r, tries):
-        # the Newton step from (x, y), where the velocity is (u, v) and
-        # the speed r, halved until the speed drops below r: the trial
-        # (x, y, u, v, r) it accepts, or None when the Jacobian is
-        # singular, after `tries` trials, or at a trial that rounds to
-        # (x, y), as every shorter one would
-        ux, uy, vx, vy = V.jacobian(PhysicalPoint(x, y))
-        ux, uy, vx, vy = ux * s, uy * s, vx * s, vy * s
-        det = ux * vy - uy * vx
-        if det == 0 or not math.isfinite(det):
-            return None
-        dx, dy = (-u * vy + v * uy) / det * s, (u * vx - v * ux) / det * s
-        step = 1.0
-        for _ in range(tries):
-            xn, yn = x + step * dx, y + step * dy
-            if xn == x and yn == y:
-                return None
-            un, vn = vel(xn, yn)
-            rn = hypot(un, vn)
-            if rn < r:
-                return xn, yn, un, vn, rn
-            step /= 2
-        return None
-
-    def newton(x: float, y: float) -> tuple[float, float, float] | None:
-        # the root (x, y, speed) reached from the seed (x, y), or None
-        u, v = vel(x, y)
-        r = hypot(u, v)
-        steps = 0
-        while not r <= tol:
-            trial = descend(x, y, u, v, r, 30) if steps < 60 else None
-            if trial is None:
-                return None
-            x, y, u, v, r = trial
-            steps += 1
-        for _ in range(4):
-            trial = descend(x, y, u, v, r, 1)
-            if trial is None:
-                break
-            x, y, u, v, r = trial
-        return x, y, r
-
+    seeds = interior_lattice(d, seeds_per_axis + 2, margin=1e-6 * a)
     found: list[tuple[float, float, float]] = []
     dedup_radius = max(1e-8 * a, 10 * tol / vscale * a)
-    for seed in interior_lattice(d, seeds_per_axis + 2, margin=1e-6 * a):
-        try:
-            root = newton(seed.x, seed.y)
-        except ValueError:
-            # a quadrature-backed field: Newton left the cavity, or an
-            # opaque stress's Jacobian stencil would
-            root = None
+    hypot = math.hypot
+    # in seed order; a root near one already found is a duplicate
+    # wherever it lies, so the distances go first and classify runs
+    # once per root
+    for root in _newton(V, seeds, tol, s):
         if root is None:
             continue
         x, y, _ = root
-        if classify(d, PhysicalPoint(x, y), 1e-7 * a).is_exterior:
-            continue
         if any(hypot(x - qx, y - qy) <= dedup_radius for qx, qy, _ in found):
+            continue
+        if classify(d, PhysicalPoint(x, y), 1e-7 * a).is_exterior:
             continue
         found.append(root)
 
@@ -228,6 +224,159 @@ def stagnation_points(
         StagnationPoint(PhysicalPoint(x, y), _classify_jacobian(V.jacobian(PhysicalPoint(x, y)), vscale, a), r)
         for x, y, r in found
     ]
+
+
+# the step fractions of the 29 halvings of a damped seed's Newton step
+_HALVINGS = np.ldexp(1.0, -np.arange(1, 30))
+# what a seed's trials come to: a step to the first one slower than the
+# seed; none (at a trial on its own point); a ValueError; every one
+# rejected
+_STEP, _NO_STEP, _FAILED, _REJECTED = range(4)
+
+
+def _speeds(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # math.hypot, as the speed scale takes it: np.hypot differs from it
+    # in the last bit at some points, and stagnation.csv writes speeds
+    return np.fromiter(map(math.hypot, u.tolist(), v.tolist()), dtype=float, count=u.size)
+
+
+def _slower(u: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """math.hypot(u, v) < r, elementwise.  np.hypot and math.hypot are
+    each within an ulp or two of the true norm, so np.hypot decides
+    wherever it is farther from r than 2^-40 r plus 2^-1060 (many ulps,
+    normal or subnormal), and math.hypot decides the rest."""
+    h = np.hypot(u, v)
+    out = h < r
+    near = np.abs(h - r) <= r * 2.0**-40 + 2.0**-1060
+    if near.any():
+        out[near] = _speeds(u[near], v[near]) < r[near]
+    return out
+
+
+def _first_trial(V: VelocityField, state: np.ndarray, dx, dy, damped) -> tuple[np.ndarray, ...]:
+    """Each seed's step: the first of its trials, in order, that lowers
+    its speed.  ``state`` holds the seeds' x, y, u, v and speed as rows,
+    (dx, dy) is their Newton step, and a damped seed has 30 trials, a
+    polishing one the first alone.  Returns whether each steps, whether
+    it is dropped, and the trial's x, y, u, v and speed as rows.
+
+    A seed takes no step when it reaches a trial at its own point (as
+    every shorter one would be) or runs out of trials, and it is dropped
+    when the first trial it reaches raises ValueError.  The full steps
+    are evaluated first, then the halvings of the damped seeds that
+    reject theirs (``_scan``).
+    """
+    x, y, _, _, r = state
+    trial = np.empty_like(state)
+    outcome, trial[:4] = _scan(V, x, y, r, (x + dx)[:, None], (y + dy)[:, None])
+    rows = np.flatnonzero((outcome == _REJECTED) & damped)
+    if rows.size:
+        outcome[rows], trial[:4, rows] = _scan(V, x[rows], y[rows], r[rows], x[rows, None] + _HALVINGS * dx[rows, None],
+                                               y[rows, None] + _HALVINGS * dy[rows, None])
+    trial[4] = _speeds(trial[2], trial[3])
+    return outcome == _STEP, outcome == _FAILED, trial
+
+
+def _scan(V: VelocityField, x, y, r, tx, ty) -> tuple[np.ndarray, np.ndarray]:
+    """For each row i, the outcome of the trials (tx[i, j], ty[i, j]),
+    taken in the order of j from (x[i], y[i]) at speed r[i], and the
+    trial's x, y, u and v as rows: the first trial at the row's own point
+    (_NO_STEP), that raises ValueError (_FAILED) or that is slower than r
+    (_STEP); _REJECTED when there is none.
+
+    A trial at its own point, and every one after it, is not evaluated.
+    A backing that takes arrays evaluates the rest in one call; any other
+    is evaluated point by point anyway, so it takes one column at a time,
+    of the rows still undecided.
+    """
+    end = (tx == x[:, None]) & (ty == y[:, None])
+    trials = np.empty((4,) + tx.shape)
+    trials[0], trials[1], trials[2:] = tx, ty, math.nan
+    failed = np.zeros(tx.shape, dtype=bool)
+    stop = end.copy()
+    width = tx.shape[1] if V._arrays else 1
+    for lo in range(0, tx.shape[1], width):
+        ask = ~end[:, lo:lo + width]
+        if lo:
+            ask &= ~stop[:, :lo].any(axis=1, keepdims=True)
+        i, j = np.nonzero(ask)
+        if not i.size:
+            break
+        j += lo
+        (u, v), bad = V.velocity_many(tx[i, j], ty[i, j])
+        trials[2:, i, j] = u, v
+        failed[i, j] = bad
+        stop[i, j] = bad | _slower(u, v, r[i])
+    i, j = np.arange(x.size), np.argmax(stop, axis=1)
+    outcome = np.where(stop[i, j], np.where(end[i, j], _NO_STEP, np.where(failed[i, j], _FAILED, _STEP)), _REJECTED)
+    return outcome, trials[:, i, j]
+
+
+def _newton(
+    V: VelocityField,
+    seeds: Sequence[PhysicalPoint],
+    tol: float,
+    s: float,
+) -> list[tuple[float, float, float] | None]:
+    """The root (x, y, speed) that damped Newton reaches from each seed,
+    or None; the live seeds advance together, one array per quantity.
+
+    A seed above speed tol is damped: each step solves the Newton step in
+    the Jacobian scaled by the power of two s and takes the first of it
+    and its 29 halvings that lowers the speed (``_first_trial``).  It is
+    dropped when it takes no step, at a singular Jacobian and after 60
+    steps.  A seed at speed tol or below polishes: at most 4 steps of one
+    trial each, and whatever drops a damped seed ends its polish at its
+    point.  A ValueError, from the Jacobian or from the first trial the
+    order reaches, drops a seed in either phase (a quadrature backing's
+    point outside the cavity).  Each step makes one Jacobian call over the
+    live seeds and the velocity calls of ``_first_trial``.
+    """
+    roots: list[tuple[float, float, float] | None] = [None] * len(seeds)
+    x = np.array([p.x for p in seeds], dtype=float)
+    y = np.array([p.y for p in seeds], dtype=float)
+    with np.errstate(all="ignore"):
+        (u, v), failed = V.velocity_many(x, y)
+        idx = np.flatnonzero(~failed)
+        # the live seeds' x, y, u, v and speed, and their damped and
+        # polishing steps taken
+        x, y, u, v = x[idx], y[idx], u[idx], v[idx]
+        state = np.stack([x, y, u, v, _speeds(u, v)])
+        steps = np.zeros((2, idx.size), dtype=int)
+        while idx.size:
+            damped = ~(state[4] <= tol)
+            done = ~damped & (steps[1] == 4)
+            live = np.where(damped, steps[0] < 60, ~done)
+            if not live.all():
+                _keep_roots(roots, idx, state, done)
+                idx, state, steps, damped = idx[live], state[:, live], steps[:, live], damped[live]
+                if not idx.size:
+                    break
+
+            x, y, u, v, _ = state
+            jac, failed = V.jacobian_many(x, y)
+            ux, uy, vx, vy = jac * s
+            det = ux * vy - uy * vx
+            dx, dy = (-u * vy + v * uy) / det * s, (u * vx - v * ux) / det * s
+            # a singular Jacobian takes no step; a failed one drops its
+            # seed, as does a failed first trial
+            go = ~failed & (det != 0) & np.isfinite(det)
+            stepped, trial = np.zeros(idx.size, dtype=bool), np.empty_like(state)
+            stepped[go], failed[go], trial[:, go] = _first_trial(V, state[:, go], dx[go], dy[go], damped[go])
+
+            ended = ~stepped & ~damped & ~failed
+            if ended.any():
+                _keep_roots(roots, idx, state, ended)
+            steps[0] += stepped & damped
+            steps[1] += stepped & ~damped
+            idx, state, steps = idx[stepped], trial[:, stepped], steps[:, stepped]
+    return roots
+
+
+def _keep_roots(roots: list, idx: np.ndarray, state: np.ndarray, done: np.ndarray) -> None:
+    # the seeds idx[done] end at their (x, y, speed)
+    for i, root in zip(idx[done].tolist(), state[[0, 1, 4]][:, done].T.tolist()):
+        roots[i] = tuple(root)
 
 
 def interior_centers(points: Sequence[StagnationPoint], d: TriangleDomain) -> list[StagnationPoint]:

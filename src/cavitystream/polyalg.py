@@ -19,7 +19,9 @@ import functools
 import math
 import types
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 Scalar = Union[int, Fraction, float]
 Key = tuple[int, int, int]  # exponents of (v1, v2, a)
@@ -467,16 +469,21 @@ class BivariatePoly:
             if not self._num:
                 self._compiled = lambda x, y: 0.0 * x * y
             else:
-                ni = self.degree_in(1) + 1
-                nj = self.degree_in(2) + 1
-                table = [[0.0] * nj for _ in range(ni)]
-                for (i, j, _), c in self._num.items():
-                    table[i][j] = _ratio_or_inf(c, self._den)
+                table = self._float_table()
                 # in the order the code reads them: top row first, each
                 # row from its top power down
                 coefs = tuple(c for row in reversed(table) for c in reversed(row))
-                self._compiled = types.FunctionType(_horner_code(ni, nj), {}, "evaluate", (coefs,))
+                self._compiled = types.FunctionType(_horner_code(len(table), len(table[0])), {}, "evaluate", (coefs,))
         return self._compiled
+
+    def _float_table(self) -> list[list[float]]:
+        """The dense table of float coefficients, entry [i][j] that of
+        v1^i v2^j: each numerator over the denominator, correctly
+        rounded.  Requires a to be bound and the polynomial nonzero."""
+        table = [[0.0] * (self.degree_in(2) + 1) for _ in range(self.degree_in(1) + 1)]
+        for (i, j, _), c in self._num.items():
+            table[i][j] = _ratio_or_inf(c, self._den)
+        return table
 
     # ------------------------------------------------------------------
     # univariate views
@@ -531,3 +538,45 @@ def poly_vars() -> tuple[BivariatePoly, BivariatePoly, BivariatePoly]:
 def wave_operator(p: BivariatePoly) -> BivariatePoly:
     """Apply -d2/dv1^2 + d2/dv2^2 (the shear-flow operator on (x, y))."""
     return -p.diff(1, 2) + p.diff(2, 2)
+
+
+def stacked_float_evaluator(polys: Sequence[BivariatePoly]) -> Callable:
+    """One evaluator of several polynomials (a bound) on two 1-d float
+    arrays x, y: an array with one row per polynomial, each element the
+    bits of that polynomial's ``float_evaluator`` at its point.
+
+    The tables are padded with zeros at their top powers to one shape;
+    Horner's state stays +0.0 through such leading zeros, as at its
+    start, at every point (a non-finite one is nan from each row's first
+    0.0 * y, padded or not).  The rows of a table are independent until
+    the outer sum, so each inner Horner step runs on every row of every
+    polynomial at once: ni + nj steps of two array operations, not ni nj
+    per polynomial.  A zero polynomial, whose evaluator forms
+    0.0 * x * y with its own signed zeros, is evaluated apart.
+    """
+    polys = list(polys)
+    if any(p.has_symbol_a for p in polys):
+        raise ValueError("bind a before compiling a float evaluator")
+    if not all(p._num for p in polys):
+        fns = [p.float_evaluator() for p in polys]
+        return lambda x, y: np.stack([np.broadcast_to(f(x, y), np.shape(x)) for f in fns])
+    tables = [p._float_table() for p in polys]
+    coef = np.zeros((max(map(len, tables)), max(len(t[0]) for t in tables), len(tables)))
+    for k, t in enumerate(tables):
+        coef[:len(t), :len(t[0]), k] = t
+    # the columns in reading order, top power first, each (row, poly, 1)
+    # with the top row first
+    columns = [coef[::-1, j, :, None] for j in reversed(range(coef.shape[1]))]
+
+    def evaluate(x, y):
+        inner = 0.0 * y + columns[0]
+        for c in columns[1:]:
+            inner *= y
+            inner += c
+        acc = 0.0 * x + inner[0]
+        for row in inner[1:]:
+            acc *= x
+            acc += row
+        return acc
+
+    return evaluate

@@ -46,7 +46,7 @@ from .geometry import (
     signed_edge_distances,
     to_characteristic,
 )
-from .polyalg import BivariatePoly, binomial_row, wave_operator
+from .polyalg import BivariatePoly, binomial_row, stacked_float_evaluator, wave_operator
 from .compatibility import (
     CosineStress,
     PolynomialStress,
@@ -127,6 +127,8 @@ class StreamFunction:
     """
 
     kind = "abstract"
+    # whether the functions of ``velocity_functions`` take float arrays
+    velocity_takes_arrays = False
 
     def __init__(self, domain: TriangleDomain | None):
         self.domain = domain
@@ -162,7 +164,9 @@ class StreamFunction:
     def velocity_functions(self) -> tuple[Callable, Callable]:
         """(vel, jac) on Python floats: vel(x, y) = (u, v) with
         u = d psi/dy and v = -d psi/dx, jac(x, y) = (du/dx, du/dy,
-        dv/dx, dv/dy).  Each backing differentiates itself."""
+        dv/dx, dv/dy).  Each backing differentiates itself.  Where
+        ``velocity_takes_arrays``, they also take two float arrays and
+        give each element the bits of a call on its point."""
         raise NotImplementedError(f"{type(self).__name__} does not provide a velocity")
 
     @property
@@ -184,6 +188,8 @@ class StreamFunction:
 
 class PolyStreamFunction(StreamFunction):
     kind = "exact_poly"
+    # Horner's rule performs the same float operations on each element
+    velocity_takes_arrays = True
 
     def __init__(self, poly: BivariatePoly, domain: TriangleDomain | None, stress: PolynomialStress | None = None):
         super().__init__(domain)
@@ -215,13 +221,23 @@ class PolyStreamFunction(StreamFunction):
         return -self.poly.diff(1)
 
     def velocity_functions(self) -> tuple[Callable, Callable]:
-        """Exact derivative polynomials, compiled once."""
+        """Exact derivative polynomials, compiled once: each one's own
+        Horner code on floats, and one stacked Horner pass over the two
+        velocity polynomials, or the four Jacobian ones, on arrays."""
         if self._velocity_fns is None:
-            u_poly, v_poly = self.u_poly, self.v_poly
-            u, v = u_poly.float_evaluator(), v_poly.float_evaluator()
-            ux, uy, vx, vy = (q.diff(i).float_evaluator() for q in (u_poly, v_poly) for i in (1, 2))
-            self._velocity_fns = (lambda x, y: (u(x, y), v(x, y)),
-                                  lambda x, y: (ux(x, y), uy(x, y), vx(x, y), vy(x, y)))
+            vel_polys = (self.u_poly, self.v_poly)
+            jac_polys = tuple(q.diff(i) for q in vel_polys for i in (1, 2))
+            u, v = (q.float_evaluator() for q in vel_polys)
+            ux, uy, vx, vy = (q.float_evaluator() for q in jac_polys)
+            uv, jac = stacked_float_evaluator(vel_polys), stacked_float_evaluator(jac_polys)
+
+            def velocity(x, y):
+                return uv(x, y) if isinstance(x, np.ndarray) else (u(x, y), v(x, y))
+
+            def jacobian(x, y):
+                return jac(x, y) if isinstance(x, np.ndarray) else (ux(x, y), uy(x, y), vx(x, y), vy(x, y))
+
+            self._velocity_fns = (velocity, jacobian)
         return self._velocity_fns
 
     @property
@@ -231,6 +247,16 @@ class PolyStreamFunction(StreamFunction):
     def bind_a(self, a) -> "PolyStreamFunction":
         d = TriangleDomain(a)
         return PolyStreamFunction(self.poly.subs_a(Fraction(a)), d)
+
+
+def _sin_many(a: np.ndarray) -> np.ndarray:
+    # math.sin on each element: np.sin need not give its bits; it raises
+    # ValueError at an infinite angle, as math.sin does
+    return np.fromiter(map(math.sin, a.tolist()), dtype=float, count=a.size)
+
+
+def _cos_many(a: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.cos, a.tolist()), dtype=float, count=a.size)
 
 
 class SinusoidalStreamFunction(StreamFunction):
@@ -244,6 +270,7 @@ class SinusoidalStreamFunction(StreamFunction):
     """
 
     kind = "sinusoidal"
+    velocity_takes_arrays = True
 
     def __init__(self, amplitude: float, domain: TriangleDomain):
         super().__init__(domain)
@@ -262,19 +289,31 @@ class SinusoidalStreamFunction(StreamFunction):
         k = self._k
         return -self._c * (np.cos(k * y) + np.cos(k * (x - y) / 2.0) - 2.0 * np.cos(k * (x + y) / 4.0) ** 2)
 
+    def evaluate(self, x, y) -> float:
+        """psi at one point, on math.cos: a third of the cost of numpy's
+        ufuncs on one float.  It gave np.cos's bits on every traced
+        vertex of the sinusoidal builtin checked, at a from 1e-300 to
+        1e3, so ``streamlines.csv`` keeps its bytes there."""
+        k, cos = self._k, math.cos
+        x, y = float(x), float(y)
+        return -self._c * (cos(k * y) + cos(k * (x - y) / 2.0) - 2.0 * cos(k * (x + y) / 4.0) ** 2)
+
     def velocity_functions(self) -> tuple[Callable, Callable]:
         """Closed-form derivatives.  With al = k(x-y)/2 and be = k(x+y)/2,
         u = ck (sin ky - (sin al + sin be)/2), v = ck (sin be - sin al)/2,
-        and the Jacobian carries ck^2/4 times cosines of the same angles."""
+        and the Jacobian carries ck^2/4 times cosines of the same angles.
+        On arrays, math.sin and math.cos are mapped over the angles and
+        the rest is the same float arithmetic elementwise."""
         k, ck = self._k, self._ck
         q = ck * k / 4.0
-        sin, cos = math.sin, math.cos
 
         def vel(x, y):
+            sin = _sin_many if isinstance(x, np.ndarray) else math.sin
             sa, sb = sin(k * (x - y) / 2.0), sin(k * (x + y) / 2.0)
             return ck * (sin(k * y) - 0.5 * (sa + sb)), 0.5 * ck * (sb - sa)
 
         def jac(x, y):
+            cos = _cos_many if isinstance(x, np.ndarray) else math.cos
             ca, cb = cos(k * (x - y) / 2.0), cos(k * (x + y) / 2.0)
             return -q * (ca + cb), q * (4.0 * cos(k * y) + ca - cb), q * (cb - ca), q * (ca + cb)
 

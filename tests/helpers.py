@@ -5,6 +5,8 @@ import math
 import numpy as np
 
 from cavitystream.compatibility import cosine_harmonic
+from cavitystream.geometry import PhysicalPoint, TriangleDomain, classify, interior_lattice
+from cavitystream.kinematics import DEGENERATE, StagnationPoint, VelocityField, _classify_jacobian
 
 
 def lattice_scale(psi) -> float:
@@ -17,3 +19,96 @@ def lattice_scale(psi) -> float:
     ix, iy, values = psi.lattice_values(n)
     interior = (iy > 0) & (iy < 2 * ix) & (2 * ix + iy < 2 * (n - 1))
     return float(np.max(np.abs(values[interior]), initial=0.0))
+
+
+def scalar_stagnation_points(
+    V: VelocityField,
+    d: TriangleDomain,
+    seeds_per_axis: int = 21,
+) -> list[StagnationPoint]:
+    """The scalar damped Newton that ``stagnation_points`` replaced, one
+    seed at a time, kept verbatim as an independent oracle: the lock-step
+    search must return the same points, bit for bit."""
+    a = float(d.a)
+    vscale = V.speed_scale()
+    tol = 1e-10 * max(vscale, 1e-300)
+
+    if vscale == 0.0:
+        # null field: every seed is already stagnant and degenerate
+        seeds = interior_lattice(d, seeds_per_axis + 2, margin=1e-9 * a)
+        return [StagnationPoint(p, DEGENERATE, 0.0) for p in seeds]
+
+    # the Jacobian scales like vscale / a; an exact power of two brings
+    # it near 1, so that Cramer's products neither underflow nor change
+    # a bit where they did not
+    s = math.ldexp(1.0, -math.frexp(vscale / a)[1])
+    vel, hypot = V._eval_raw, math.hypot
+
+    def descend(x, y, u, v, r, tries):
+        # the Newton step from (x, y), where the velocity is (u, v) and
+        # the speed r, halved until the speed drops below r: the trial
+        # (x, y, u, v, r) it accepts, or None when the Jacobian is
+        # singular, after `tries` trials, or at a trial that rounds to
+        # (x, y), as every shorter one would
+        ux, uy, vx, vy = V.jacobian(PhysicalPoint(x, y))
+        ux, uy, vx, vy = ux * s, uy * s, vx * s, vy * s
+        det = ux * vy - uy * vx
+        if det == 0 or not math.isfinite(det):
+            return None
+        dx, dy = (-u * vy + v * uy) / det * s, (u * vx - v * ux) / det * s
+        step = 1.0
+        for _ in range(tries):
+            xn, yn = x + step * dx, y + step * dy
+            if xn == x and yn == y:
+                return None
+            un, vn = vel(xn, yn)
+            rn = hypot(un, vn)
+            if rn < r:
+                return xn, yn, un, vn, rn
+            step /= 2
+        return None
+
+    def newton(x: float, y: float) -> tuple[float, float, float] | None:
+        # the root (x, y, speed) reached from the seed (x, y), or None
+        u, v = vel(x, y)
+        r = hypot(u, v)
+        steps = 0
+        while not r <= tol:
+            trial = descend(x, y, u, v, r, 30) if steps < 60 else None
+            if trial is None:
+                return None
+            x, y, u, v, r = trial
+            steps += 1
+        for _ in range(4):
+            trial = descend(x, y, u, v, r, 1)
+            if trial is None:
+                break
+            x, y, u, v, r = trial
+        return x, y, r
+
+    found: list[tuple[float, float, float]] = []
+    dedup_radius = max(1e-8 * a, 10 * tol / vscale * a)
+    for seed in interior_lattice(d, seeds_per_axis + 2, margin=1e-6 * a):
+        try:
+            root = newton(seed.x, seed.y)
+        except ValueError:
+            # a quadrature-backed field: Newton left the cavity, or an
+            # opaque stress's Jacobian stencil would
+            root = None
+        if root is None:
+            continue
+        x, y, _ = root
+        if classify(d, PhysicalPoint(x, y), 1e-7 * a).is_exterior:
+            continue
+        if any(hypot(x - qx, y - qy) <= dedup_radius for qx, qy, _ in found):
+            continue
+        found.append(root)
+
+    # order on a key in units of 1e-9 a, so that roots on one line do not
+    # reorder when they move at rounding level; x / a * 1e9, not
+    # x / (1e-9 a), which would divide by zero at a subnormal a
+    found.sort(key=lambda root: (round(root[0] / a * 1e9), round(root[1] / a * 1e9)))
+    return [
+        StagnationPoint(PhysicalPoint(x, y), _classify_jacobian(V.jacobian(PhysicalPoint(x, y)), vscale, a), r)
+        for x, y, r in found
+    ]

@@ -5,8 +5,10 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from cavitystream import kinematics
 from cavitystream.cli import BUILTIN_NAMES, SINUSOIDAL_AMPLITUDE, RunConfig, StressSpec, \
     build_stream_function, default_flow_seeds
 from cavitystream.geometry import (
@@ -16,7 +18,7 @@ from cavitystream.geometry import (
     interior_lattice,
 )
 from cavitystream.polyalg import BivariatePoly, poly_vars, wave_operator
-from cavitystream.compatibility import cosine_from_harmonic
+from cavitystream.compatibility import OpaqueStress, cosine_from_harmonic
 from cavitystream.solver import (
     PolyStreamFunction,
     SinusoidalStreamFunction,
@@ -42,7 +44,7 @@ from cavitystream.kinematics import (
 )
 from cavitystream.verify import boundary_vanishing_poly, random_poly
 
-from helpers import lattice_scale
+from helpers import lattice_scale, scalar_stagnation_points
 
 X, Y, A = poly_vars()
 D1 = TriangleDomain(1.0)
@@ -275,9 +277,11 @@ class TestStagnation:
         assert dist_apex < top.location.y
 
     @pytest.mark.parametrize("field", ["linear", "sinusoidal", "realistic", "cosine"])
-    def test_each_point_evaluated_once(self, field):
-        # a Newton step keeps the velocity of the trial it accepts, and a
-        # root keeps its speed: no point is evaluated twice in a row
+    def test_each_point_evaluated_once(self, field, monkeypatch):
+        # a Newton step keeps the velocity of the trial it accepts, a root
+        # keeps its speed, and a trial at the seed's own point is not
+        # evaluated: searched alone, a seed never evaluates a point in
+        # two velocity calls in a row (a call takes an array of points)
         psi = {
             "linear": lambda: linear_example(D1),
             "sinusoidal": lambda: sinusoidal_closed_form(5.0, D1),
@@ -287,13 +291,19 @@ class TestStagnation:
         V = velocity_field(psi)
         V.speed_scale()
         raw = V._eval_raw
-        evals = []
-        V._eval_raw = lambda x, y: evals.append((x, y)) or raw(x, y)
-        pts = stagnation_points(V, D1)
-        assert pts and evals
-        assert all(p != q for p, q in zip(evals, evals[1:]))
-        for p in pts:
-            assert p.residual_speed == math.hypot(*raw(*p.location))
+        calls = []
+        V._eval_raw = lambda x, y: calls.append(set(zip(np.ravel(x).tolist(), np.ravel(y).tolist()))) or raw(x, y)
+        found = 0
+        for seed in interior_lattice(D1, 23, margin=1e-6):
+            monkeypatch.setattr(kinematics, "interior_lattice", lambda *args, **kwargs: [seed])
+            calls.clear()
+            pts = stagnation_points(V, D1)
+            assert calls
+            assert all(not p & q for p, q in zip(calls, calls[1:]))
+            for p in pts:
+                assert p.residual_speed == math.hypot(*raw(*p.location))
+            found += len(pts)
+        assert found
 
     @staticmethod
     def _in_units_of_a(make, a):
@@ -347,6 +357,87 @@ class TestStagnation:
         pts = self._in_units_of_a(realistic_example, a)
         assert len(pts) == 15
         assert sum(cls == CENTER for _, _, cls in pts) == 2
+
+
+def _bits(points):
+    # every float by its bits, so that -0.0 and 0.0 differ
+    return [(p.location.x.hex(), p.location.y.hex(), p.classification, p.residual_speed.hex()) for p in points]
+
+
+class TestLockStepMatchesScalar:
+    """The lock-step search against the scalar search it replaced, kept
+    in tests/helpers.py: the same points, classes and speeds, bit for
+    bit, on array and point-by-point backings alike."""
+
+    @pytest.mark.parametrize("seeds", [5, 21, 41])
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 2.0, 1e3])
+    @pytest.mark.parametrize("name", ["linear", "sinusoidal", "realistic"])
+    def test_builtins(self, name, a, seeds):
+        d = TriangleDomain(a)
+        make = {"linear": linear_example, "realistic": realistic_example,
+                "sinusoidal": lambda d: sinusoidal_closed_form(SINUSOIDAL_AMPLITUDE, d)}[name]
+        V = velocity_field(make(d))
+        got = stagnation_points(V, d, seeds_per_axis=seeds)
+        assert got
+        assert _bits(got) == _bits(scalar_stagnation_points(V, d, seeds_per_axis=seeds))
+
+    @pytest.mark.parametrize("name", ["linear", "sinusoidal", "realistic", "cosine"])
+    def test_array_calls_have_the_bits_of_each_point(self, name):
+        # an infinite point raises ValueError in the sinusoidal field's
+        # math.sin and the cosine field's cavity check: the call is taken
+        # point by point, and only that point fails
+        psi = {
+            "linear": lambda: linear_example(D1),
+            "sinusoidal": lambda: sinusoidal_closed_form(SINUSOIDAL_AMPLITUDE, D1),
+            "realistic": lambda: realistic_example(D1),
+            "cosine": lambda: solve_quadrature(cosine_from_harmonic(1.0, 3, D1), D1),
+        }[name]()
+        V = velocity_field(psi)
+        pts = [*interior_lattice(D1, 9), PhysicalPoint(0.0, 0.0), PhysicalPoint(2.0, 0.0), PhysicalPoint(1.0, 1.0),
+               PhysicalPoint(math.inf, 0.5), PhysicalPoint(1.0, math.nan), PhysicalPoint(-0.0, -0.0)]
+        x, y = np.array([p.x for p in pts]), np.array([p.y for p in pts])
+        for many, one in ((V.velocity_many, lambda p: V._eval_raw(*p)), (V.jacobian_many, V.jacobian)):
+            with np.errstate(all="ignore"):  # Python floats do not warn
+                values, failed = many(x, y)
+            for k, p in enumerate(pts):
+                try:
+                    want = one(p)
+                except ValueError:
+                    assert failed[k]
+                    continue
+                assert not failed[k]
+                assert np.array(want, dtype=float).tobytes() == values[:, k].tobytes()
+
+    @pytest.mark.parametrize("stress, seeds", [
+        (lambda: cosine_from_harmonic(1.0, 3, D1), 3),
+        (lambda: cosine_from_harmonic(1.0, 3, D1), 21),
+        # the Leibniz velocity and a difference Jacobian whose stencil
+        # raises ValueError near an edge
+        (lambda: OpaqueStress(lambda x, y: 16.0 * y - 8.0 + 0.0 * x), 5),
+    ], ids=["cosine-3", "cosine-21", "opaque-5"])
+    def test_quadrature_fields(self, stress, seeds):
+        V = velocity_field(solve_quadrature(stress(), D1))
+        got = stagnation_points(V, D1, seeds_per_axis=seeds)
+        assert got
+        assert _bits(got) == _bits(scalar_stagnation_points(V, D1, seeds_per_axis=seeds))
+
+    def test_a_failed_trial_drops_its_seed_only_where_the_scalar_order_reaches_it(self):
+        # a field that raises ValueError on one stripe in seven across x:
+        # a batch holds trials that raise after the one a seed takes, and
+        # the first trial a seed reaches raises for some seeds
+        V = velocity_field(linear_example(D1))
+        V.speed_scale()
+        vel = V._vel
+
+        def striped(x, y):
+            if np.any(np.floor(np.asarray(x) * 1e4) % 7 == 0):
+                raise ValueError("on a stripe")
+            return vel(x, y)
+
+        V._vel = striped
+        got = stagnation_points(V, D1)
+        assert got
+        assert _bits(got) == _bits(scalar_stagnation_points(V, D1))
 
 
 class TestStreamlines:

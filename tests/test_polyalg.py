@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavitystream.polyalg import BivariatePoly, binomial_row, float_or_inf, poly_vars, wave_operator
+from cavitystream.polyalg import BivariatePoly, binomial_row, float_or_inf, poly_vars, stacked_float_evaluator, \
+    wave_operator
 
 X, Y, A = poly_vars()
 
@@ -579,3 +580,33 @@ class TestUnrolledHorner:
         assert p != q
         assert p.float_evaluator().__code__ is q.float_evaluator().__code__
         assert _table_poly(rng, 6, 4).float_evaluator().__code__ is not p.float_evaluator().__code__
+
+
+class TestStackedHorner:
+    """``stacked_float_evaluator`` gives each polynomial's own
+    ``float_evaluator`` bits on arrays: its table padded with leading
+    zeros to the stack's shape, inf and nan points and coefficients
+    included."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bits_match_each_evaluator(self, seed):
+        rng = random.Random(seed)
+        xs = SPECIAL_INPUTS + [math.inf, -math.inf] + [rng.uniform(-2, 2) for _ in range(4)]
+        gx, gy = (g.ravel() for g in np.meshgrid(xs, xs))
+        with np.errstate(all="ignore"):
+            for _ in range(6):
+                polys = [_table_poly(rng, rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 4))]
+                got = stacked_float_evaluator(polys)(gx, gy)
+                assert got.shape == (len(polys), gx.size)
+                for row, p in zip(got, polys):
+                    assert _bits(row) == _bits(p.float_evaluator()(gx, gy))
+
+    def test_zero_polynomial_keeps_its_signed_zeros(self):
+        x, y = np.array([1.0, -1.0, 2.0, -0.0]), np.array([-1.0, -1.0, 3.0, 2.0])
+        got = stacked_float_evaluator([BivariatePoly.zero(), X * Y])(x, y)
+        assert got[0].tobytes() == (0.0 * x * y).tobytes()
+        assert got[1].tobytes() == (X * Y).float_evaluator()(x, y).tobytes()
+
+    def test_symbolic_a_is_rejected(self):
+        with pytest.raises(ValueError):
+            stacked_float_evaluator([X * A])

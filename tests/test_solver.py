@@ -315,6 +315,21 @@ class TestSinusoidal:
         psi = sinusoidal_closed_form(0.0, D1)
         assert psi.evaluate(0.7, 0.3) == 0.0
 
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    def test_scalar_evaluate_matches_the_array_form(self, a):
+        # evaluate runs math.cos, evaluate_many numpy's cos: the same
+        # formula, within a few ulps of its scale 4c
+        d = TriangleDomain(a)
+        psi = sinusoidal_closed_form(5.0, d)
+        rng = random.Random(5)
+        pts = [(rng.uniform(0, 2 * a), rng.uniform(0, a)) for _ in range(200)]
+        many = psi.evaluate_many([p[0] for p in pts], [p[1] for p in pts])
+        c = 2 * 5.0 * a * a / (9 * math.pi**2)
+        for (x, y), want in zip(pts, many):
+            got = psi.evaluate(x, y)
+            assert type(got) is float
+            assert abs(got - want) <= 16 * 2.0**-52 * 4 * c
+
     def test_source_stress_is_doubled_cosine(self):
         psi = sinusoidal_closed_form(5.0, D1)
         src = psi.source_stress
