@@ -246,12 +246,18 @@ def clipped_lattice(n: int) -> tuple[np.ndarray, np.ndarray]:
 def interior_lattice(d: TriangleDomain, n: int, margin: float = 0.0) -> list[PhysicalPoint]:
     """Points of ``clipped_lattice(n)``, row-major, whose distance to
     every edge line (``signed_edge_distances``) exceeds ``margin`` >= 0."""
+    x, y = interior_lattice_xy(d, n, margin)
+    return [PhysicalPoint(px, py) for px, py in zip(x.tolist(), y.tolist())]
+
+
+def interior_lattice_xy(d: TriangleDomain, n: int, margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y of the points of ``interior_lattice``, as two arrays."""
     ix, iy = clipped_lattice(n)
     a = float(d.a)
     x, y = 2 * a * ix / (n - 1), a * iy / (n - 1)
     r2 = math.sqrt(2.0)
     keep = (y > margin) & ((x - y) / r2 > margin) & ((2 * a - x - y) / r2 > margin)
-    return [PhysicalPoint(px, py) for px, py in zip(x[keep].tolist(), y[keep].tolist())]
+    return x[keep], y[keep]
 
 
 def distance_to_boundary(d: TriangleDomain, p: PhysicalPoint) -> float:

@@ -7,9 +7,10 @@ stress, or the Leibniz rule on the quadrature integral (three line
 integrals of the stress).  The one difference quotient left is the
 Jacobian of an opaque stress, taken from the exact velocity.
 Stagnation points come from damped Newton iteration over a seed
-lattice, all seeds in lock step on numpy arrays; streamlines from the embedded Runge-Kutta pair of Dormand and
-Prince under a local error tolerance that is a fraction of a, so that a
-closed orbit costs the same number of steps at every unit of length.
+lattice, all seeds in lock step on numpy arrays; streamlines from the
+embedded Runge-Kutta pair of Dormand and Prince under a local error
+tolerance that is a fraction of a, so that a closed orbit costs the
+same number of steps at every unit of length.
 The stream function is conserved along a streamline; that conservation,
 evaluated but never enforced, is the main correctness witness for the
 tracer.
@@ -30,6 +31,7 @@ from .geometry import (
     _nearest_on_segment,
     classify,
     interior_lattice,
+    interior_lattice_xy,
 )
 from .solver import StreamFunction, format_float
 
@@ -121,12 +123,23 @@ class VelocityField:
         return np.array(values, dtype=float).reshape(-1, width).T, failed
 
     def speed_scale(self) -> float:
-        """max speed over the interior of the 15 x 15 lattice (hypot
-        norm), computed once; nan when a speed there is nan, as it is
-        where the field overflows float arithmetic."""
+        """max speed over the interior of the 15 x 15 lattice (math.hypot
+        norm), computed once, in one velocity call on a backing that
+        takes arrays; nan when a speed there is nan, as it is where the
+        field overflows float arithmetic."""
         if self._speed_scale is None:
-            speeds = [math.hypot(*self._eval_raw(p.x, p.y)) for p in interior_lattice(self.domain, 15)]
-            self._speed_scale = math.nan if any(map(math.isnan, speeds)) else max(speeds, default=0.0)
+            x, y = interior_lattice_xy(self.domain, 15)
+            if self._arrays:
+                u, v = self._eval_raw(x, y)
+            else:
+                u, v = np.array([self._eval_raw(*p) for p in zip(x.tolist(), y.tolist())]).T
+            h = np.hypot(u, v)
+            if np.isnan(h).any():
+                self._speed_scale = math.nan
+            else:
+                # math.hypot where np.hypot is within its ulps of the top
+                top = h >= h.max() * (1 - 2.0**-40) - 2.0**-1060
+                self._speed_scale = float(_speeds(u[top], v[top]).max())
         return self._speed_scale
 
 
@@ -178,13 +191,13 @@ def stagnation_points(
     speed drops, run until the speed is at most 1e-10 times the velocity
     scale; a seed that takes more than 60 steps is dropped.  Then at most
     4 undamped steps polish the root while the speed keeps dropping.
-    All seeds advance together (``_newton``), and each takes the same
-    trials, in the same order, as it would alone.  A step carries the
-    velocity of the trial point it accepted, and a root keeps its speed,
-    so no seed evaluates a point twice in a row; but a batch evaluates
-    halvings that a seed may never reach.  Converged roots are
-    deduplicated, those inside the closed triangle are kept, and each is
-    classified through the velocity Jacobian.
+    All seeds advance together on arrays (``_newton``), and each takes
+    the same trials, in the same order, as it would alone.  Of the roots
+    inside the closed triangle, in seed order, the first of each cluster
+    within the dedup radius is kept (``_distinct``).  Each kept root has
+    its speed by math.hypot and is classified through the velocity
+    Jacobian, taken at all of them in one call on a backing that takes
+    arrays.
     """
     a = float(d.a)
     vscale = V.speed_scale()
@@ -200,38 +213,65 @@ def stagnation_points(
     # a bit where they did not
     s = math.ldexp(1.0, -math.frexp(vscale / a)[1])
     seeds = interior_lattice(d, seeds_per_axis + 2, margin=1e-6 * a)
-    found: list[tuple[float, float, float]] = []
-    dedup_radius = max(1e-8 * a, 10 * tol / vscale * a)
-    hypot = math.hypot
-    # in seed order; a root near one already found is a duplicate
-    # wherever it lies, so the distances go first and classify runs
-    # once per root
-    for root in _newton(V, seeds, tol, s):
-        if root is None:
-            continue
-        x, y, _ = root
-        if any(hypot(x - qx, y - qy) <= dedup_radius for qx, qy, _ in found):
-            continue
-        if classify(d, PhysicalPoint(x, y), 1e-7 * a).is_exterior:
-            continue
-        found.append(root)
+    x, y, u, v = _newton(V, *np.array(list(zip(*seeds)), dtype=float).reshape(2, -1), tol, s)
+    # classify runs at the roots that no kept root is near
+    keep = _distinct(x, y, max(1e-8 * a, 10 * tol / vscale * a), lambda k: not classify(
+        d, PhysicalPoint(float(x[k]), float(y[k])), 1e-7 * a).is_exterior)
+    found = list(zip(x[keep].tolist(), y[keep].tolist(), _speeds(u[keep], v[keep]).tolist()))
 
     # order on a key in units of 1e-9 a, so that roots on one line do not
     # reorder when they move at rounding level; x / a * 1e9, not
     # x / (1e-9 a), which would divide by zero at a subnormal a
     found.sort(key=lambda root: (round(root[0] / a * 1e9), round(root[1] / a * 1e9)))
+    if V._arrays and found:
+        x, y, _ = np.array(found).T
+        jacs = np.asarray(V.jacobian((x, y))).T.tolist()
+    else:
+        jacs = [V.jacobian(PhysicalPoint(x, y)) for x, y, _ in found]
     return [
-        StagnationPoint(PhysicalPoint(x, y), _classify_jacobian(V.jacobian(PhysicalPoint(x, y)), vscale, a), r)
-        for x, y, r in found
+        StagnationPoint(PhysicalPoint(x, y), _classify_jacobian(jac, vscale, a), r)
+        for (x, y, r), jac in zip(found, jacs)
     ]
+
+
+def _distinct(x: np.ndarray, y: np.ndarray, radius: float, admit) -> list[int]:
+    """The indices, in order, of the points (x, y) that lie farther than
+    radius (``math.hypot``) from each point kept before them and that
+    admit(index) accepts, reading the point alone: those that comparing
+    every pair keeps, without comparing every pair.  admit is asked once
+    per distinct point not within radius of a kept one.
+
+    A point equal to an earlier one is within radius of a kept point,
+    or refused again, so only the first of equal points is looked at.
+    Each kept point is filed in its cell of a grid of square cells of
+    side 2 radius and in the 8 cells around it, so a point is compared
+    with the kept points of its own cell alone.  Two points within
+    radius of each other lie in the same or in neighbouring cells: they
+    are half a cell apart at most, and x / cell rounds by far less than
+    the other half within 2^50 cells of the origin (the closed triangle
+    lies within 1e8 cells of it).
+    """
+    cell = 2 * radius
+    hypot = math.hypot
+    first = np.sort(np.unique(x + 1j * y, return_index=True, equal_nan=False)[1])
+    x, y = x[first], y[first]
+    kept: list[int] = []
+    grid: dict[tuple[float, float], list[tuple[float, float]]] = {}
+    cells = zip(np.floor(x / cell).tolist(), np.floor(y / cell).tolist())
+    for k, px, py, (i, j) in zip(first.tolist(), x.tolist(), y.tolist(), cells):
+        for qx, qy in grid.get((i, j), ()):
+            if hypot(px - qx, py - qy) <= radius:
+                break
+        else:
+            if admit(k):
+                kept.append(k)
+                for key in ((i + di, j + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)):
+                    grid.setdefault(key, []).append((px, py))
+    return kept
 
 
 # the step fractions of the 29 halvings of a damped seed's Newton step
 _HALVINGS = np.ldexp(1.0, -np.arange(1, 30))
-# what a seed's trials come to: a step to the first one slower than the
-# seed; none (at a trial on its own point); a ValueError; every one
-# rejected
-_STEP, _NO_STEP, _FAILED, _REJECTED = range(4)
 
 
 def _speeds(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -240,143 +280,148 @@ def _speeds(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.hypot, u.tolist(), v.tolist()), dtype=float, count=u.size)
 
 
-def _slower(u: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """math.hypot(u, v) < r, elementwise.  np.hypot and math.hypot are
-    each within an ulp or two of the true norm, so np.hypot decides
-    wherever it is farther from r than 2^-40 r plus 2^-1060 (many ulps,
-    normal or subnormal), and math.hypot decides the rest."""
-    h = np.hypot(u, v)
-    out = h < r
-    near = np.abs(h - r) <= r * 2.0**-40 + 2.0**-1060
-    if near.any():
-        out[near] = _speeds(u[near], v[near]) < r[near]
-    return out
+def _tied(h: np.ndarray, r) -> np.ndarray:
+    """Where the np.hypot speeds h may not order against r as the
+    math.hypot speeds do.  Each is within an ulp or two of the true norm,
+    so h decides wherever it is farther from r >= 0 than 2^-40 r plus
+    2^-1060 (many ulps, normal or subnormal)."""
+    return np.abs(h - r) <= r * 2.0**-40 + 2.0**-1060
 
 
-def _first_trial(V: VelocityField, state: np.ndarray, dx, dy, damped) -> tuple[np.ndarray, ...]:
-    """Each seed's step: the first of its trials, in order, that lowers
-    its speed.  ``state`` holds the seeds' x, y, u, v and speed as rows,
-    (dx, dy) is their Newton step, and a damped seed has 30 trials, a
-    polishing one the first alone.  Returns whether each steps, whether
-    it is dropped, and the trial's x, y, u, v and speed as rows.
-
-    A seed takes no step when it reaches a trial at its own point (as
-    every shorter one would be) or runs out of trials, and it is dropped
-    when the first trial it reaches raises ValueError.  The full steps
-    are evaluated first, then the halvings of the damped seeds that
-    reject theirs (``_scan``).
-    """
-    x, y, _, _, r = state
-    trial = np.empty_like(state)
-    outcome, trial[:4] = _scan(V, x, y, r, (x + dx)[:, None], (y + dy)[:, None])
-    rows = np.flatnonzero((outcome == _REJECTED) & damped)
-    if rows.size:
-        outcome[rows], trial[:4, rows] = _scan(V, x[rows], y[rows], r[rows], x[rows, None] + _HALVINGS * dx[rows, None],
-                                               y[rows, None] + _HALVINGS * dy[rows, None])
-    trial[4] = _speeds(trial[2], trial[3])
-    return outcome == _STEP, outcome == _FAILED, trial
-
-
-def _scan(V: VelocityField, x, y, r, tx, ty) -> tuple[np.ndarray, np.ndarray]:
-    """For each row i, the outcome of the trials (tx[i, j], ty[i, j]),
-    taken in the order of j from (x[i], y[i]) at speed r[i], and the
-    trial's x, y, u and v as rows: the first trial at the row's own point
-    (_NO_STEP), that raises ValueError (_FAILED) or that is slower than r
-    (_STEP); _REJECTED when there is none.
-
-    A trial at its own point, and every one after it, is not evaluated.
-    A backing that takes arrays evaluates the rest in one call; any other
-    is evaluated point by point anyway, so it takes one column at a time,
-    of the rows still undecided.
-    """
-    end = (tx == x[:, None]) & (ty == y[:, None])
-    trials = np.empty((4,) + tx.shape)
-    trials[0], trials[1], trials[2:] = tx, ty, math.nan
-    failed = np.zeros(tx.shape, dtype=bool)
-    stop = end.copy()
-    width = tx.shape[1] if V._arrays else 1
-    for lo in range(0, tx.shape[1], width):
-        ask = ~end[:, lo:lo + width]
-        if lo:
-            ask &= ~stop[:, :lo].any(axis=1, keepdims=True)
-        i, j = np.nonzero(ask)
-        if not i.size:
-            break
-        j += lo
-        (u, v), bad = V.velocity_many(tx[i, j], ty[i, j])
-        trials[2:, i, j] = u, v
-        failed[i, j] = bad
-        stop[i, j] = bad | _slower(u, v, r[i])
-    i, j = np.arange(x.size), np.argmax(stop, axis=1)
-    outcome = np.where(stop[i, j], np.where(end[i, j], _NO_STEP, np.where(failed[i, j], _FAILED, _STEP)), _REJECTED)
-    return outcome, trials[:, i, j]
+def _slower(ut: np.ndarray, vt: np.ndarray, u: np.ndarray, v: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """math.hypot(ut, vt) < math.hypot(u, v) elementwise, where h is
+    np.hypot(u, v), and np.hypot(ut, vt); math.hypot only where the two
+    np.hypot speeds are ``_tied``."""
+    ht = np.hypot(ut, vt)
+    out = ht < h
+    tied = _tied(ht, h)
+    if np.count_nonzero(tied):
+        u, v = (np.broadcast_to(w, ht.shape)[tied] for w in (u, v))
+        out[tied] = _speeds(ut[tied], vt[tied]) < _speeds(u, v)
+    return out, ht
 
 
 def _newton(
     V: VelocityField,
-    seeds: Sequence[PhysicalPoint],
+    x: np.ndarray,
+    y: np.ndarray,
     tol: float,
     s: float,
-) -> list[tuple[float, float, float] | None]:
-    """The root (x, y, speed) that damped Newton reaches from each seed,
-    or None; the live seeds advance together, one array per quantity.
+) -> np.ndarray:
+    """The roots that damped Newton reaches from the seeds (x, y): the x,
+    y, u and v of each seed that converges, in seed order, as rows.
 
     A seed above speed tol is damped: each step solves the Newton step in
     the Jacobian scaled by the power of two s and takes the first of it
-    and its 29 halvings that lowers the speed (``_first_trial``).  It is
-    dropped when it takes no step, at a singular Jacobian and after 60
-    steps.  A seed at speed tol or below polishes: at most 4 steps of one
-    trial each, and whatever drops a damped seed ends its polish at its
-    point.  A ValueError, from the Jacobian or from the first trial the
-    order reaches, drops a seed in either phase (a quadrature backing's
-    point outside the cavity).  Each step makes one Jacobian call over the
-    live seeds and the velocity calls of ``_first_trial``.
+    and its 29 halvings that lowers the speed.  It is dropped when it
+    takes no step, at a singular Jacobian and after 60 steps.  A seed at
+    speed tol or below polishes: at most 4 steps of the full step alone,
+    and whatever drops a damped seed ends its polish at its point.  A
+    ValueError, from the Jacobian or from the first trial the order
+    reaches, drops a seed in either phase (a quadrature backing's point
+    outside the cavity).  A trial at the seed's own point takes no step,
+    as every shorter one would not; a full step there is not evaluated.
+
+    The live seeds advance together: their x, y, u, v, np.hypot speed,
+    seed index and step counts are the rows of one array, updated by
+    masks and cut down to the seeds that step.  Each iteration makes one
+    Jacobian call at them, one velocity call at their full steps and one
+    at the halvings of the damped seeds that reject theirs
+    (``_halvings``).  A step carries the velocity of the trial it
+    accepted, so no seed evaluates a point in two calls in a row.
+    Speeds are compared by np.hypot, and by math.hypot where two are
+    ``_tied``; the caller takes the roots' math.hypot speeds.
     """
-    roots: list[tuple[float, float, float] | None] = [None] * len(seeds)
-    x = np.array([p.x for p in seeds], dtype=float)
-    y = np.array([p.y for p in seeds], dtype=float)
+    n = x.size
+    # the columns of the seeds that end at their roots
+    ends = [np.empty((8, 0))]
     with np.errstate(all="ignore"):
         (u, v), failed = V.velocity_many(x, y)
-        idx = np.flatnonzero(~failed)
-        # the live seeds' x, y, u, v and speed, and their damped and
-        # polishing steps taken
-        x, y, u, v = x[idx], y[idx], u[idx], v[idx]
-        state = np.stack([x, y, u, v, _speeds(u, v)])
-        steps = np.zeros((2, idx.size), dtype=int)
-        while idx.size:
-            damped = ~(state[4] <= tol)
-            done = ~damped & (steps[1] == 4)
-            live = np.where(damped, steps[0] < 60, ~done)
-            if not live.all():
-                _keep_roots(roots, idx, state, done)
-                idx, state, steps, damped = idx[live], state[:, live], steps[:, live], damped[live]
-                if not idx.size:
+        # the live seeds' x, y, u, v, np.hypot speed, seed index, and
+        # damped and polishing steps taken, as rows
+        state = np.stack([x, y, u, v, np.hypot(u, v), np.arange(n), np.zeros(n), np.zeros(n)])[:, ~failed]
+        while state.size:
+            x, y, u, v, h, _, nd, npol = state
+            damped = ~(h <= tol)
+            tied = _tied(h, tol)
+            if np.count_nonzero(tied):
+                damped[tied] = ~(_speeds(u[tied], v[tied]) <= tol)
+            live = np.where(damped, nd < 60, npol < 4)
+            if np.count_nonzero(live) < live.size:
+                ends.append(state[:, ~live & ~damped])
+                state, damped = state[:, live], damped[live]
+                if not state.size:
                     break
+                x, y, u, v, h, _, nd, npol = state
 
-            x, y, u, v, _ = state
             jac, failed = V.jacobian_many(x, y)
             ux, uy, vx, vy = jac * s
             det = ux * vy - uy * vx
             dx, dy = (-u * vy + v * uy) / det * s, (u * vx - v * ux) / det * s
-            # a singular Jacobian takes no step; a failed one drops its
-            # seed, as does a failed first trial
-            go = ~failed & (det != 0) & np.isfinite(det)
-            stepped, trial = np.zeros(idx.size, dtype=bool), np.empty_like(state)
-            stepped[go], failed[go], trial[:, go] = _first_trial(V, state[:, go], dx[go], dy[go], damped[go])
+            trial = np.empty_like(state)
+            trial[0], trial[1], trial[5], trial[6], trial[7] = x + dx, y + dy, state[5], nd + damped, npol + ~damped
+            # a failed Jacobian drops its seed, a singular one takes no
+            # step, and so does a full step that rounds to the seed
+            ask = (~failed & (det != 0) & np.isfinite(det) & ((trial[0] != x) | (trial[1] != y))).nonzero()[0]
+            # where every seed asks, its rows are read as views
+            at = ask if ask.size < x.size else slice(None)
+            stepped = np.zeros(x.size, dtype=bool)
+            if ask.size:
+                trial[2:4, at], bad = V.velocity_many(trial[0, at], trial[1, at])
+                stepped[at], trial[4, at] = _slower(trial[2, at], trial[3, at], u[at], v[at], h[at])
+                failed[at] |= bad
+                # the damped seeds that reject their full step try its
+                # halvings
+                rows = ask[~stepped[at] & ~bad & damped[at]]
+                if rows.size:
+                    stepped[rows], trial[:5, rows] = _halvings(V, state[:5, rows], dx[rows], dy[rows])
 
-            ended = ~stepped & ~damped & ~failed
-            if ended.any():
-                _keep_roots(roots, idx, state, ended)
-            steps[0] += stepped & damped
-            steps[1] += stepped & ~damped
-            idx, state, steps = idx[stepped], trial[:, stepped], steps[:, stepped]
-    return roots
+            # a polishing seed that takes no step ends at its root, unless
+            # it failed; a damped one is dropped
+            ended = ~(stepped | damped | failed)
+            if np.count_nonzero(ended):
+                ends.append(state[:, ended])
+            state = trial.take(stepped.nonzero()[0], axis=1)
+    roots = np.concatenate(ends, axis=1)
+    return roots[:4, np.argsort(roots[5])]
 
 
-def _keep_roots(roots: list, idx: np.ndarray, state: np.ndarray, done: np.ndarray) -> None:
-    # the seeds idx[done] end at their (x, y, speed)
-    for i, root in zip(idx[done].tolist(), state[[0, 1, 4]][:, done].T.tolist()):
-        roots[i] = tuple(root)
+def _halvings(V: VelocityField, state: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each seed steps to one of the 29 halvings of its Newton
+    step (dx, dy), and the x, y, u, v and np.hypot speed of the one it
+    steps to, as rows.  ``state`` holds the seeds' x, y, u, v and speed
+    as rows.  A seed steps to the first halving slower than it, unless a
+    halving before that one is at the seed's own point (as every later
+    one is) or raises ValueError.
+
+    A backing that takes arrays evaluates every halving in one call, at
+    its own point too (where it is the same call, and a halving there
+    decides before its velocity counts).  Any other is evaluated point by
+    point anyway, so it takes one halving at a time, for the seeds still
+    undecided, and never at a seed's own point.
+    """
+    x, y, u, v, h = state
+    # each seed's halvings, in order along a row: x, y, u, v and speed
+    trials = np.full((5, x.size, _HALVINGS.size), math.nan)
+    trials[0], trials[1] = x[:, None] + _HALVINGS * dx[:, None], y[:, None] + _HALVINGS * dy[:, None]
+    own = (trials[0] == x[:, None]) & (trials[1] == y[:, None])
+    if V._arrays:
+        uv, bad = V.velocity_many(trials[0].ravel(), trials[1].ravel())
+        trials[2:4] = uv.reshape(trials[2:4].shape)
+        trials[2:4, own] = math.nan  # never slower, nor tied
+        took, trials[4] = _slower(trials[2], trials[3], u[:, None], v[:, None], h[:, None])
+        stop = own | bad.reshape(own.shape) | took
+    else:
+        took, stop = np.zeros(own.shape, dtype=bool), own.copy()
+        for j in range(_HALVINGS.size):
+            i = (~stop[:, :j + 1].any(axis=1)).nonzero()[0]
+            if not i.size:
+                break
+            trials[2:4, i, j], bad = V.velocity_many(trials[0, i, j], trials[1, i, j])
+            took[i, j], trials[4, i, j] = _slower(trials[2, i, j], trials[3, i, j], u[i], v[i], h[i])
+            stop[i, j] = bad | took[i, j]
+    i, j = np.arange(x.size), np.argmax(stop, axis=1)
+    return took[i, j], trials[:, i, j]
 
 
 def interior_centers(points: Sequence[StagnationPoint], d: TriangleDomain) -> list[StagnationPoint]:

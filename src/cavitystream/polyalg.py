@@ -127,10 +127,12 @@ _HORNER_RUN = 32
 
 
 @functools.lru_cache(maxsize=128)
-def _horner_code(ni: int, nj: int) -> types.CodeType:
-    """Code of ``evaluate(x, y, _c)`` for an ni x nj coefficient table
-    whose entries ``_c`` lists top row first, each row from its top
-    power down.  Unrolled, it performs every operation of
+def _horner_code(tops: tuple[int, ...]) -> types.CodeType:
+    """Code of ``evaluate(x, y, _c)`` for a coefficient table whose rows,
+    top row first, hold tops[k] coefficients each up to their top
+    nonzero one (at least the constant), and whose entries ``_c`` lists
+    in that order, each row from its top power down.  Unrolled, it
+    performs every operation of
 
         acc = 0.0
         for row in reversed(table):
@@ -139,18 +141,24 @@ def _horner_code(ni: int, nj: int) -> types.CodeType:
                 inner = inner * y + c
             acc = acc * x + inner
 
-    in the same order, zero coefficients and the leading ``0.0 * y``
-    included, so signed zeros, infinities and nans come out the same.
+    from each row's top nonzero coefficient on, in the same order, lower
+    zero coefficients included.  The steps left out are those of leading
+    zeros: there inner and acc stay +0.0 at a finite point, as at their
+    start, so a row starts as 0.0 * y + c_top, and an all-zero top row
+    is left out.  At an infinite or nan point each row is nan from its
+    first 0.0 * y, as it was, so signed zeros, infinities and nans come
+    out the same.
     """
-    names = [f"c{k}" for k in range(ni * nj)]
+    names = [f"c{k}" for k in range(sum(tops))]
     lines = ["def evaluate(x, y, _c):", f"    {', '.join(names)}, = _c", "    acc = 0.0"]
-    for i in range(ni):
-        row = names[i * nj:(i + 1) * nj]
+    start = 0
+    for top in tops:
+        row, start = names[start:start + top], start + top
         inner = "0.0"
-        for start in range(0, nj, _HORNER_RUN):
-            for c in row[start:start + _HORNER_RUN]:
+        for lo in range(0, top, _HORNER_RUN):
+            for c in row[lo:lo + _HORNER_RUN]:
                 inner = f"({inner} * y + {c})"
-            if start + _HORNER_RUN < nj:
+            if lo + _HORNER_RUN < top:
                 lines.append(f"    inner = {inner}")
                 inner = "inner"
         lines.append(f"    acc = acc * x + {inner}")
@@ -454,14 +462,17 @@ class BivariatePoly:
         return Fraction(sum(c * px[i] * py[j] * pa[k] for (i, j, k), c in num.items()), den)
 
     def float_evaluator(self) -> Callable:
-        """Horner evaluator over the dense coefficient table; requires a
-        to be bound.
+        """Horner evaluator over the coefficient table; requires a to be
+        bound.
 
-        The Horner code is unrolled and compiled once per table shape
-        (``_horner_code``); this polynomial's coefficients, each its
-        numerator over the denominator correctly rounded, are bound to
-        it as one tuple.  Accepts scalars or numpy arrays. Cached on the
-        instance (idempotent, so benign under concurrent use).
+        The Horner code is unrolled and compiled once per pattern of row
+        tops (``_horner_code``): each row starts at its top nonzero
+        coefficient, and all-zero top rows are left out, with the bits
+        of the dense table's Horner.  This polynomial's coefficients,
+        each its numerator over the denominator correctly rounded, are
+        bound to it as one tuple.  Accepts scalars or numpy arrays.
+        Cached on the instance (idempotent, so benign under concurrent
+        use).
         """
         if self._compiled is None:
             if self.has_symbol_a:
@@ -469,11 +480,18 @@ class BivariatePoly:
             if not self._num:
                 self._compiled = lambda x, y: 0.0 * x * y
             else:
-                table = self._float_table()
-                # in the order the code reads them: top row first, each
-                # row from its top power down
-                coefs = tuple(c for row in reversed(table) for c in reversed(row))
-                self._compiled = types.FunctionType(_horner_code(len(table), len(table[0])), {}, "evaluate", (coefs,))
+                # each row up to its top coefficient other than +0.0 (an
+                # underflowed one may be -0.0), at least the constant,
+                # top row first, with all-zero top rows left out; in the
+                # order the code reads them, each row from its top power
+                # down
+                rows = [row[:max((j for j, c in enumerate(row) if c or math.copysign(1.0, c) < 0), default=0) + 1]
+                        for row in reversed(self._float_table())]
+                while len(rows) > 1 and rows[0] == [0.0] and math.copysign(1.0, rows[0][0]) > 0:
+                    del rows[0]
+                coefs = tuple(c for row in rows for c in reversed(row))
+                code = _horner_code(tuple(map(len, rows)))
+                self._compiled = types.FunctionType(code, {}, "evaluate", (coefs,))
         return self._compiled
 
     def _float_table(self) -> list[list[float]]:
@@ -545,10 +563,12 @@ def stacked_float_evaluator(polys: Sequence[BivariatePoly]) -> Callable:
     arrays x, y: an array with one row per polynomial, each element the
     bits of that polynomial's ``float_evaluator`` at its point.
 
-    The tables are padded with zeros at their top powers to one shape;
-    Horner's state stays +0.0 through such leading zeros, as at its
-    start, at every point (a non-finite one is nan from each row's first
-    0.0 * y, padded or not).  The rows of a table are independent until
+    The tables are padded with zeros at their top powers to one shape,
+    and every row is evaluated from the top of that shape: Horner's state
+    stays +0.0 through leading zeros, as at its start, at every finite
+    point (a non-finite one is nan from each row's first 0.0 * y, padded
+    or not), which is why ``float_evaluator`` may skip them and still
+    agree.  The rows of a table are independent until
     the outer sum, so each inner Horner step runs on every row of every
     polynomial at once: ni + nj steps of two array operations, not ni nj
     per polynomial.  A zero polynomial, whose evaluator forms

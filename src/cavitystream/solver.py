@@ -66,6 +66,10 @@ from .quadrature import (
 )
 
 SOLUTION_PREFACTOR = Fraction(-1, 4)
+# the most points on which a polynomial's velocity runs each point's own
+# Horner code rather than one stacked pass, whose twenty-odd array calls
+# cost more below about ten points (the realistic builtin, 2 vCPU)
+FEW_POINTS = 8
 # unit roundoff of IEEE double precision
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -174,11 +178,16 @@ class StreamFunction:
         raise NotImplementedError
 
     def rounding_bound(self, x, y):
-        """Bound on how far one float evaluation of psi at (x, y) can
-        round, the same everywhere: psi is -1/4 of the stress integrated
+        """The scale of how far one float evaluation of psi at (x, y)
+        rounds, the same everywhere: psi is -1/4 of the stress integrated
         over a rectangle of area at most a^2, and each stress value is off
         by u times its phase (at most 2 pi m across 2a, m the cosine
-        harmonic) plus u, so u (1 + 2 pi m) max|f| a^2 / 4 (cached)."""
+        harmonic) plus u, so u (1 + 2 pi m) max|f| a^2 / 4 (cached).
+
+        It is an error scale, not a bound: the rule's own sums round too,
+        and verify allows ``verify.SAFETY`` = 4 times it.  The n = 101
+        lattice of 10 cos(pi y / a) behind an ``OpaqueStress`` reads 2.8
+        times it at a = 1 and 3.0 times at a = 1e-3."""
         if self._rounding is None:
             f, a = self.source_stress, float(self.domain.a)
             self._rounding = UNIT_ROUNDOFF * (1 + 2 * math.pi * cosine_harmonic(f, a)) \
@@ -222,20 +231,26 @@ class PolyStreamFunction(StreamFunction):
 
     def velocity_functions(self) -> tuple[Callable, Callable]:
         """Exact derivative polynomials, compiled once: each one's own
-        Horner code on floats, and one stacked Horner pass over the two
-        velocity polynomials, or the four Jacobian ones, on arrays."""
+        Horner code on floats and on arrays of at most ``FEW_POINTS``
+        points (one row per polynomial), and one stacked Horner pass over
+        the two velocity polynomials, or the four Jacobian ones, on
+        larger arrays."""
         if self._velocity_fns is None:
             vel_polys = (self.u_poly, self.v_poly)
             jac_polys = tuple(q.diff(i) for q in vel_polys for i in (1, 2))
-            u, v = (q.float_evaluator() for q in vel_polys)
-            ux, uy, vx, vy = (q.float_evaluator() for q in jac_polys)
+            vel_fns = u, v = tuple(q.float_evaluator() for q in vel_polys)
+            jac_fns = ux, uy, vx, vy = tuple(q.float_evaluator() for q in jac_polys)
             uv, jac = stacked_float_evaluator(vel_polys), stacked_float_evaluator(jac_polys)
 
             def velocity(x, y):
-                return uv(x, y) if isinstance(x, np.ndarray) else (u(x, y), v(x, y))
+                if not isinstance(x, np.ndarray):
+                    return u(x, y), v(x, y)
+                return uv(x, y) if x.size > FEW_POINTS else _each_point(vel_fns, x, y)
 
             def jacobian(x, y):
-                return jac(x, y) if isinstance(x, np.ndarray) else (ux(x, y), uy(x, y), vx(x, y), vy(x, y))
+                if not isinstance(x, np.ndarray):
+                    return ux(x, y), uy(x, y), vx(x, y), vy(x, y)
+                return jac(x, y) if x.size > FEW_POINTS else _each_point(jac_fns, x, y)
 
             self._velocity_fns = (velocity, jacobian)
         return self._velocity_fns
@@ -247,6 +262,13 @@ class PolyStreamFunction(StreamFunction):
     def bind_a(self, a) -> "PolyStreamFunction":
         d = TriangleDomain(a)
         return PolyStreamFunction(self.poly.subs_a(Fraction(a)), d)
+
+
+def _each_point(fns, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # the value of each of fns at each point of two float arrays, one row
+    # per function, by a call per point
+    points = list(zip(x.tolist(), y.tolist()))
+    return np.array([[f(*p) for p in points] for f in fns], dtype=float).reshape(len(fns), -1)
 
 
 def _sin_many(a: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared test helpers."""
 
 import math
+import types
 
 import numpy as np
 
@@ -112,3 +113,38 @@ def scalar_stagnation_points(
         StagnationPoint(PhysicalPoint(x, y), _classify_jacobian(V.jacobian(PhysicalPoint(x, y)), vscale, a), r)
         for x, y, r in found
     ]
+
+
+def dense_float_evaluator(p):
+    """The Horner evaluator that ``float_evaluator`` compiled before it
+    skipped leading zeros, kept verbatim as an independent oracle: every
+    entry of the dense coefficient table, zeros and each row's leading
+    0.0 * y included, in the order of the nested loop
+
+        acc = 0.0
+        for row in reversed(table):
+            inner = 0.0
+            for c in reversed(row):
+                inner = inner * y + c
+            acc = acc * x + inner
+
+    unrolled in runs of 32 steps.  p is nonzero, with a bound."""
+    table = p._float_table()
+    ni, nj = len(table), len(table[0])
+    names = [f"c{k}" for k in range(ni * nj)]
+    lines = ["def evaluate(x, y, _c):", f"    {', '.join(names)}, = _c", "    acc = 0.0"]
+    for i in range(ni):
+        row = names[i * nj:(i + 1) * nj]
+        inner = "0.0"
+        for start in range(0, nj, 32):
+            for c in row[start:start + 32]:
+                inner = f"({inner} * y + {c})"
+            if start + 32 < nj:
+                lines.append(f"    inner = {inner}")
+                inner = "inner"
+        lines.append(f"    acc = acc * x + {inner}")
+    lines.append("    return acc")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<dense horner>", "exec"), namespace)
+    coefs = tuple(c for row in reversed(table) for c in reversed(row))
+    return types.FunctionType(namespace["evaluate"].__code__, {}, "evaluate", (coefs,))

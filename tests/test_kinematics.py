@@ -150,6 +150,23 @@ class TestVelocity:
             worst = max(worst, max(abs(e - f) for e, f in zip(sin_field.jacobian(p), fd)))
         assert worst <= tol
 
+    @pytest.mark.parametrize("name", ["linear", "realistic"])
+    def test_few_point_arrays_have_the_bits_of_each_point(self, name):
+        # up to solver.FEW_POINTS points a polynomial runs each point's
+        # own Horner code, above it one stacked pass: both give each
+        # point the bits of a call on it, nan and signed zeros included
+        V = velocity_field({"linear": linear_example, "realistic": realistic_example}[name](D1))
+        pts = [(0.3, 0.1), (-0.0, -0.0), (1.0, 0.5), (math.inf, 0.5), (1.0, math.nan), (2.0, 0.0),
+               (1e300, -1e300), (0.7, 0.2), (1.3, 0.4), (0.5, 0.25)]
+        with np.errstate(all="ignore"):
+            for n in range(len(pts) + 1):
+                x, y = np.array(pts[:n], dtype=float).reshape(-1, 2).T
+                for many, one in ((V.velocity_many, lambda p: V._eval_raw(*p)), (V.jacobian_many, V.jacobian)):
+                    values, failed = many(x, y)
+                    assert values.shape[1] == n and not failed.any()
+                    for k, p in enumerate(pts[:n]):
+                        assert np.array(one(p), dtype=float).tobytes() == values[:, k].tobytes()
+
     def test_velocity_needs_a_backing_derivative(self):
         class Opaque(StreamFunction):
             def _raw_eval(self, x, y):
@@ -438,6 +455,51 @@ class TestLockStepMatchesScalar:
         got = stagnation_points(V, D1)
         assert got
         assert _bits(got) == _bits(scalar_stagnation_points(V, D1))
+
+
+class TestDistinctRoots:
+    """``_distinct`` against the pairwise loop it replaced: the same kept
+    roots, in the same order, and admit asked at the same roots, once
+    per distinct point."""
+
+    @staticmethod
+    def _pairwise(x, y, radius, admit):
+        found = []
+        for k, (px, py) in enumerate(zip(x.tolist(), y.tolist())):
+            if any(math.hypot(px - x[q], py - y[q]) <= radius for q in found):
+                continue
+            if not admit(k):
+                continue
+            found.append(k)
+        return found
+
+    @pytest.mark.parametrize("spacing", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("radius, origin", [(1e-8, 0.0), (1e-8, 1.0), (2.5e-5, -3.0), (1e-318, 0.0)])
+    def test_same_roots_as_the_pairwise_loop(self, spacing, radius, origin):
+        # lattice roots at spacing * radius from an origin: at 0 they lie
+        # on the edges of the cells (2 radius wide), at spacing 1 they are
+        # exactly radius apart; jittered roots and repeats among them
+        rng = random.Random(hash((spacing, radius, origin)) % 2**32)
+        step = spacing * radius
+        for _ in range(5):
+            pts = [(origin + rng.randrange(12) * step, origin + rng.randrange(12) * step) for _ in range(200)]
+            pts += [(origin + rng.uniform(0, 12) * step, origin + rng.uniform(0, 12) * step) for _ in range(100)]
+            pts += rng.sample(pts, 50)
+            rng.shuffle(pts)
+            x, y = np.array(pts).T
+            # admit reads the point alone, as classify does
+            ok = {}
+            for p in pts:
+                ok.setdefault(p, rng.random() < 0.8)
+            asked, want_asked = [], []
+            got = kinematics._distinct(x, y, radius, lambda k: asked.append(k) or ok[pts[k]])
+            want = self._pairwise(x, y, radius, lambda k: want_asked.append(k) or ok[pts[k]])
+            assert got == want
+            first = {}
+            for k, p in enumerate(pts):
+                first.setdefault(p, k)
+            assert asked == [k for k in want_asked if first[pts[k]] == k]
+            assert len(want) > 1
 
 
 class TestStreamlines:

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from cavitystream.polyalg import BivariatePoly, binomial_row, float_or_inf, poly_vars, stacked_float_evaluator, \
     wave_operator
 
+from helpers import dense_float_evaluator
+
 X, Y, A = poly_vars()
 
 
@@ -574,12 +576,79 @@ class TestUnrolledHorner:
         for y in (-0.0, -1.25, -1e300):
             assert _bits(p.float_evaluator()(0.0, y)) == _bits(0.0) == _bits(_loop_horner(p)(0.0, y))
 
-    def test_code_is_compiled_once_per_shape(self):
-        rng = random.Random(3)
-        p, q = _table_poly(rng, 4, 6), _table_poly(rng, 4, 6)
-        assert p != q
+    def test_code_is_compiled_once_per_pattern_of_row_tops(self):
+        # the rows' top powers of y are 3, 0 and 2 in both; the second's
+        # coefficients and lower powers differ
+        p = 2 * X**2 * Y**3 + 5 * X + X**0 * Y**2
+        q = -7 * X**2 * Y**3 + X**2 * Y - 3 * X + Fraction(1, 3) * Y**2 + 1
         assert p.float_evaluator().__code__ is q.float_evaluator().__code__
-        assert _table_poly(rng, 6, 4).float_evaluator().__code__ is not p.float_evaluator().__code__
+        assert (p + X * Y).float_evaluator().__code__ is not p.float_evaluator().__code__
+        assert (p + X**2 * Y**4).float_evaluator().__code__ is not p.float_evaluator().__code__
+
+
+class TestLeadingZeros:
+    """``float_evaluator`` skips each row's leading zero coefficients and
+    all-zero top rows, and keeps the bits of the dense table's Horner
+    (``dense_float_evaluator``): at signed zeros, infinities, nan, huge
+    and subnormal points, on scalars and arrays."""
+
+    POINTS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 0.37, -1.25]
+    POLYS = {
+        # rows whose top powers of y are 4, 1 and 0: leading zeros
+        "leading-zeros": X**2 * Y - 3 * X**2 + 2 * X * Y**4 - Fraction(1, 7) * Y + 5,
+        # the x row is zero between the x^2 row and the constant row
+        "zero-middle-row": X**2 * Y**2 - Fraction(5, 3) * X**2 + Y - 2,
+        "zero-constant-row": X**3 + X * Y**3,
+        "constant": BivariatePoly.const(Fraction(-7, 2)),
+        # coefficients that round to +0.0 (an all-zero top row) and -0.0
+        "underflow": BivariatePoly.from_terms({(3, 1): Fraction(1, 10**400), (2, 0): Fraction(-1, 10**400),
+                                               (1, 2): 3, (0, 0): -1}),
+        # every coefficient -0.0: the sign of each zero step shows
+        "all-underflow": BivariatePoly.from_terms({(1, 1): Fraction(-1, 10**400), (1, 0): Fraction(-1, 10**400),
+                                                   (0, 0): Fraction(-1, 10**400)}),
+        "huge": BivariatePoly.from_terms({(2, 3): Fraction(10) ** 400, (0, 1): 1}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(POLYS))
+    def test_bits_match_the_dense_horner(self, name):
+        p = self.POLYS[name]
+        new, old = p.float_evaluator(), dense_float_evaluator(p)
+        # CPython takes the sign of a scalar nan + nan from whichever
+        # operand its C code reads first (see _bits), so scalars compare
+        # by float.hex, in which every nan reads "nan"; arrays by their
+        # bytes, nan bits included
+        for x in self.POINTS:
+            for y in self.POINTS:
+                got = new(x, y)
+                assert type(got) is float
+                assert got.hex() == old(x, y).hex(), (name, x, y)
+        gx, gy = (g.ravel() for g in np.meshgrid(self.POINTS, self.POINTS))
+        with np.errstate(all="ignore"):
+            assert new(gx, gy).tobytes() == old(gx, gy).tobytes(), name
+
+    def test_zero_polynomial(self):
+        # 0.0 * x * y, with its own signed zeros and nans
+        ev = BivariatePoly.zero().float_evaluator()
+        for x in self.POINTS:
+            for y in self.POINTS:
+                assert ev(x, y).hex() == (0.0 * x * y).hex()
+        gx, gy = (g.ravel() for g in np.meshgrid(self.POINTS, self.POINTS))
+        with np.errstate(all="ignore"):
+            assert ev(gx, gy).tobytes() == (0.0 * gx * gy).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_tables(self, seed):
+        # _table_poly's tables: about a third of the entries zero
+        rng = random.Random(seed)
+        xs = self.POINTS + [rng.uniform(-2, 2) for _ in range(4)]
+        gx, gy = (g.ravel() for g in np.meshgrid(xs, xs))
+        with np.errstate(all="ignore"):
+            for _ in range(8):
+                p = _table_poly(rng, rng.randint(1, 40), rng.randint(1, 40))
+                new, old = p.float_evaluator(), dense_float_evaluator(p)
+                assert new(gx, gy).tobytes() == old(gx, gy).tobytes()
+                for x, y in zip(gx.tolist()[::7], gy.tolist()[::7]):
+                    assert new(x, y).hex() == old(x, y).hex()
 
 
 class TestStackedHorner:

@@ -690,13 +690,17 @@ class TestLatticeTable:
 
     @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("n", [3, 41, 101])
-    def test_opaque_lattice_matches_closed_form(self, n, a):
-        # read up to 1.86 times the bound (n = 101, a = 1e-3)
-        f = CosineStress(10.0, 3 * math.pi / a)
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_opaque_lattice_matches_closed_form(self, m, n, a):
+        # within verify.SAFETY = 4 times the rounding scale, as verify
+        # reads it; m = 3 reads up to 1.86 times the scale (n = 101,
+        # a = 1e-3), m = 1 up to 3.0 (n = 101, a = 1e-3) and 2.8 (n = 101,
+        # a = 1)
+        f = CosineStress(10.0, m * math.pi / a)
         psi = QuadratureStreamFunction(OpaqueStress(f.evaluator(a)), TriangleDomain(a))
         ix, iy, got = psi.lattice_values(n)
         x, y = 2 * a * ix / (n - 1), a * iy / (n - 1)
-        assert np.max(np.abs(got - _odd_cosine_psi(10.0, 3, a, x, y))) <= 4 * psi.rounding_bound(x, y)
+        assert np.max(np.abs(got - _odd_cosine_psi(10.0, m, a, x, y))) <= 4 * psi.rounding_bound(x, y)
 
     @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("n", [3, 41, 101])
