@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import itertools
 import json
 import math
 import os
@@ -317,8 +316,8 @@ def render_flow_svg(d: TriangleDomain, traces, stagnation, width: float = 800.0)
 
     Pure shapes, no text, no external assets: byte-stable for a fixed
     input.  World coordinates are y-flipped into screen coordinates.
-    Polylines come one vertex per piece, so no whole-file string is
-    built.
+    Each polyline's points come as one piece, formatted by one format
+    over a flat tuple, so no whole-file string is built.
     """
     a = float(d.a)
     margin = 0.05 * 2 * a
@@ -343,10 +342,12 @@ def render_flow_svg(d: TriangleDomain, traces, stagnation, width: float = 800.0)
     yield f'<polygon points="{tri}" fill="none" stroke="#000000" stroke-width="1.5"/>\n'
     for tr in traces:
         yield '<polyline points="'
-        # sx and sy inline, a space before every vertex but the first
-        seps = itertools.chain(("",), itertools.repeat(" "))
-        yield from ("%s%.6f,%.6f" % (sep, (p.x - x0) * scale, (y1 - p.y) * scale)
-                    for sep, p in zip(seps, tr.vertices))
+        # sx and sy inline, as one flat tuple under one format
+        verts = tr.vertices
+        coords = [0.0] * (2 * len(verts))
+        coords[0::2] = [(p.x - x0) * scale for p in verts]
+        coords[1::2] = [(y1 - p.y) * scale for p in verts]
+        yield " ".join(["%.6f,%.6f"] * len(verts)) % tuple(coords)
         yield '" fill="none" stroke="#1f77b4" stroke-width="0.8"/>\n'
     r = 0.012 * width
     for sp in stagnation:

@@ -500,12 +500,19 @@ def trace_streamline(
     level set; those values give the drift and are kept on the
     streamline.  The velocity at each vertex is the last stage of the
     step that reached it, its heading and the next step's first stage.
+
+    The stages run inline in the step loop, each velocity one
+    ``VelocityField._eval_raw`` call and each vertex psi one
+    ``StreamFunction.evaluate`` call.  A stage point clear of every edge
+    line by more than ``_edge_margin(tol)`` is inside by three
+    comparisons; ``classify``'s test at tol = 1e-12 a decides only the
+    points near an edge.  ``step`` must be positive (inf: no cap).
     """
     d = V.domain
     a = float(d.a)
     if step is None:
         step = MAX_STEP * a
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be positive")
     if not classify(d, seed, 1e-9 * a).is_interior:
         raise ValueError(f"seed {tuple(seed)} is not interior")
@@ -521,6 +528,7 @@ def trace_streamline(
     tol = 1e-12 * a
     r2 = math.sqrt(2.0)
     two_a = 2 * a
+    far = _edge_margin(tol)
 
     def inside(x: float, y: float) -> bool:
         # the signed edge distances of ``classify``; it decides only
@@ -543,48 +551,6 @@ def trace_streamline(
         (b1, b3, b4, b5, b6) = _DP_ROWS
     e1, e3, e4, e5, e6, e7 = _DP_ERR
     hypot = math.hypot
-
-    def attempt(x, y, k1u, k1v, h):
-        # one step from (x, y) with first stage (k1u, k1v): the new
-        # vertex, the local error estimate and the stages 3 to 7; None
-        # when a stage point lies outside the triangle
-        px, py = x + h * (a21 * k1u), y + h * (a21 * k1v)
-        if not inside(px, py):
-            return None
-        k2u, k2v = vel_at(px, py)
-        px, py = x + h * (a31 * k1u + a32 * k2u), y + h * (a31 * k1v + a32 * k2v)
-        if not inside(px, py):
-            return None
-        k3u, k3v = vel_at(px, py)
-        px = x + h * (a41 * k1u + a42 * k2u + a43 * k3u)
-        py = y + h * (a41 * k1v + a42 * k2v + a43 * k3v)
-        if not inside(px, py):
-            return None
-        k4u, k4v = vel_at(px, py)
-        px = x + h * (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u)
-        py = y + h * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v)
-        if not inside(px, py):
-            return None
-        k5u, k5v = vel_at(px, py)
-        px = x + h * (a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u)
-        py = y + h * (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
-        if not inside(px, py):
-            return None
-        k6u, k6v = vel_at(px, py)
-        xn = x + h * (b1 * k1u + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
-        yn = y + h * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
-        if not inside(xn, yn):
-            return None
-        k7u, k7v = vel_at(xn, yn)
-        # the error estimate's part normal to the velocity at the new
-        # vertex: how far the step may leave the streamline (the part
-        # along it only re-times the path)
-        eu = e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u
-        ev = e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v
-        s7 = hypot(k7u, k7v)
-        err = h * (abs(eu * (k7v / s7) - ev * (k7u / s7)) if s7 > 0 else hypot(eu, ev))
-        return xn, yn, err, (k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v)
-
     psi_at = psi.evaluate
     # ratio = err / (STEP_TOL a), below a = 1/2 at s = a 2^-e in
     # [1/2, 1): the same bits wherever STEP_TOL a is normal, and no
@@ -608,8 +574,37 @@ def trace_streamline(
     while accepted < max_steps and rejected < max_steps:
         if h * speed > step:
             h = step / speed
-        trial = attempt(x, y, ku, kv, h)
-        if trial is None:
+        # one step from (x, y) with first stage (ku, kv); a stage point
+        # clear of every edge line by more than `far` is inside, and
+        # inside() decides the rest; ok is False from the first stage
+        # point outside the triangle on, and no velocity is taken there
+        px, py = x + h * (a21 * ku), y + h * (a21 * kv)
+        ok = py > tol and px - py > far and two_a - px - py > far or inside(px, py)
+        if ok:
+            k2u, k2v = vel_at(px, py)
+            px, py = x + h * (a31 * ku + a32 * k2u), y + h * (a31 * kv + a32 * k2v)
+            ok = py > tol and px - py > far and two_a - px - py > far or inside(px, py)
+        if ok:
+            k3u, k3v = vel_at(px, py)
+            px = x + h * (a41 * ku + a42 * k2u + a43 * k3u)
+            py = y + h * (a41 * kv + a42 * k2v + a43 * k3v)
+            ok = py > tol and px - py > far and two_a - px - py > far or inside(px, py)
+        if ok:
+            k4u, k4v = vel_at(px, py)
+            px = x + h * (a51 * ku + a52 * k2u + a53 * k3u + a54 * k4u)
+            py = y + h * (a51 * kv + a52 * k2v + a53 * k3v + a54 * k4v)
+            ok = py > tol and px - py > far and two_a - px - py > far or inside(px, py)
+        if ok:
+            k5u, k5v = vel_at(px, py)
+            px = x + h * (a61 * ku + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u)
+            py = y + h * (a61 * kv + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
+            ok = py > tol and px - py > far and two_a - px - py > far or inside(px, py)
+        if ok:
+            k6u, k6v = vel_at(px, py)
+            xn = x + h * (b1 * ku + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
+            yn = y + h * (b1 * kv + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
+            ok = yn > tol and xn - yn > far and two_a - xn - yn > far or inside(xn, yn)
+        if not ok:
             if h * speed <= edge:
                 end = _project_to_boundary(d, PhysicalPoint(x, y))
                 verts.append(end)
@@ -619,7 +614,14 @@ def trace_streamline(
             rejected += 1
             h *= 0.2
             continue
-        xn, yn, err, ks = trial
+        k7u, k7v = vel_at(xn, yn)
+        # the error estimate's part normal to the velocity at the new
+        # vertex: how far the step may leave the streamline (the part
+        # along it only re-times the path)
+        eu = e1 * ku + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u
+        ev = e1 * kv + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v
+        s7 = hypot(k7u, k7v)
+        err = h * (abs(eu * (k7v / s7) - ev * (k7u / s7)) if s7 > 0 else hypot(eu, ev))
         ratio = err * err_scale * err_scale2 * inv_tol
         if not ratio <= 1.0:
             # max() keeps 0.2 for a nan ratio
@@ -633,7 +635,6 @@ def trace_streamline(
         dv = abs(val - psi0)
         if dv > drift:
             drift = dv
-        k7u, k7v = ks[8], ks[9]
         hn = atan2(k7v, k7u)
         delta = hn - heading
         while delta > pi:
@@ -643,6 +644,7 @@ def trace_streamline(
         winding += delta
         heading = hn
         if accepted >= 10 and abs(winding) >= 1.5 * pi:
+            ks = (k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v)
             if _closest_approach(xs, ys, x, y, xn, yn, h, ku, kv, ks) <= close_tol:
                 termination = CLOSED
                 break
@@ -650,6 +652,20 @@ def trace_streamline(
         speed = hypot(ku, kv)
         h *= min(5.0, 0.9 * ratio ** -0.2) if ratio > 0 else 5.0
     return Streamline(tuple(verts), termination, drift, tuple(values))
+
+
+def _edge_margin(tol: float) -> float:
+    """The least float `far` from 2 tol up with fl(far / sqrt2) > tol:
+    where a distance d along x - y or 2a - x - y exceeds it, the signed
+    edge distance fl(d / sqrt2) exceeds tol too (correctly rounded
+    division is monotone), so ``classify`` at tol would not call that
+    edge line near.  The few ulps above 2 tol count where tol is
+    subnormal."""
+    r2 = math.sqrt(2.0)
+    far = 2.0 * tol
+    while not far / r2 > tol:
+        far = math.nextafter(far, math.inf)
+    return far
 
 
 def _closest_approach(sx, sy, x0, y0, x1, y1, h, k1u, k1v, ks) -> float:
@@ -722,14 +738,20 @@ def u_profile(
 
 def write_streamlines_csv(traces: Sequence[Streamline], path) -> None:
     """One row per vertex with the psi value recorded while tracing;
-    each float as ``format_float`` writes it, in one format per row."""
+    each float as ``format_float`` writes it, in one format per row.
+    Each trace is written as its rows' format repeated over one flat
+    tuple of their fields."""
     with open(path, "w", newline="\n") as fh:
         fh.write("trace_id,step,x,y,psi\n")
-        fh.writelines(
-            "%d,%d,%.17g,%.17g,%.17g\n" % (tid, k, p.x + 0.0, p.y + 0.0, val + 0.0)
-            for tid, tr in enumerate(traces)
-            for k, (p, val) in enumerate(zip(tr.vertices, tr.psi))
-        )
+        for tid, tr in enumerate(traces):
+            # each row's trace id, step, x, y and psi
+            n = len(tr.vertices)
+            fields = [tid] * (5 * n)
+            fields[1::5] = range(n)
+            fields[2::5] = [p.x + 0.0 for p in tr.vertices]
+            fields[3::5] = [p.y + 0.0 for p in tr.vertices]
+            fields[4::5] = [val + 0.0 for val in tr.psi]
+            fh.write("%d,%d,%.17g,%.17g,%.17g\n" * n % tuple(fields))
 
 
 def write_stagnation_csv(points: Sequence[StagnationPoint], path) -> None:

@@ -127,11 +127,12 @@ _HORNER_RUN = 32
 
 
 @functools.lru_cache(maxsize=128)
-def _horner_code(tops: tuple[int, ...]) -> types.CodeType:
-    """Code of ``evaluate(x, y, _c)`` for a coefficient table whose rows,
+def _horner_code(tables: tuple[tuple[int, ...], ...], joint: bool = False) -> types.CodeType:
+    """Code of ``evaluate(x, y, _c)`` for coefficient tables whose rows,
     top row first, hold tops[k] coefficients each up to their top
-    nonzero one (at least the constant), and whose entries ``_c`` lists
-    in that order, each row from its top power down.  Unrolled, it
+    nonzero one (at least the constant), ``tables`` giving each table's
+    tops, and whose entries ``_c`` lists in that order, table by table,
+    each row from its top power down.  For each table, unrolled, it
     performs every operation of
 
         acc = 0.0
@@ -147,25 +148,59 @@ def _horner_code(tops: tuple[int, ...]) -> types.CodeType:
     start, so a row starts as 0.0 * y + c_top, and an all-zero top row
     is left out.  At an infinite or nan point each row is nan from its
     first 0.0 * y, as it was, so signed zeros, infinities and nans come
-    out the same.
+    out the same.  A table with no rows (a zero polynomial) is
+    0.0 * x * y, with its signed zeros and nans.
+
+    Without ``joint`` there is one table and the code returns its value.
+    With it the code is ``evaluate(x, y, _c, _ndarray, _arrays)``: all
+    tables in one body, returning the tuple of their values, and
+    ``_arrays(x, y)`` where x is an ``_ndarray``, so that a float point
+    pays one class test.
     """
-    names = [f"c{k}" for k in range(sum(tops))]
-    lines = ["def evaluate(x, y, _c):", f"    {', '.join(names)}, = _c", "    acc = 0.0"]
+    names = [f"c{k}" for k in range(sum(map(sum, tables)))]
+    if joint:
+        accs = [f"acc{t}" for t in range(len(tables))]
+        lines = ["def evaluate(x, y, _c, _ndarray, _arrays):", "    if x.__class__ is _ndarray:",
+                 "        return _arrays(x, y)"]
+    else:
+        (_,) = tables  # exactly one
+        accs = ["acc"]
+        lines = ["def evaluate(x, y, _c):"]
+    if names:
+        lines.append(f"    {', '.join(names)}, = _c")
     start = 0
-    for top in tops:
-        row, start = names[start:start + top], start + top
-        inner = "0.0"
-        for lo in range(0, top, _HORNER_RUN):
-            for c in row[lo:lo + _HORNER_RUN]:
-                inner = f"({inner} * y + {c})"
-            if lo + _HORNER_RUN < top:
-                lines.append(f"    inner = {inner}")
-                inner = "inner"
-        lines.append(f"    acc = acc * x + {inner}")
-    lines.append("    return acc")
+    for acc, tops in zip(accs, tables):
+        if not tops:
+            lines.append(f"    {acc} = 0.0 * x * y")
+            continue
+        lines.append(f"    {acc} = 0.0")
+        for top in tops:
+            row, start = names[start:start + top], start + top
+            inner = "0.0"
+            for lo in range(0, top, _HORNER_RUN):
+                for c in row[lo:lo + _HORNER_RUN]:
+                    inner = f"({inner} * y + {c})"
+                if lo + _HORNER_RUN < top:
+                    lines.append(f"    inner = {inner}")
+                    inner = "inner"
+            lines.append(f"    {acc} = {acc} * x + {inner}")
+    lines.append(f"    return {', '.join(accs)}" + ("," if joint else ""))
     namespace: dict = {}
     exec(compile("\n".join(lines), "<horner>", "exec"), namespace)
     return namespace["evaluate"].__code__
+
+
+def joint_float_evaluator(polys: Sequence["BivariatePoly"], arrays: Callable) -> Callable:
+    """One function of a float point that returns the tuple of each
+    polynomial's ``float_evaluator`` value there, bit for bit: every
+    table's own Horner steps, in the same order, in one generated body
+    (``_horner_code``), with one tuple of coefficients.  Where x is a
+    numpy array it returns ``arrays(x, y)`` instead.  Requires a to be
+    bound."""
+    layouts = [p._horner_layout() for p in polys]
+    code = _horner_code(tuple(tops for tops, _ in layouts), True)
+    coefs = tuple(c for _, table in layouts for c in table)
+    return types.FunctionType(code, {}, "evaluate", (coefs, np.ndarray, arrays))
 
 
 class BivariatePoly:
@@ -465,34 +500,37 @@ class BivariatePoly:
         """Horner evaluator over the coefficient table; requires a to be
         bound.
 
-        The Horner code is unrolled and compiled once per pattern of row
-        tops (``_horner_code``): each row starts at its top nonzero
+        The one-table case of ``_horner_code``, compiled once per
+        pattern of row tops: each row starts at its top nonzero
         coefficient, and all-zero top rows are left out, with the bits
-        of the dense table's Horner.  This polynomial's coefficients,
-        each its numerator over the denominator correctly rounded, are
-        bound to it as one tuple.  Accepts scalars or numpy arrays.
+        of the dense table's Horner; the zero polynomial is
+        0.0 * x * y.  This polynomial's coefficients, each its numerator
+        over the denominator correctly rounded, are bound to it as one
+        tuple (``_horner_layout``).  Accepts scalars or numpy arrays.
         Cached on the instance (idempotent, so benign under concurrent
         use).
         """
         if self._compiled is None:
-            if self.has_symbol_a:
-                raise ValueError("bind a before compiling a float evaluator")
-            if not self._num:
-                self._compiled = lambda x, y: 0.0 * x * y
-            else:
-                # each row up to its top coefficient other than +0.0 (an
-                # underflowed one may be -0.0), at least the constant,
-                # top row first, with all-zero top rows left out; in the
-                # order the code reads them, each row from its top power
-                # down
-                rows = [row[:max((j for j, c in enumerate(row) if c or math.copysign(1.0, c) < 0), default=0) + 1]
-                        for row in reversed(self._float_table())]
-                while len(rows) > 1 and rows[0] == [0.0] and math.copysign(1.0, rows[0][0]) > 0:
-                    del rows[0]
-                coefs = tuple(c for row in rows for c in reversed(row))
-                code = _horner_code(tuple(map(len, rows)))
-                self._compiled = types.FunctionType(code, {}, "evaluate", (coefs,))
+            tops, coefs = self._horner_layout()
+            self._compiled = types.FunctionType(_horner_code((tops,)), {}, "evaluate", (coefs,))
         return self._compiled
+
+    def _horner_layout(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """(tops, coefficients) of ``_horner_code``'s table for this
+        polynomial (a bound): each row up to its top coefficient other
+        than +0.0 (an underflowed one may be -0.0), at least the
+        constant, top row first, with all-zero top rows left out; the
+        coefficients in the order the code reads them, each row from its
+        top power down.  The zero polynomial has no rows."""
+        if self.has_symbol_a:
+            raise ValueError("bind a before compiling a float evaluator")
+        if not self._num:
+            return (), ()
+        rows = [row[:max((j for j, c in enumerate(row) if c or math.copysign(1.0, c) < 0), default=0) + 1]
+                for row in reversed(self._float_table())]
+        while len(rows) > 1 and rows[0] == [0.0] and math.copysign(1.0, rows[0][0]) > 0:
+            del rows[0]
+        return tuple(map(len, rows)), tuple(c for row in rows for c in reversed(row))
 
     def _float_table(self) -> list[list[float]]:
         """The dense table of float coefficients, entry [i][j] that of

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -46,7 +46,7 @@ from .geometry import (
     signed_edge_distances,
     to_characteristic,
 )
-from .polyalg import BivariatePoly, binomial_row, stacked_float_evaluator, wave_operator
+from .polyalg import BivariatePoly, binomial_row, joint_float_evaluator, stacked_float_evaluator, wave_operator
 from .compatibility import (
     CosineStress,
     PolynomialStress,
@@ -66,9 +66,9 @@ from .quadrature import (
 )
 
 SOLUTION_PREFACTOR = Fraction(-1, 4)
-# the most points on which a polynomial's velocity runs each point's own
-# Horner code rather than one stacked pass, whose twenty-odd array calls
-# cost more below about ten points (the realistic builtin, 2 vCPU)
+# the most points on which a polynomial's velocity makes one call per
+# point rather than one stacked pass, whose twenty-odd array calls cost
+# more below about ten points (the realistic builtin, 2 vCPU)
 FEW_POINTS = 8
 # unit roundoff of IEEE double precision
 UNIT_ROUNDOFF = 2.0**-53
@@ -212,6 +212,15 @@ class PolyStreamFunction(StreamFunction):
     def _raw_eval(self, x, y):
         return self.poly.float_evaluator()(x, y)
 
+    def evaluate(self, x, y) -> float:
+        """psi at one point, by psi's compiled Horner code called
+        straight (bound on first use)."""
+        return float(self._horner(float(x), float(y)))
+
+    @cached_property
+    def _horner(self) -> Callable:
+        return self.poly.float_evaluator()
+
     def rounding_bound(self, x, y):
         """First-order bound of Horner's rule, 2u times psi with every
         coefficient made positive at (|x|, |y|) (Higham, Accuracy and
@@ -230,29 +239,14 @@ class PolyStreamFunction(StreamFunction):
         return -self.poly.diff(1)
 
     def velocity_functions(self) -> tuple[Callable, Callable]:
-        """Exact derivative polynomials, compiled once: each one's own
-        Horner code on floats and on arrays of at most ``FEW_POINTS``
-        points (one row per polynomial), and one stacked Horner pass over
-        the two velocity polynomials, or the four Jacobian ones, on
-        larger arrays."""
+        """Exact derivative polynomials, compiled once into two functions
+        (``_poly_kernel``): one of the two velocity polynomials and one of
+        the four Jacobian ones, each a single generated body that takes
+        Python floats straight, with each polynomial's own Horner bits."""
         if self._velocity_fns is None:
             vel_polys = (self.u_poly, self.v_poly)
             jac_polys = tuple(q.diff(i) for q in vel_polys for i in (1, 2))
-            vel_fns = u, v = tuple(q.float_evaluator() for q in vel_polys)
-            jac_fns = ux, uy, vx, vy = tuple(q.float_evaluator() for q in jac_polys)
-            uv, jac = stacked_float_evaluator(vel_polys), stacked_float_evaluator(jac_polys)
-
-            def velocity(x, y):
-                if not isinstance(x, np.ndarray):
-                    return u(x, y), v(x, y)
-                return uv(x, y) if x.size > FEW_POINTS else _each_point(vel_fns, x, y)
-
-            def jacobian(x, y):
-                if not isinstance(x, np.ndarray):
-                    return ux(x, y), uy(x, y), vx(x, y), vy(x, y)
-                return jac(x, y) if x.size > FEW_POINTS else _each_point(jac_fns, x, y)
-
-            self._velocity_fns = (velocity, jacobian)
+            self._velocity_fns = (_poly_kernel(vel_polys), _poly_kernel(jac_polys))
         return self._velocity_fns
 
     @property
@@ -264,11 +258,22 @@ class PolyStreamFunction(StreamFunction):
         return PolyStreamFunction(self.poly.subs_a(Fraction(a)), d)
 
 
-def _each_point(fns, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # the value of each of fns at each point of two float arrays, one row
-    # per function, by a call per point
-    points = list(zip(x.tolist(), y.tolist()))
-    return np.array([[f(*p) for p in points] for f in fns], dtype=float).reshape(len(fns), -1)
+def _poly_kernel(polys) -> Callable:
+    """``joint_float_evaluator`` of polys: on two float arrays, each
+    point's own call up to ``FEW_POINTS`` points and one stacked Horner
+    pass above, one row per polynomial; both with the bits of a call on
+    each point."""
+    stacked = stacked_float_evaluator(polys)
+    width = len(polys)
+
+    def arrays(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        if x.size > FEW_POINTS:
+            return stacked(x, y)
+        # one call per point, its values a column
+        return np.array([kernel(*p) for p in zip(x.tolist(), y.tolist())], dtype=float).reshape(-1, width).T
+
+    kernel = joint_float_evaluator(polys, arrays)
+    return kernel
 
 
 def _sin_many(a: np.ndarray) -> np.ndarray:
@@ -328,14 +333,16 @@ class SinusoidalStreamFunction(StreamFunction):
         the rest is the same float arithmetic elementwise."""
         k, ck = self._k, self._ck
         q = ck * k / 4.0
+        # bound once: a float point pays one class test and no global lookup
+        sin1, sin_many, cos1, cos_many, ndarray = math.sin, _sin_many, math.cos, _cos_many, np.ndarray
 
         def vel(x, y):
-            sin = _sin_many if isinstance(x, np.ndarray) else math.sin
+            sin = sin_many if x.__class__ is ndarray else sin1
             sa, sb = sin(k * (x - y) / 2.0), sin(k * (x + y) / 2.0)
             return ck * (sin(k * y) - 0.5 * (sa + sb)), 0.5 * ck * (sb - sa)
 
         def jac(x, y):
-            cos = _cos_many if isinstance(x, np.ndarray) else math.cos
+            cos = cos_many if x.__class__ is ndarray else cos1
             ca, cb = cos(k * (x - y) / 2.0), cos(k * (x + y) / 2.0)
             return -q * (ca + cb), q * (4.0 * cos(k * y) + ca - cb), q * (cb - ca), q * (ca + cb)
 

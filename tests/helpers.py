@@ -1,10 +1,12 @@
 """Shared test helpers."""
 
+import itertools
 import math
 import types
 
 import numpy as np
 
+from cavitystream.cli import _svg_marker
 from cavitystream.compatibility import cosine_harmonic
 from cavitystream.geometry import PhysicalPoint, TriangleDomain, classify, interior_lattice
 from cavitystream.kinematics import DEGENERATE, StagnationPoint, VelocityField, _classify_jacobian
@@ -148,3 +150,53 @@ def dense_float_evaluator(p):
     exec(compile("\n".join(lines), "<dense horner>", "exec"), namespace)
     coefs = tuple(c for row in reversed(table) for c in reversed(row))
     return types.FunctionType(namespace["evaluate"].__code__, {}, "evaluate", (coefs,))
+
+
+def reference_streamlines_csv(traces, path) -> None:
+    """``write_streamlines_csv`` as it was before it formatted each trace
+    at once, one ``%`` per vertex, kept verbatim as the oracle of its
+    bytes."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("trace_id,step,x,y,psi\n")
+        fh.writelines(
+            "%d,%d,%.17g,%.17g,%.17g\n" % (tid, k, p.x + 0.0, p.y + 0.0, val + 0.0)
+            for tid, tr in enumerate(traces)
+            for k, (p, val) in enumerate(zip(tr.vertices, tr.psi))
+        )
+
+
+def reference_flow_svg(d, traces, stagnation, width: float = 800.0):
+    """``render_flow_svg`` as it was before it formatted each polyline at
+    once, one ``%`` per vertex, kept verbatim as the oracle of its bytes."""
+    a = float(d.a)
+    margin = 0.05 * 2 * a
+    x0, x1 = -margin, 2 * a + margin
+    y0, y1 = -margin, a + margin
+    w, h = x1 - x0, y1 - y0
+    scale = width / w
+    height = h * scale
+
+    def sx(x: float) -> float:
+        return (x - x0) * scale
+
+    def sy(y: float) -> float:
+        return (y1 - y) * scale
+
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.6f}" '
+           f'viewBox="0 0 {width:.0f} {height:.6f}">\n')
+    yield f'<rect x="0" y="0" width="{width:.0f}" height="{height:.6f}" fill="#ffffff"/>\n'
+    o, va, vb = d.vertices()
+    tri = " ".join(f"{sx(float(p.x)):.6f},{sy(float(p.y)):.6f}" for p in (o, va, vb))
+    yield f'<polygon points="{tri}" fill="none" stroke="#000000" stroke-width="1.5"/>\n'
+    for tr in traces:
+        yield '<polyline points="'
+        # sx and sy inline, a space before every vertex but the first
+        seps = itertools.chain(("",), itertools.repeat(" "))
+        yield from ("%s%.6f,%.6f" % (sep, (p.x - x0) * scale, (y1 - p.y) * scale)
+                    for sep, p in zip(seps, tr.vertices))
+        yield '" fill="none" stroke="#1f77b4" stroke-width="0.8"/>\n'
+    r = 0.012 * width
+    for sp in stagnation:
+        yield _svg_marker(sp.classification, sx(sp.location.x), sy(sp.location.y), r) + "\n"
+    yield "</svg>\n"

@@ -10,11 +10,12 @@ import pytest
 
 from cavitystream import kinematics
 from cavitystream.cli import BUILTIN_NAMES, SINUSOIDAL_AMPLITUDE, RunConfig, StressSpec, \
-    build_stream_function, default_flow_seeds
+    build_stream_function, default_flow_seeds, render_flow_svg
 from cavitystream.geometry import (
     TriangleDomain,
     PhysicalPoint,
     boundary_sample,
+    classify,
     interior_lattice,
 )
 from cavitystream.polyalg import BivariatePoly, poly_vars, wave_operator
@@ -36,6 +37,8 @@ from cavitystream.kinematics import (
     HIT_BOUNDARY,
     SADDLE,
     STEP_LIMIT,
+    Streamline,
+    VelocityField,
     interior_centers,
     stagnation_points,
     trace_streamline,
@@ -44,7 +47,7 @@ from cavitystream.kinematics import (
 )
 from cavitystream.verify import boundary_vanishing_poly, random_poly
 
-from helpers import lattice_scale, scalar_stagnation_points
+from helpers import lattice_scale, reference_flow_svg, reference_streamlines_csv, scalar_stagnation_points
 
 X, Y, A = poly_vars()
 D1 = TriangleDomain(1.0)
@@ -543,6 +546,15 @@ class TestStreamlines:
         assert tr.termination == "step_limit"
         assert len(tr.vertices) == 51
 
+    def test_step_must_be_positive(self, lin_field):
+        # nan compares false both ways, so it is rejected, not ignored
+        for step in (0.0, -1e-3, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="step must be positive"):
+                trace_streamline(lin_field, PhysicalPoint(1.0, 0.5), step=step)
+        # an infinite step is no cap: the error control alone sets the steps
+        tr = trace_streamline(lin_field, PhysicalPoint(1.0, 0.5), step=math.inf)
+        assert tr.termination == CLOSED
+
 
 def _winds_around(tr, center) -> bool:
     total = 0.0
@@ -738,3 +750,119 @@ class TestTracerMatchesReference:
         tr = trace_streamline(V, PhysicalPoint(1.3, 1e-4), max_steps=1)
         assert tr.termination == STEP_LIMIT
         assert len(tr.vertices) == 1
+
+
+class TestEvaluationCounts:
+    """Every velocity the tracer takes goes through
+    ``VelocityField._eval_raw`` and every vertex psi through
+    ``StreamFunction.evaluate``, which is where the benchmark's traced
+    pass counts them: wrapped on the classes, subclass overrides
+    included, the default seeds of each builtin at a = 1 make exactly
+    the calls counted before the tracer's velocity was compiled into
+    one function per field."""
+
+    # (velocity calls, psi calls) over the default seeds' traces
+    COUNTS = {"linear": (2319, 351), "sinusoidal": (7734, 1154), "realistic": (3798, 581)}
+
+    @staticmethod
+    def _wrap(monkeypatch, cls, attr, calls):
+        todo, seen = [cls], set()
+        while todo:
+            klass = todo.pop()
+            if klass in seen:
+                continue
+            seen.add(klass)
+            todo.extend(klass.__subclasses__())
+            orig = klass.__dict__.get(attr)
+            if orig is not None:
+                def wrapper(*args, _orig=orig, **kwargs):
+                    calls[attr] += 1
+                    return _orig(*args, **kwargs)
+
+                monkeypatch.setattr(klass, attr, wrapper)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_default_seed_traces(self, name, monkeypatch):
+        cfg = RunConfig(a=1.0, stress=StressSpec(kind="builtin", name=name))
+        V = velocity_field(build_stream_function(cfg))
+        seeds = default_flow_seeds(cfg.domain, stagnation_points(V, cfg.domain))
+        calls = {"_eval_raw": 0, "evaluate": 0}
+        self._wrap(monkeypatch, VelocityField, "_eval_raw", calls)
+        self._wrap(monkeypatch, StreamFunction, "evaluate", calls)
+        traces = [trace_streamline(V, seed, max_steps=cfg.max_steps) for seed in seeds]
+        assert (calls["_eval_raw"], calls["evaluate"]) == self.COUNTS[name]
+        assert calls["evaluate"] == sum(len(tr.vertices) for tr in traces)
+
+
+class TestEdgeFastPath:
+    """The tracer takes a stage point clear of each edge line by more
+    than ``_edge_margin(tol)`` (y > tol, x - y > far, 2a - x - y > far)
+    as inside without asking ``inside()``; that test never accepts a
+    point that ``classify`` at tol does not call interior, within a few
+    ulps of each edge line and each vertex, where tol is subnormal too."""
+
+    @pytest.mark.parametrize("a", [1e-300, 1e-3, 1.0, 1e3, 1e300])
+    def test_never_accepts_what_classify_rejects(self, a):
+        d = TriangleDomain(a)
+        tol = 1e-12 * a
+        far = kinematics._edge_margin(tol)
+        two_a = 2 * a
+        assert far / math.sqrt(2.0) > tol and far <= 3 * tol
+        # the vertices and the edge midpoints, moved by offsets around tol
+        # and far along each axis
+        bases = [(0.0, 0.0), (two_a, 0.0), (a, a), (a, 0.0), (a / 2, a / 2), (1.5 * a, a / 2)]
+        sizes = [0.0, tol, far / math.sqrt(2.0), far, 2 * far]
+        offsets = sorted({s * sign for s in sizes for sign in (-1.0, 1.0)})
+        rng = random.Random(7)
+        points = [(bx + ox, by + oy) for bx, by in bases for ox in offsets for oy in offsets]
+        points += [(rng.uniform(0, two_a), rng.uniform(-3, 3) * far) for _ in range(200)]
+        t = [rng.uniform(0, a) for _ in range(200)]
+        points += [(u + rng.uniform(-3, 3) * far, u) for u in t]
+        points += [(two_a - u + rng.uniform(-3, 3) * far, u) for u in t]
+        accepted = 0
+        for x0, y0 in points:
+            for x in _ulps_around(x0):
+                for y in _ulps_around(y0):
+                    if y > tol and x - y > far and two_a - x - y > far:
+                        accepted += 1
+                        assert classify(d, PhysicalPoint(x, y), tol).is_interior, (a, x, y)
+        assert accepted > 1000
+
+
+def _ulps_around(v, n=2):
+    """v and the n floats on each side of it."""
+    out = [v]
+    lo = hi = v
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+class TestTraceWriters:
+    """``write_streamlines_csv`` and ``render_flow_svg`` format each trace
+    with one ``%`` over a flat tuple, with the bytes of one ``%`` per
+    vertex (``helpers``)."""
+
+    @staticmethod
+    def _cases():
+        cases = {name: _default_seed_traces(name, 1.0)[1] for name in BUILTIN_NAMES}
+        one = Streamline((PhysicalPoint(0.5, 0.25),), STEP_LIMIT, 0.0, (0.125,))
+        odd = Streamline((PhysicalPoint(-0.0, 5e-324), PhysicalPoint(1e300, -0.0), PhysicalPoint(5e-324, 1.0)),
+                         STEP_LIMIT, math.nan, (math.nan, math.inf, -0.0))
+        cases.update({"empty": [], "single-vertex": [one], "no-vertex": [Streamline((), STEP_LIMIT, 0.0, ())],
+                      "odd-values": [odd, one, odd]})
+        return cases
+
+    def test_streamlines_csv_bytes(self, tmp_path):
+        for name, traces in self._cases().items():
+            kinematics.write_streamlines_csv(traces, tmp_path / "new.csv")
+            reference_streamlines_csv(traces, tmp_path / "old.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes(), name
+
+    def test_flow_svg_bytes(self):
+        stagnation = stagnation_points(velocity_field(realistic_example(D1)), D1)
+        for name, traces in self._cases().items():
+            for a in (1.0, 1e-3):
+                want = "".join(reference_flow_svg(TriangleDomain(a), traces, stagnation))
+                assert "".join(render_flow_svg(TriangleDomain(a), traces, stagnation)) == want, name

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavitystream.polyalg import BivariatePoly, binomial_row, float_or_inf, poly_vars, stacked_float_evaluator, \
-    wave_operator
+from cavitystream.geometry import TriangleDomain
+from cavitystream.polyalg import BivariatePoly, binomial_row, float_or_inf, joint_float_evaluator, poly_vars, \
+    stacked_float_evaluator, wave_operator
+from cavitystream.solver import FEW_POINTS, PolyStreamFunction, linear_example, realistic_example
 
 from helpers import dense_float_evaluator
 
@@ -679,3 +681,87 @@ class TestStackedHorner:
     def test_symbolic_a_is_rejected(self):
         with pytest.raises(ValueError):
             stacked_float_evaluator([X * A])
+
+
+def _kernel_fields():
+    """The polynomial builtins' fields (the linear one also at a = 2) and
+    one whose v is zero (psi = y^2 - a y at a = 1: u = 2y - 1, and three
+    of its four Jacobian polynomials are zero)."""
+    fields = {"linear": linear_example(TriangleDomain(1.0)), "realistic": realistic_example(TriangleDomain(1.0)),
+              "linear-a2": linear_example(TriangleDomain(2.0)),
+              "v-zero": PolyStreamFunction(Y**2 - Y, TriangleDomain(1.0))}
+    out = {}
+    for name, psi in fields.items():
+        vel = (psi.u_poly, psi.v_poly)
+        out[name + "/velocity"] = (vel, psi.velocity_functions()[0])
+        out[name + "/jacobian"] = (tuple(q.diff(i) for q in vel for i in (1, 2)), psi.velocity_functions()[1])
+    return out
+
+
+KERNELS = _kernel_fields()
+
+
+class TestJointHorner:
+    """A field's velocity and Jacobian are each one generated function
+    (``joint_float_evaluator``) that gives every polynomial the bits of
+    its own dense Horner (``dense_float_evaluator``), a zero one
+    0.0 * x * y: scalars by float.hex, in which every nan reads "nan";
+    arrays through today's paths, each point's own call up to
+    ``FEW_POINTS`` points and one stacked pass above."""
+
+    POINTS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 0.37, -1.25]
+
+    @staticmethod
+    def _want(p):
+        return dense_float_evaluator(p) if not p.is_zero else (lambda x, y: 0.0 * x * y)
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_scalars_match_each_dense_horner(self, name):
+        polys, kernel = KERNELS[name]
+        rng = random.Random(11)
+        xs = self.POINTS + [rng.uniform(-3, 3) for _ in range(6)]
+        wants = [self._want(p) for p in polys]
+        assert name != "v-zero/velocity" or polys[1].is_zero
+        for fn in (kernel, joint_float_evaluator(polys, None)):
+            for x in xs:
+                for y in xs:
+                    got = fn(x, y)
+                    assert type(got) is tuple and len(got) == len(polys)
+                    for g, want in zip(got, wants):
+                        assert type(g) is float
+                        assert g.hex() == want(x, y).hex(), (name, x, y)
+
+    @pytest.mark.parametrize("n", [0, 1, FEW_POINTS, FEW_POINTS + 1, 221])
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_arrays_keep_their_bits(self, name, n):
+        polys, kernel = KERNELS[name]
+        rng = random.Random(n)
+        pts = [(x, y) for x in self.POINTS for y in self.POINTS]
+        # special points, and seeded random ones from the ninth point on
+        pts = rng.sample(pts, min(n, 60))
+        pts += [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n - len(pts))]
+        x, y = np.array(pts, dtype=float).reshape(-1, 2).T
+        with np.errstate(all="ignore"):
+            got = kernel(x, y)
+            assert got.shape == (len(polys), n)
+            for row, p, want in zip(got, polys, map(self._want, polys)):
+                assert _bits(row) == _bits(want(x, y)), name
+            if n > FEW_POINTS:
+                # the stacked pass, nan bits included
+                assert got.tobytes() == stacked_float_evaluator(polys)(x, y).tobytes()
+            else:
+                assert _bits(got) == _bits([[p.float_evaluator()(*q) for q in zip(x.tolist(), y.tolist())]
+                                            for p in polys])
+
+    def test_one_table_code_is_float_evaluators(self):
+        # float_evaluator is the one-table case of the same generator;
+        # the kernel's code is cached per pattern of tables too
+        p = X**2 * Y - 3 * X + 1
+        q = 5 * X**2 * Y + X - 2
+        assert p.float_evaluator().__code__ is q.float_evaluator().__code__
+        assert joint_float_evaluator((p, q), None).__code__ is joint_float_evaluator((q, p), None).__code__
+        assert joint_float_evaluator((p, X), None).__code__ is not joint_float_evaluator((p, q), None).__code__
+        # one polynomial is a tuple of one value
+        assert joint_float_evaluator((p,), None)(0.5, -0.25) == (p.float_evaluator()(0.5, -0.25),)
+        with pytest.raises(ValueError):
+            joint_float_evaluator((p, X * A), None)
