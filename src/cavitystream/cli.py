@@ -343,11 +343,11 @@ def render_flow_svg(d: TriangleDomain, traces, stagnation, width: float = 800.0)
     for tr in traces:
         yield '<polyline points="'
         # sx and sy inline, as one flat tuple under one format
-        verts = tr.vertices
-        coords = [0.0] * (2 * len(verts))
-        coords[0::2] = [(p.x - x0) * scale for p in verts]
-        coords[1::2] = [(y1 - p.y) * scale for p in verts]
-        yield " ".join(["%.6f,%.6f"] * len(verts)) % tuple(coords)
+        n = len(tr.xs)
+        coords = [0.0] * (2 * n)
+        coords[0::2] = [(x - x0) * scale for x in tr.xs]
+        coords[1::2] = [(y1 - y) * scale for y in tr.ys]
+        yield " ".join(["%.6f,%.6f"] * n) % tuple(coords)
         yield '" fill="none" stroke="#1f77b4" stroke-width="0.8"/>\n'
     r = 0.012 * width
     for sp in stagnation:
@@ -393,6 +393,13 @@ def cmd_check(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = 
     """``psi``, when given, is the stream function built from ``cfg``;
     its source stress is the one ``build_stress(cfg)`` would build."""
     _ensure_outdir(cfg.out)
+    return _check(cfg, quiet, psi)
+
+
+# the bodies of cmd_check, cmd_solve and cmd_flow, which probe cfg.out
+# first; cmd_examples probes each directory once and calls these
+
+def _check(cfg: RunConfig, quiet: bool, psi: StreamFunction | None) -> int:
     d = cfg.domain
     stress = psi.source_stress if psi is not None else build_stress(cfg)
     if cfg.stress.kind == "cosine" and cfg.stress.harmonic % 2 == 0 and not quiet:
@@ -427,6 +434,10 @@ def _stream_function(cfg: RunConfig, psi: StreamFunction | None) -> StreamFuncti
 
 def cmd_solve(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = None) -> int:
     _ensure_outdir(cfg.out)
+    return _solve(cfg, quiet, psi)
+
+
+def _solve(cfg: RunConfig, quiet: bool, psi: StreamFunction | None) -> int:
     d = cfg.domain
     psi = _stream_function(cfg, psi)
     if psi is None:
@@ -459,6 +470,10 @@ def default_flow_seeds(d: TriangleDomain, points: list[StagnationPoint]) -> list
 
 def cmd_flow(cfg: RunConfig, quiet: bool = False, psi: StreamFunction | None = None) -> int:
     _ensure_outdir(cfg.out)
+    return _flow(cfg, quiet, psi)
+
+
+def _flow(cfg: RunConfig, quiet: bool, psi: StreamFunction | None) -> int:
     d = cfg.domain
     psi = _stream_function(cfg, psi)
     if psi is None:
@@ -506,8 +521,7 @@ def cmd_examples(cfg: RunConfig, quiet: bool = False) -> int:
         psi = fields[name]
         err = io.StringIO()
         with redirect_stderr(err):
-            rcs = {"check": cmd_check(sub, quiet=True, psi=psi), "solve": cmd_solve(sub, quiet=True, psi=psi),
-                   "flow": cmd_flow(sub, quiet=True, psi=psi)}
+            rcs = {"check": _check(sub, True, psi), "solve": _solve(sub, True, psi), "flow": _flow(sub, True, psi)}
         failed = [command for command, rc in rcs.items() if rc != EXIT_OK]
         if failed:
             lines = err.getvalue().splitlines()

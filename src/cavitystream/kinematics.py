@@ -280,21 +280,21 @@ def _speeds(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.hypot, u.tolist(), v.tolist()), dtype=float, count=u.size)
 
 
-def _tied(h: np.ndarray, r) -> np.ndarray:
-    """Where the np.hypot speeds h may not order against r as the
-    math.hypot speeds do.  Each is within an ulp or two of the true norm,
-    so h decides wherever it is farther from r >= 0 than 2^-40 r plus
-    2^-1060 (many ulps, normal or subnormal)."""
-    return np.abs(h - r) <= r * 2.0**-40 + 2.0**-1060
+def _band(r):
+    """The band around speeds r >= 0 in which an np.hypot speed may not
+    order against r as the math.hypot speeds do: 2^-40 r plus 2^-1060.
+    Each speed is within an ulp or two of the true norm, so np.hypot
+    decides farther from r than that (many ulps, normal or subnormal)."""
+    return r * 2.0**-40 + 2.0**-1060
 
 
 def _slower(ut: np.ndarray, vt: np.ndarray, u: np.ndarray, v: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, ...]:
     """math.hypot(ut, vt) < math.hypot(u, v) elementwise, where h is
     np.hypot(u, v), and np.hypot(ut, vt); math.hypot only where the two
-    np.hypot speeds are ``_tied``."""
+    np.hypot speeds are within ``_band(h)`` of each other."""
     ht = np.hypot(ut, vt)
     out = ht < h
-    tied = _tied(ht, h)
+    tied = np.abs(ht - h) <= _band(h)
     if np.count_nonzero(tied):
         u, v = (np.broadcast_to(w, ht.shape)[tied] for w in (u, v))
         out[tied] = _speeds(ut[tied], vt[tied]) < _speeds(u, v)
@@ -323,105 +323,126 @@ def _newton(
     as every shorter one would not; a full step there is not evaluated.
 
     The live seeds advance together: their x, y, u, v, np.hypot speed,
-    seed index and step counts are the rows of one array, updated by
-    masks and cut down to the seeds that step.  Each iteration makes one
-    Jacobian call at them, one velocity call at their full steps and one
-    at the halvings of the damped seeds that reject theirs
+    seed index and polishing steps are the rows of one array, cut down
+    to the seeds that step.  A seed stays live only by stepping at every
+    iteration, and the speed only drops, so a polishing seed never damps
+    again: a damped seed has taken one step per iteration, and the
+    iteration count is its step count.  Each iteration makes one
+    Jacobian call at the live seeds, one velocity call at their full
+    steps and one at the halvings of the damped seeds that reject theirs
     (``_halvings``).  A step carries the velocity of the trial it
     accepted, so no seed evaluates a point in two calls in a row.
-    Speeds are compared by np.hypot, and by math.hypot where two are
-    ``_tied``; the caller takes the roots' math.hypot speeds.
+    Speeds are compared by np.hypot, and by math.hypot within ``_band``
+    of each other; the band around the scalar tol is taken once.  The
+    caller takes the roots' math.hypot speeds.
     """
     n = x.size
+    band = _band(tol)
     # the columns of the seeds that end at their roots
-    ends = [np.empty((8, 0))]
+    ends = [np.empty((7, 0))]
     with np.errstate(all="ignore"):
         (u, v), failed = V.velocity_many(x, y)
-        # the live seeds' x, y, u, v, np.hypot speed, seed index, and
-        # damped and polishing steps taken, as rows
-        state = np.stack([x, y, u, v, np.hypot(u, v), np.arange(n), np.zeros(n), np.zeros(n)])[:, ~failed]
+        # the live seeds' x, y, u, v, np.hypot speed, seed index and
+        # polishing steps taken, as rows
+        state = np.array([x, y, u, v, np.hypot(u, v), np.arange(n), np.zeros(n)]).take((~failed).nonzero()[0], axis=1)
+        steps = 0
         while state.size:
-            x, y, u, v, h, _, nd, npol = state
+            h = state[4]
             damped = ~(h <= tol)
-            tied = _tied(h, tol)
+            tied = np.abs(h - tol) <= band
             if np.count_nonzero(tied):
-                damped[tied] = ~(_speeds(u[tied], v[tied]) <= tol)
-            live = np.where(damped, nd < 60, npol < 4)
+                damped[tied] = ~(_speeds(state[2, tied], state[3, tied]) <= tol)
+            live = state[6] < 4
+            if steps >= 60:
+                live &= ~damped
             if np.count_nonzero(live) < live.size:
-                ends.append(state[:, ~live & ~damped])
-                state, damped = state[:, live], damped[live]
+                ends.append(state.take((~live & ~damped).nonzero()[0], axis=1))
+                keep = live.nonzero()[0]
+                state, damped = state.take(keep, axis=1), damped[keep]
                 if not state.size:
                     break
-                x, y, u, v, h, _, nd, npol = state
+            x, y, u, v, h = state[:5]
 
             jac, failed = V.jacobian_many(x, y)
-            ux, uy, vx, vy = jac * s
-            det = ux * vy - uy * vx
-            dx, dy = (-u * vy + v * uy) / det * s, (u * vx - v * ux) / det * s
-            trial = np.empty_like(state)
-            trial[0], trial[1], trial[5], trial[6], trial[7] = x + dx, y + dy, state[5], nd + damped, npol + ~damped
-            # a failed Jacobian drops its seed, a singular one takes no
-            # step, and so does a full step that rounds to the seed
-            ask = (~failed & (det != 0) & np.isfinite(det) & ((trial[0] != x) | (trial[1] != y))).nonzero()[0]
+            J = jac * s
+            det = J[0] * J[3] - J[1] * J[2]
+            # Cramer's rule for (dx, dy), as rows: (v uy - u vy, u vx - v ux) / det
+            step = (J[1:3] * state[3:1:-1] - J[3::-3] * state[2:4]) / det * s
+            # the trial rows of a seed that does not step are never read
+            trial = state.copy()
+            tx, ty = np.add(state[:2], step, out=trial[:2])
+            trial[6] += ~damped
+            # a singular Jacobian takes no step, nor does a failed one
+            # (nan, from ``_many``), nor a full step that rounds to the seed
+            ask = ((det != 0) & np.isfinite(det) & ((tx != x) | (ty != y))).nonzero()[0]
             # where every seed asks, its rows are read as views
             at = ask if ask.size < x.size else slice(None)
             stepped = np.zeros(x.size, dtype=bool)
             if ask.size:
-                trial[2:4, at], bad = V.velocity_many(trial[0, at], trial[1, at])
+                trial[2:4, at], bad = V.velocity_many(tx[at], ty[at])
                 stepped[at], trial[4, at] = _slower(trial[2, at], trial[3, at], u[at], v[at], h[at])
-                failed[at] |= bad
                 # the damped seeds that reject their full step try its
-                # halvings
-                rows = ask[~stepped[at] & ~bad & damped[at]]
+                # halvings, unless it raised
+                rows = ~stepped[at] & damped[at]
+                if np.count_nonzero(bad):
+                    failed[at] |= bad
+                    rows &= ~bad
+                rows = ask[rows]
                 if rows.size:
-                    stepped[rows], trial[:5, rows] = _halvings(V, state[:5, rows], dx[rows], dy[rows])
+                    stepped[rows], trial[:5, rows] = _halvings(V, state[:5].take(rows, axis=1),
+                                                               step.take(rows, axis=1))
 
             # a polishing seed that takes no step ends at its root, unless
             # it failed; a damped one is dropped
             ended = ~(stepped | damped | failed)
             if np.count_nonzero(ended):
-                ends.append(state[:, ended])
+                ends.append(state.take(ended.nonzero()[0], axis=1))
             state = trial.take(stepped.nonzero()[0], axis=1)
+            steps += 1
     roots = np.concatenate(ends, axis=1)
     return roots[:4, np.argsort(roots[5])]
 
 
-def _halvings(V: VelocityField, state: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _halvings(V: VelocityField, state: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whether each seed steps to one of the 29 halvings of its Newton
-    step (dx, dy), and the x, y, u, v and np.hypot speed of the one it
-    steps to, as rows.  ``state`` holds the seeds' x, y, u, v and speed
-    as rows.  A seed steps to the first halving slower than it, unless a
-    halving before that one is at the seed's own point (as every later
-    one is) or raises ValueError.
+    step, and the x, y, u, v and np.hypot speed of the one it steps to,
+    as rows.  ``state`` holds the seeds' x, y, u, v and speed as rows,
+    and ``step`` their steps' dx and dy.  A seed steps to the first
+    halving slower than it, unless a halving before that one is at the
+    seed's own point (as every later one is) or raises ValueError.
 
     A backing that takes arrays evaluates every halving in one call, at
     its own point too (where it is the same call, and a halving there
     decides before its velocity counts).  Any other is evaluated point by
     point anyway, so it takes one halving at a time, for the seeds still
-    undecided, and never at a seed's own point.
+    undecided, and never at a seed's own point.  The trials' x and y,
+    u and v, and speeds are one array each, a seed's halvings along a
+    row, and the halving a seed stops at is gathered from them by its
+    flat index.
     """
-    x, y, u, v, h = state
-    # each seed's halvings, in order along a row: x, y, u, v and speed
-    trials = np.full((5, x.size, _HALVINGS.size), math.nan)
-    trials[0], trials[1] = x[:, None] + _HALVINGS * dx[:, None], y[:, None] + _HALVINGS * dy[:, None]
-    own = (trials[0] == x[:, None]) & (trials[1] == y[:, None])
+    xy, (u, v, h) = state[:2, :, None], state[2:]
+    # each seed's halvings, in order along a row, as x and y
+    txy = xy + _HALVINGS * step[:, :, None]
+    same = txy == xy
+    own = same[0] & same[1]
     if V._arrays:
-        uv, bad = V.velocity_many(trials[0].ravel(), trials[1].ravel())
-        trials[2:4] = uv.reshape(trials[2:4].shape)
-        trials[2:4, own] = math.nan  # never slower, nor tied
-        took, trials[4] = _slower(trials[2], trials[3], u[:, None], v[:, None], h[:, None])
+        tuv, bad = V.velocity_many(*txy.reshape(2, -1))
+        tuv = tuv.reshape(txy.shape)
+        tuv[0, own] = math.nan  # never slower, nor tied
+        took, th = _slower(tuv[0], tuv[1], u[:, None], v[:, None], h[:, None])
         stop = own | bad.reshape(own.shape) | took
     else:
+        tuv, th = np.full(txy.shape, math.nan), np.full(own.shape, math.nan)
         took, stop = np.zeros(own.shape, dtype=bool), own.copy()
         for j in range(_HALVINGS.size):
             i = (~stop[:, :j + 1].any(axis=1)).nonzero()[0]
             if not i.size:
                 break
-            trials[2:4, i, j], bad = V.velocity_many(trials[0, i, j], trials[1, i, j])
-            took[i, j], trials[4, i, j] = _slower(trials[2, i, j], trials[3, i, j], u[i], v[i], h[i])
+            tuv[:, i, j], bad = V.velocity_many(txy[0, i, j], txy[1, i, j])
+            took[i, j], th[i, j] = _slower(tuv[0, i, j], tuv[1, i, j], u[i], v[i], h[i])
             stop[i, j] = bad | took[i, j]
-    i, j = np.arange(x.size), np.argmax(stop, axis=1)
-    return took[i, j], trials[:, i, j]
+    k = np.argmax(stop, axis=1) + np.arange(0, stop.size, _HALVINGS.size)
+    return took.take(k), np.concatenate([w.reshape(2, -1).take(k, axis=1) for w in (txy, tuv)] + [th.take(k)[None]])
 
 
 def interior_centers(points: Sequence[StagnationPoint], d: TriangleDomain) -> list[StagnationPoint]:
@@ -456,12 +477,19 @@ _DP_DENSE = (-12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975
 
 @dataclass(frozen=True)
 class Streamline:
-    """Traced vertices with the stream function at each of them."""
+    """Traced vertices, as the tuples of their x and of their y, with
+    the stream function at each of them."""
 
-    vertices: tuple[PhysicalPoint, ...]
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
     termination: str
     psi_drift: float
     psi: tuple[float, ...]
+
+    @property
+    def vertices(self) -> tuple[PhysicalPoint, ...]:
+        """The vertices as points, built on each read."""
+        return tuple(map(PhysicalPoint, self.xs, self.ys))
 
 
 def _project_to_boundary(d: TriangleDomain, p: PhysicalPoint) -> PhysicalPoint:
@@ -494,19 +522,22 @@ def trace_streamline(
     vertex is projected onto it.  The trace closes after at least 10
     steps and three quarter-turns of accumulated heading (guards against
     false closure near saddles), on the step whose dense-output
-    interpolant passes within ``CLOSE_TOL * a`` of the seed.  A seed at
-    a stagnation point yields a single-vertex streamline.  The stream
-    function is evaluated once per vertex, with no projection onto its
-    level set; those values give the drift and are kept on the
-    streamline.  The velocity at each vertex is the last stage of the
-    step that reached it, its heading and the next step's first stage.
+    interpolant passes within ``CLOSE_TOL * a`` of the seed
+    (``_closest_approach``, asked only where the seed lies within three
+    chords of the step's start).  A seed at a stagnation point yields a
+    single-vertex streamline.  The stream function is evaluated once per
+    vertex, with no projection onto its level set; those values give the
+    drift and are kept on the streamline.  The velocity at each vertex
+    is the last stage of the step that reached it, its heading and the
+    next step's first stage.
 
     The stages run inline in the step loop, each velocity one
     ``VelocityField._eval_raw`` call and each vertex psi one
-    ``StreamFunction.evaluate`` call.  A stage point clear of every edge
-    line by more than ``_edge_margin(tol)`` is inside by three
-    comparisons; ``classify``'s test at tol = 1e-12 a decides only the
-    points near an edge.  ``step`` must be positive (inf: no cap).
+    ``StreamFunction.evaluate`` call, and the vertices are appended as
+    floats to the streamline's ``xs`` and ``ys``.  A stage point clear
+    of every edge line by more than ``_edge_margin(tol)`` is inside by
+    three comparisons; ``classify``'s test at tol = 1e-12 a decides only
+    the points near an edge.  ``step`` must be positive (inf: no cap).
     """
     d = V.domain
     a = float(d.a)
@@ -519,11 +550,11 @@ def trace_streamline(
     psi = V.source
     psi0 = psi.evaluate(seed.x, seed.y)
     vscale = V.speed_scale()
-    xs, ys = float(seed.x), float(seed.y)
-    ku, kv = V._eval_raw(xs, ys)
+    sx, sy = float(seed.x), float(seed.y)
+    ku, kv = V._eval_raw(sx, sy)
     speed = math.hypot(ku, kv)
     if speed <= 1e-12 * max(vscale, 1e-300):
-        return Streamline((PhysicalPoint(xs, ys),), STEP_LIMIT, 0.0, (psi0,))
+        return Streamline((sx,), (sy,), STEP_LIMIT, 0.0, (psi0,))
 
     tol = 1e-12 * a
     r2 = math.sqrt(2.0)
@@ -563,12 +594,11 @@ def trace_streamline(
     close_tol = CLOSE_TOL * a
     h = min(FIRST_STEP * a, step) / speed
     atan2, pi, two_pi = math.atan2, math.pi, 2 * math.pi
-    verts = [PhysicalPoint(xs, ys)]
-    values = [psi0]
+    xs, ys, values = [sx], [sy], [psi0]
     drift = 0.0
     heading = atan2(kv, ku)
     winding = 0.0
-    x, y = xs, ys
+    x, y = sx, sy
     termination = STEP_LIMIT
     accepted = rejected = 0
     while accepted < max_steps and rejected < max_steps:
@@ -606,9 +636,10 @@ def trace_streamline(
             ok = yn > tol and xn - yn > far and two_a - xn - yn > far or inside(xn, yn)
         if not ok:
             if h * speed <= edge:
-                end = _project_to_boundary(d, PhysicalPoint(x, y))
-                verts.append(end)
-                values.append(psi_at(end.x, end.y))
+                ex, ey = _project_to_boundary(d, PhysicalPoint(x, y))
+                xs.append(ex)
+                ys.append(ey)
+                values.append(psi_at(ex, ey))
                 termination = HIT_BOUNDARY
                 break
             rejected += 1
@@ -629,7 +660,8 @@ def trace_streamline(
             h *= max(0.2, 0.9 * ratio ** -0.2)
             continue
         accepted += 1
-        verts.append(PhysicalPoint(xn, yn))
+        xs.append(xn)
+        ys.append(yn)
         val = psi_at(xn, yn)
         values.append(val)
         dv = abs(val - psi0)
@@ -643,15 +675,18 @@ def trace_streamline(
             delta += two_pi
         winding += delta
         heading = hn
-        if accepted >= 10 and abs(winding) >= 1.5 * pi:
+        # farther than three chords from the step's start, the seed is
+        # more than a chord from its segment, where _closest_approach
+        # returns inf; a nan fails both tests
+        if accepted >= 10 and abs(winding) >= 1.5 * pi and hypot(sx - x, sy - y) <= 3 * hypot(xn - x, yn - y):
             ks = (k3u, k3v, k4u, k4v, k5u, k5v, k6u, k6v, k7u, k7v)
-            if _closest_approach(xs, ys, x, y, xn, yn, h, ku, kv, ks) <= close_tol:
+            if _closest_approach(sx, sy, x, y, xn, yn, h, ku, kv, ks) <= close_tol:
                 termination = CLOSED
                 break
         x, y, ku, kv = xn, yn, k7u, k7v
         speed = hypot(ku, kv)
         h *= min(5.0, 0.9 * ratio ** -0.2) if ratio > 0 else 5.0
-    return Streamline(tuple(verts), termination, drift, tuple(values))
+    return Streamline(tuple(xs), tuple(ys), termination, drift, tuple(values))
 
 
 def _edge_margin(tol: float) -> float:
@@ -745,11 +780,11 @@ def write_streamlines_csv(traces: Sequence[Streamline], path) -> None:
         fh.write("trace_id,step,x,y,psi\n")
         for tid, tr in enumerate(traces):
             # each row's trace id, step, x, y and psi
-            n = len(tr.vertices)
+            n = len(tr.xs)
             fields = [tid] * (5 * n)
             fields[1::5] = range(n)
-            fields[2::5] = [p.x + 0.0 for p in tr.vertices]
-            fields[3::5] = [p.y + 0.0 for p in tr.vertices]
+            fields[2::5] = [x + 0.0 for x in tr.xs]
+            fields[3::5] = [y + 0.0 for y in tr.ys]
             fields[4::5] = [val + 0.0 for val in tr.psi]
             fh.write("%d,%d,%.17g,%.17g,%.17g\n" * n % tuple(fields))
 

@@ -438,3 +438,33 @@ class TestExamplesCommand:
         blocker.write_text("")
         # a path through a regular file cannot be created
         assert run(["examples", "--out", str(blocker / "sub"), "--quiet"]) == EXIT_USAGE
+
+
+class TestOutputDirectoryProbe:
+    """Each command probes its output directory before it computes: a
+    path under a regular file cannot be created, whoever runs it."""
+
+    @pytest.mark.parametrize("command", ["check", "solve", "flow", "examples"])
+    def test_unwritable_output_dir_is_a_config_error(self, command, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        assert run([command, "--out", str(out), "--quiet"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"config error: output directory not writable: {out} (")
+        assert captured.out == ""
+        # nothing is written anywhere: the blocker is the only file
+        assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")] == ["file"]
+
+    def test_examples_probes_each_directory_once(self, tmp_path, monkeypatch):
+        from cavitystream import cli
+
+        probed = []
+        probe = cli._ensure_outdir
+        monkeypatch.setattr(cli, "_ensure_outdir", lambda path: probed.append(path) or probe(path))
+        out = tmp_path / "all"
+        assert run(["examples", "--out", str(out), "--quiet"]) == EXIT_OK
+        assert probed == [str(out)] + [os.path.join(str(out), name) for name in ("linear", "sinusoidal", "realistic")]
+        assert not any(p.name == ".write_probe" for p in out.rglob("*"))

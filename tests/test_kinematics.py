@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cavitystream import kinematics
 from cavitystream.cli import BUILTIN_NAMES, SINUSOIDAL_AMPLITUDE, RunConfig, StressSpec, \
@@ -794,6 +795,63 @@ class TestEvaluationCounts:
         assert calls["evaluate"] == sum(len(tr.vertices) for tr in traces)
 
 
+# six coordinates at one scale, as a seed and a step in one cavity are:
+# multiples of 2^-21 in [-2, 2] times a subnormal, 1e-310, 1e-300, 1 or
+# 1e300, and -0.0 and nan among them
+def _coords_at_one_scale():
+    def at(scale):
+        coord = st.one_of(st.builds(lambda k: scale * (k / 2**21), st.integers(-2**22, 2**22)),
+                          st.sampled_from([-0.0, math.nan]))
+        return st.tuples(*[coord] * 6)
+    return st.sampled_from([5e-324, 1e-310, 1e-300, 1.0, 1e300]).flatmap(at)
+
+
+class TestClosureReach:
+    """``trace_streamline`` asks ``_closest_approach`` only where the seed
+    lies within three chords of the step's start: farther, it is more
+    than a chord from the step's segment, where ``_closest_approach``
+    returns inf, so no closure decision changes.  (Two chords would be
+    enough in exact arithmetic, but not at a subnormal scale: a seed at
+    (2u, 2u) is 3u from the start of the step from (0, 0) to (u, u),
+    whose chord rounds to u, and 1u from its segment.)"""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_coords_at_one_scale(), st.lists(st.floats(-1e3, 1e3), min_size=13, max_size=13))
+    @example((2 * 5e-324, 2 * 5e-324, 0.0, 0.0, 5e-324, 5e-324), [1.0] * 13)
+    @example((4e300, 0.0, 1e300, 0.0, 1.5e300, 0.0), [1.0] * 13)
+    @example((math.nan, 0.5, 0.0, 0.0, 0.1, 0.0), [1.0] * 13)
+    @example((-0.0, 5e-324, 0.0, -0.0, 0.0, 0.0), [1.0] * 13)
+    def test_skipped_steps_never_close(self, points, ks):
+        sx, sy, x0, y0, x1, y1 = points
+        # the tracer's test, as it reads there; nan fails it
+        if math.hypot(sx - x0, sy - y0) <= 3 * math.hypot(x1 - x0, y1 - y0):
+            return
+        got = kinematics._closest_approach(sx, sy, x0, y0, x1, y1, *ks[:3], tuple(ks[3:]))
+        # no tolerance closes the step: inf, or nan where a coordinate is
+        assert not got < math.inf
+        if not any(map(math.isnan, points)):
+            assert got == math.inf
+
+    def test_builtin_flow_traces_ask_within_reach_only(self, monkeypatch):
+        # the 24 default-seed traces of the benchmark's builtin-flow work:
+        # the three builtins at a = 1 and the linear stress at a = 2;
+        # every step past the closure guard asked before (606), and 47
+        # of them get past the segment test
+        results = []
+        closest = kinematics._closest_approach
+        monkeypatch.setattr(kinematics, "_closest_approach",
+                            lambda *args: results.append(closest(*args)) or results[-1])
+        traces = [tr for name in BUILTIN_NAMES for tr in _default_seed_traces(name, 1.0)[1]]
+        terms = ((0, 1, Fraction(16)), (0, 0, Fraction(-16)))
+        cfg = RunConfig(a=2.0, stress=StressSpec(kind="polynomial", terms=terms))
+        V = velocity_field(build_stream_function(cfg))
+        seeds = default_flow_seeds(cfg.domain, stagnation_points(V, cfg.domain))
+        traces += [trace_streamline(V, seed) for seed in seeds]
+        assert len(traces) == 24 and all(tr.termination == CLOSED for tr in traces)
+        assert len(results) == 76
+        assert sum(r < math.inf for r in results) == 47
+
+
 class TestEdgeFastPath:
     """The tracer takes a stage point clear of each edge line by more
     than ``_edge_margin(tol)`` (y > tol, x - y > far, 2a - x - y > far)
@@ -847,12 +905,24 @@ class TestTraceWriters:
     @staticmethod
     def _cases():
         cases = {name: _default_seed_traces(name, 1.0)[1] for name in BUILTIN_NAMES}
-        one = Streamline((PhysicalPoint(0.5, 0.25),), STEP_LIMIT, 0.0, (0.125,))
-        odd = Streamline((PhysicalPoint(-0.0, 5e-324), PhysicalPoint(1e300, -0.0), PhysicalPoint(5e-324, 1.0)),
-                         STEP_LIMIT, math.nan, (math.nan, math.inf, -0.0))
-        cases.update({"empty": [], "single-vertex": [one], "no-vertex": [Streamline((), STEP_LIMIT, 0.0, ())],
+        one = Streamline((0.5,), (0.25,), STEP_LIMIT, 0.0, (0.125,))
+        odd = Streamline((-0.0, 1e300, 5e-324), (5e-324, -0.0, 1.0), STEP_LIMIT, math.nan, (math.nan, math.inf, -0.0))
+        cases.update({"empty": [], "single-vertex": [one], "no-vertex": [Streamline((), (), STEP_LIMIT, 0.0, ())],
                       "odd-values": [odd, one, odd]})
         return cases
+
+    def test_vertices_round_trip(self):
+        # the points that ``vertices`` builds hold the coordinates' bits,
+        # and a record built from them holds the same tuples
+        for name, traces in self._cases().items():
+            for tr in traces:
+                pts = tr.vertices
+                assert all(type(p) is PhysicalPoint for p in pts)
+                assert [(p.x.hex(), p.y.hex()) for p in pts] == [(x.hex(), y.hex()) for x, y in zip(tr.xs, tr.ys)]
+                back = Streamline(tuple(p.x for p in pts), tuple(p.y for p in pts), tr.termination, tr.psi_drift,
+                                  tr.psi)
+                assert (back.xs, back.ys) == (tr.xs, tr.ys), name
+                assert [x.hex() for x in back.xs + back.ys] == [x.hex() for x in tr.xs + tr.ys], name
 
     def test_streamlines_csv_bytes(self, tmp_path):
         for name, traces in self._cases().items():
